@@ -21,6 +21,7 @@ from .graphs import (
     PRODUCT_SIZE_CAP,
     Laplacian,
     TransitionGraph,
+    _product_measure,
     cartesian_power,
     complete_graph,
     interior_measure_profile,
@@ -28,16 +29,19 @@ from .graphs import (
     probabilistic_laplacian,
 )
 from .search import (
+    GAMMA_RANGE_DEFAULT,
+    OPT_GAMMA_POINTS_DEFAULT,
+    OPT_T_POINTS_DEFAULT,
+    SCAN_POINTS_DEFAULT,
+    GammaCriticalPoints,
+    SearchOptimum,
     _LowLevelSolver,
+    _time_ceiling,
     gamma_critical_points,
     optimize_search,
     success_curve,
 )
-from .spectral import SearchHamiltonian, decompose
-
-GAMMA_SCAN_DEFAULT = (0.05, 3.0, 600)
-T_POINTS_DEFAULT = 4000
-OPT_GAMMA_POINTS_DEFAULT = 200
+from .spectral import OverlapReport, SearchHamiltonian, decompose
 
 TABLE_COLUMNS = [
     "p",
@@ -154,8 +158,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     cfg.gamma_min = _want(raw, "sweep.gamma_min", float, None, lambda v: v > 0, "a positive real")
     cfg.gamma_max = _want(raw, "sweep.gamma_max", float, None, lambda v: v > 0, "a positive real")
-    if cfg.gamma_min is not None and cfg.gamma_max is not None and cfg.gamma_min >= cfg.gamma_max:
-        raise ConfigError("sweep.gamma_min: must be below sweep.gamma_max")
+    lo, hi = _scan_range(cfg)
+    if lo >= hi:
+        raise ConfigError(f"sweep.gamma_min: must be below sweep.gamma_max, got the range ({lo}, {hi})")
     cfg.gamma_points = _want(raw, "sweep.gamma_points", int, None, lambda v: v >= 2, "an integer >= 2")
     cfg.t_points = _want(raw, "sweep.t_points", int, None, lambda v: v >= 2, "an integer >= 2")
 
@@ -180,11 +185,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _build_graph(cfg: ExperimentConfig, p: float | None = None):
+    """Graph, Laplacian, measure and target vertex for one parameter value."""
     if cfg.family == "complete":
         g = complete_graph(cfg.n_complete)
         lap = probabilistic_laplacian(g)
-        return g, lap, lap.measure
-    return cartesian_power(path_graph(p), cfg.d)
+        measure = lap.measure
+    else:
+        g, lap, measure = cartesian_power(path_graph(p), cfg.d)
+    return g, lap, measure, _resolve_target(cfg, g)
 
 
 def _resolve_target(cfg: ExperimentConfig, g: TransitionGraph) -> int:
@@ -196,8 +204,8 @@ def _resolve_target(cfg: ExperimentConfig, g: TransitionGraph) -> int:
 
 
 def _scan_range(cfg: ExperimentConfig) -> tuple[float, float]:
-    lo = cfg.gamma_min if cfg.gamma_min is not None else GAMMA_SCAN_DEFAULT[0]
-    hi = cfg.gamma_max if cfg.gamma_max is not None else GAMMA_SCAN_DEFAULT[1]
+    lo = cfg.gamma_min if cfg.gamma_min is not None else GAMMA_RANGE_DEFAULT[0]
+    hi = cfg.gamma_max if cfg.gamma_max is not None else GAMMA_RANGE_DEFAULT[1]
     return lo, hi
 
 
@@ -241,8 +249,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
     p = cfg.p_values[0] if cfg.family == "path-power" else None
     if cfg.family == "path-power" and len(cfg.p_values) != 1:
         raise ConfigError("graph.p: spectrum expects a single value, got a list")
-    g, lap, measure = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
+    g, lap, measure, w = _build_graph(cfg, p)
 
     sd = decompose(lap)
     _write_csv(
@@ -296,13 +303,14 @@ class TableRow:
         ]
 
 
-def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
-    g, lap, measure = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
+def _critical_and_optimum(
+    cfg: ExperimentConfig, p: float, g: TransitionGraph, lap: Laplacian, w: int
+) -> tuple[GammaCriticalPoints, SearchOptimum]:
+    """Critical couplings, then the optimum within +-20% of gamma_E (else the scan range)."""
     scan = _scan_range(cfg)
     crit = gamma_critical_points(
         g, w, scan,
-        grid_points=cfg.gamma_points or GAMMA_SCAN_DEFAULT[2],
+        grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT,
         lap=lap, threads=cfg.threads,
     )
     for name, value in (("gamma_s", crit.gamma_s), ("gamma_w", crit.gamma_w), ("gamma_E", crit.gamma_E)):
@@ -312,9 +320,15 @@ def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
     opt = optimize_search(
         g, w, opt_range,
         gamma_points=OPT_GAMMA_POINTS_DEFAULT,
-        t_points=cfg.t_points or T_POINTS_DEFAULT,
+        t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
         lap=lap, threads=cfg.threads,
     )
+    return crit, opt
+
+
+def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
+    g, lap, measure, w = _build_graph(cfg, p)
+    crit, opt = _critical_and_optimum(cfg, p, g, lap, w)
     row = TableRow(
         p=p,
         gamma_s=crit.gamma_s,
@@ -371,11 +385,11 @@ def run_tables(cfg: ExperimentConfig, out: Path) -> None:
 def run_figure_data(cfg: ExperimentConfig, figure: str, out: Path) -> None:
     if figure not in FIGURE_KINDS:
         raise ConfigError(f"figure.kind: expected one of {FIGURE_KINDS}, got {figure!r}")
+    if cfg.family != "path-power":
+        raise ConfigError(f"graph.family: figure '{figure}' requires the 'path-power' family")
     if figure == "volume":
         _figure_volume(cfg, out)
         return
-    if cfg.family != "path-power":
-        raise ConfigError(f"graph.family: figure '{figure}' requires the 'path-power' family")
     for p in cfg.p_values:
         if figure == "overlaps":
             _figure_overlaps(cfg, p, out)
@@ -385,16 +399,20 @@ def run_figure_data(cfg: ExperimentConfig, figure: str, out: Path) -> None:
             _figure_timeseries(cfg, p, out)
 
 
-def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    g, lap, _ = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
+def _low_pair_grid(
+    cfg: ExperimentConfig, lap: Laplacian, w: int
+) -> tuple[np.ndarray, list[OverlapReport]]:
+    """The figure coupling grid and the two-lowest-state report at each point."""
     lo, hi = _scan_range(cfg)
-    grid = np.linspace(lo, hi, cfg.gamma_points or GAMMA_SCAN_DEFAULT[2])
+    grid = np.linspace(lo, hi, cfg.gamma_points or SCAN_POINTS_DEFAULT)
     solver = _LowLevelSolver(lap, w)
-    rows = []
-    for gamma in grid:
-        _, _, s0, s1, w0, w1 = solver.low_pair(gamma)
-        rows.append([gamma, s0, w0, s1, w1])
+    return grid, [solver.low_pair(gamma) for gamma in grid]
+
+
+def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
+    _, lap, _, w = _build_graph(cfg, p)
+    grid, reports = _low_pair_grid(cfg, lap, w)
+    rows = [[gamma, r.s_psi0, r.w_psi0, r.s_psi1, r.w_psi1] for gamma, r in zip(grid, reports)]
     _write_csv(
         out / f"overlaps_p{p:g}.csv",
         ["gamma", "s_psi0", "w_psi0", "s_psi1", "w_psi1"],
@@ -410,14 +428,10 @@ def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 
 def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    g, lap, measure = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
-    lo, hi = _scan_range(cfg)
-    grid = np.linspace(lo, hi, cfg.gamma_points or GAMMA_SCAN_DEFAULT[2])
-    solver = _LowLevelSolver(lap, w)
-    gaps = [abs(r[1] - r[0]) for r in map(solver.low_pair, grid)]
-    t_max = min(measure.volume, 3.0 * np.pi / max(min(gaps), 1e-300))
-    times = np.linspace(0.0, t_max, cfg.t_points or T_POINTS_DEFAULT)
+    _, lap, measure, w = _build_graph(cfg, p)
+    grid, reports = _low_pair_grid(cfg, lap, w)
+    t_max = _time_ceiling("auto", measure.volume, min(abs(r.e1 - r.e0) for r in reports))
+    times = np.linspace(0.0, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT)
     rows = []
     for gamma in grid:
         h = SearchHamiltonian(gamma, w, lap)
@@ -432,21 +446,9 @@ def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 
 def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    g, lap, _ = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
-    crit = gamma_critical_points(
-        g, w, _scan_range(cfg),
-        grid_points=cfg.gamma_points or GAMMA_SCAN_DEFAULT[2],
-        lap=lap, threads=cfg.threads,
-    )
-    opt_range = (0.8 * crit.gamma_E, 1.2 * crit.gamma_E) if crit.gamma_E is not None else _scan_range(cfg)
-    opt = optimize_search(
-        g, w, opt_range,
-        gamma_points=OPT_GAMMA_POINTS_DEFAULT,
-        t_points=cfg.t_points or T_POINTS_DEFAULT,
-        lap=lap, threads=cfg.threads,
-    )
-    times = np.linspace(0.0, 1.25 * opt.t_opt, cfg.t_points or T_POINTS_DEFAULT)
+    g, lap, _, w = _build_graph(cfg, p)
+    _, opt = _critical_and_optimum(cfg, p, g, lap, w)
+    times = np.linspace(0.0, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT)
     h = SearchHamiltonian(opt.gamma_opt, w, lap)
     curve = success_curve(h, times, spectral=decompose(h, check=False))
     _write_csv(out / f"timeseries_p{p:g}.csv", ["t", "pi"], zip(times, curve))
@@ -469,12 +471,10 @@ def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 
 def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
-    if cfg.family != "path-power":
-        raise ConfigError("graph.family: figure 'volume' requires the 'path-power' family")
     ps = np.linspace(cfg.volume_p_min, cfg.volume_p_max, cfg.volume_p_points)
     rows = []
     for p in ps:
-        _, _, measure = cartesian_power(path_graph(float(p)), cfg.d)
+        measure = _product_measure(path_graph(float(p)), cfg.d)
         rows.append([p, np.sqrt(measure.volume)])
     _write_csv(out / "volume.csv", ["p", "sqrt_volume"], rows)
     _write_schema(out, "volume", [
@@ -487,15 +487,14 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     p = cfg.p_values[0] if cfg.family == "path-power" else None
     if cfg.family == "path-power" and len(cfg.p_values) != 1:
         raise ConfigError("graph.p: optimize expects a single value, got a list")
-    g, lap, _ = _build_graph(cfg, p)
-    w = _resolve_target(cfg, g)
+    g, lap, _, w = _build_graph(cfg, p)
     gamma_range = None
     if cfg.gamma_min is not None and cfg.gamma_max is not None:
         gamma_range = (cfg.gamma_min, cfg.gamma_max)
     opt = optimize_search(
         g, w, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
-        t_points=cfg.t_points or T_POINTS_DEFAULT,
+        t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
         lap=lap, threads=cfg.threads,
     )
     payload = {
@@ -538,34 +537,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a flat JSON config")
-        cmd.add_argument("--out", help="output directory (overrides output.path)")
+        # a flag whose dest is a dotted config key replaces that key before validation
+        cmd.add_argument("--out", dest="output.path", help="output directory (overrides output.path)")
         cmd.add_argument("--threads", type=int, help="worker threads for sweeps")
-        cmd.add_argument("--gamma-min", type=float, dest="gamma_min")
-        cmd.add_argument("--gamma-max", type=float, dest="gamma_max")
-        cmd.add_argument("--gamma-points", type=int, dest="gamma_points")
-        cmd.add_argument("--t-points", type=int, dest="t_points")
+        cmd.add_argument("--gamma-min", type=float, dest="sweep.gamma_min")
+        cmd.add_argument("--gamma-max", type=float, dest="sweep.gamma_max")
+        cmd.add_argument("--gamma-points", type=int, dest="sweep.gamma_points")
+        cmd.add_argument("--t-points", type=int, dest="sweep.t_points")
         if name == "figures":
             cmd.add_argument("--figure", choices=FIGURE_KINDS, help="which figure data to emit")
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    if args.out is not None:
-        cfg.out_path = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        cfg.threads = args.threads
-    for key in ("gamma_min", "gamma_max", "gamma_points", "t_points"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.gamma_min is not None and cfg.gamma_max is not None and cfg.gamma_min >= cfg.gamma_max:
-        raise ConfigError("sweep.gamma_min: must be below sweep.gamma_max")
-    if cfg.gamma_points is not None and cfg.gamma_points < 2:
-        raise ConfigError(f"sweep.gamma_points: must be >= 2, got {cfg.gamma_points}")
-    if cfg.t_points is not None and cfg.t_points < 2:
-        raise ConfigError(f"sweep.t_points: must be >= 2, got {cfg.t_points}")
+def _with_flags(raw, args: argparse.Namespace):
+    """The config mapping with each given key-valued flag in place of its key."""
+    if not isinstance(raw, dict):
+        return raw
+    return raw | {k: v for k, v in vars(args).items() if "." in k and v is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -581,8 +569,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        cfg = parse_config(raw)
-        _apply_overrides(cfg, args)
+        cfg = parse_config(_with_flags(raw, args))
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+            cfg.threads = args.threads
         out = Path(cfg.out_path)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":

@@ -41,9 +41,6 @@ class TransitionGraph:
             P[x, y] = p
         return P
 
-    def out_neighbors(self, x: int) -> list[int]:
-        return [y for (u, y) in self.weights if u == x]
-
 
 @dataclass(frozen=True)
 class VertexMeasure:
@@ -188,8 +185,17 @@ def _check_self_adjoint(delta: np.ndarray, mu: np.ndarray) -> None:
         )
 
 
+def _product_measure(g: TransitionGraph, d: int) -> VertexMeasure:
+    """Measure of the d-fold Cartesian power of g: the Kronecker power of g's measure."""
+    axis_mu = kolmogorov_measure(g).mu
+    mu = np.array([1.0])
+    for _ in range(d):
+        mu = np.kron(mu, axis_mu)
+    return VertexMeasure(mu, float(mu.sum()))
+
+
 def cartesian_power(
-    g: TransitionGraph, d: int, size_cap: int = PRODUCT_SIZE_CAP
+    g: TransitionGraph, d: int
 ) -> tuple[TransitionGraph, Laplacian, VertexMeasure]:
     """d-fold Cartesian power of g with the 1/d-normalized Kronecker-sum Laplacian.
 
@@ -201,10 +207,10 @@ def cartesian_power(
         raise ValueError(f"product dimension d={d} must be at least 1")
     n_axis = g.n
     n = n_axis**d
-    if n > size_cap:
-        raise ValueError(f"product has {n} vertices, above the cap {size_cap}")
+    if n > PRODUCT_SIZE_CAP:
+        raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")
 
-    axis_measure = kolmogorov_measure(g)
+    measure = _product_measure(g, d)
     axis_delta = np.eye(n_axis) - g.transition_matrix()
 
     delta = np.zeros((n, n))
@@ -230,15 +236,10 @@ def cartesian_power(
                     if a == xk:
                         weights[(v, v + (b - a) * stride[k])] = p / d
 
-    mu = np.array([1.0])
-    for _ in range(d):
-        mu = np.kron(mu, axis_measure.mu)
-    measure = VertexMeasure(mu, float(mu.sum()))
-
     params = {"d": d, "axis_n": n_axis, "base": g.family, **g.params}
     gd = TransitionGraph(n, weights, "product", params, axis=g)
     _validate_graph(gd)
-    _check_self_adjoint(delta, mu)
+    _check_self_adjoint(delta, measure.mu)
     return gd, Laplacian(delta, gd, measure), measure
 
 

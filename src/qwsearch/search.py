@@ -19,11 +19,14 @@ import scipy.linalg as sla
 from .errors import DegenerateLowStates, NoRootInRange, NotAtGammaE
 from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
 from .spectral import (
+    _CROSSINGS,
     DEGENERACY_TOL,
+    OverlapReport,
     SearchHamiltonian,
     SpectralData,
     Symmetrized,
     _ground_sym,
+    _overlap_report,
     _require_simple_low_states,
     decompose,
     eigendecompose,
@@ -55,8 +58,7 @@ def evolve(
     if t < 0:
         raise ValueError(f"time t={t} must be nonnegative")
     sd = spectral if spectral is not None else decompose(h)
-    s_sym = _ground_sym(sd)
-    coeff = sd.sym_vectors.T @ s_sym
+    coeff = sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu)
     u = sd.sym_vectors @ (np.exp(-1j * sd.eigenvalues * t) * coeff)
     return EvolutionResult(
         time=t,
@@ -79,17 +81,20 @@ def success_curve(
 
 def _target_amplitudes(sd: SpectralData, w: int) -> np.ndarray:
     # per-state product <e_w, psi_a><psi_a, s>; pi(t) = |sum_a amp_a e^{-i E_a t}|^2
-    return sd.sym_vectors[w, :] * (sd.sym_vectors.T @ _ground_sym(sd))
+    return sd.sym_vectors[w, :] * (sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu))
+
+
+def _exp_sum(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+    # sum_a amps_a e^{-i E_a t} on a time grid, _CHUNK times per matmul to bound memory
+    out = np.empty(times.size, dtype=complex)
+    for i in range(0, times.size, _CHUNK):
+        tt = times[i : i + _CHUNK]
+        out[i : i + _CHUNK] = np.exp(-1j * tt[:, None] * evals[None, :]) @ amps
+    return out
 
 
 def _curve(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.empty(times.size)
-    for i in range(0, times.size, _CHUNK):
-        tt = times[i : i + _CHUNK]
-        out[i : i + _CHUNK] = (
-            np.abs(np.exp(-1j * tt[:, None] * evals[None, :]) @ amps) ** 2
-        )
-    return out
+    return np.abs(_exp_sum(evals, amps, times)) ** 2
 
 
 @dataclass(frozen=True)
@@ -113,12 +118,11 @@ class _LowLevelSolver:
     """
 
     def __init__(self, lap: Laplacian, w: int):
-        self.lap = lap
         self.w = w
         sym = symmetrize(lap)
         self.s_delta = sym.matrix
         self.sqrt_mu = sym.sqrt_mu
-        self.s_sym = self.sqrt_mu / np.sqrt((self.sqrt_mu**2).sum())
+        self.s_sym = _ground_sym(self.sqrt_mu)
         self.n = self.s_delta.shape[0]
 
     def hamiltonian(self, gamma: float) -> np.ndarray:
@@ -126,8 +130,8 @@ class _LowLevelSolver:
         m[self.w, self.w] -= 1.0
         return m
 
-    def low_pair(self, gamma: float) -> tuple[float, float, float, float, float, float]:
-        """Return (e0, e1, s0, s1, w0, w1) with squared overlaps, guarding degeneracy."""
+    def low_pair(self, gamma: float) -> OverlapReport:
+        """Energies and squared overlaps of the two lowest states, guarding degeneracy."""
         m = self.hamiltonian(gamma)
         hi = min(2, self.n - 1)
         evals, vecs = sla.eigh(m, subset_by_index=[0, hi])
@@ -136,18 +140,10 @@ class _LowLevelSolver:
             raise DegenerateLowStates(
                 f"near-degenerate low states at gamma={gamma}"
             )
-        s0 = float(self.s_sym @ vecs[:, 0]) ** 2
-        s1 = float(self.s_sym @ vecs[:, 1]) ** 2
-        w0 = float(vecs[self.w, 0]) ** 2
-        w1 = float(vecs[self.w, 1]) ** 2
-        return float(evals[0]), float(evals[1]), s0, s1, w0, w1
+        return _overlap_report(evals, vecs, self.s_sym, self.w)
 
     def crossing_function(self, which: str):
-        combine = {
-            "s": lambda r: r[2] - r[3],
-            "w": lambda r: r[4] - r[5],
-            "E": lambda r: r[0] + r[1],
-        }.get(which)
+        combine = _CROSSINGS.get(which)
         if combine is None:
             raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
         return lambda gamma: combine(self.low_pair(gamma))
@@ -184,6 +180,30 @@ def _bisect(f, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
+def _scan(
+    graph: TransitionGraph,
+    w: int,
+    kinds: tuple[str, ...],
+    gamma_range: tuple[float, float],
+    grid_points: int,
+    lap: Laplacian | None,
+    threads: int,
+) -> dict[str, float | None]:
+    """First root of each requested crossing kind, or None, from one shared grid."""
+    lo, hi = gamma_range
+    if not (0.0 < lo < hi):
+        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
+    lap = lap if lap is not None else probabilistic_laplacian(graph)
+    solver = _LowLevelSolver(lap, w)
+    crossings = {which: solver.crossing_function(which) for which in kinds}
+    grid = np.linspace(lo, hi, grid_points)
+    reports = _map_ordered(solver.low_pair, grid, threads)
+    return {
+        which: _first_root(grid, np.array([_CROSSINGS[which](r) for r in reports]), f)
+        for which, f in crossings.items()
+    }
+
+
 def find_gamma_critical(
     graph: TransitionGraph,
     w: int,
@@ -200,16 +220,9 @@ def find_gamma_critical(
     bracket narrower than 1e-12.  Raises NoRootInRange if the scanned values
     never change sign.
     """
-    lo, hi = gamma_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = _LowLevelSolver(lap, w)
-    f = solver.crossing_function(which)
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array(_map_ordered(f, grid, threads))
-    root = _first_root(grid, values, f)
+    root = _scan(graph, w, (which,), gamma_range, grid_points, lap, threads)[which]
     if root is None:
+        lo, hi = gamma_range
         raise NoRootInRange(
             f"no sign change of the '{which}' crossing in [{lo}, {hi}]"
         )
@@ -226,20 +239,7 @@ def gamma_critical_points(
     threads: int = 1,
 ) -> GammaCriticalPoints:
     """All three critical couplings from a single shared grid scan."""
-    lo, hi = gamma_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = _LowLevelSolver(lap, w)
-    grid = np.linspace(lo, hi, grid_points)
-    rows = np.array(_map_ordered(solver.low_pair, grid, threads))
-    roots = {}
-    for which, values in (
-        ("s", rows[:, 2] - rows[:, 3]),
-        ("w", rows[:, 4] - rows[:, 5]),
-        ("E", rows[:, 0] + rows[:, 1]),
-    ):
-        roots[which] = _first_root(grid, values, solver.crossing_function(which))
+    roots = _scan(graph, w, ("s", "w", "E"), gamma_range, grid_points, lap, threads)
     return GammaCriticalPoints(
         gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"]
     )
@@ -328,7 +328,7 @@ def optimize_search(
     def eval_gamma(gamma: float) -> tuple[float, float, float, float, float, bool]:
         m = solver.hamiltonian(gamma)
         sd = eigendecompose(Symmetrized(m, solver.sqrt_mu), check=False)
-        amps = sd.sym_vectors[w, :] * (sd.sym_vectors.T @ solver.s_sym)
+        amps = _target_amplitudes(sd, w)
         gap = abs(float(sd.eigenvalues[1] - sd.eigenvalues[0]))
         ceiling = _time_ceiling(t_ceiling, volume, gap)
         times = np.linspace(0.0, ceiling, t_points)
@@ -440,8 +440,7 @@ def decompose_at_gamma_E(
 
     sd = decompose(SearchHamiltonian(gamma, w, lap))
     _require_simple_low_states(sd.eigenvalues, sd.spectral_range)
-    s_sym = _ground_sym(sd)
-    coeff = sd.sym_vectors.T @ s_sym
+    coeff = sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu)
     wv = sd.sym_vectors[w, :]
     alpha = wv * coeff
     s0_sq, s1_sq = coeff[0] ** 2, coeff[1] ** 2
@@ -464,12 +463,7 @@ def decompose_at_gamma_E(
     e0, e1 = float(sd.eigenvalues[0]), float(sd.eigenvalues[1])
     times = np.asarray(t_samples, dtype=float)
     two_level = alpha[0] * np.exp(-1j * e0 * times) + alpha[1] * np.exp(-1j * e1 * times)
-    higher = np.zeros(times.size, dtype=complex)
-    for i in range(0, times.size, _CHUNK):
-        tt = times[i : i + _CHUNK]
-        higher[i : i + _CHUNK] = (
-            np.exp(-1j * tt[:, None] * sd.eigenvalues[None, 2:]) @ alpha[2:]
-        )
+    higher = _exp_sum(sd.eigenvalues[2:], alpha[2:], times)
     residual = 2.0 * (two_level * np.conj(higher)).real + np.abs(higher) ** 2
     success = np.abs(two_level + higher) ** 2
     amplitude = 4.0 * s0_sq * w1_sq

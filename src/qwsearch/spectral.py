@@ -65,11 +65,6 @@ class Symmetrized:
             return v / self.sqrt_mu
         return v / self.sqrt_mu[:, None]
 
-    def to_symmetric(self, f: np.ndarray) -> np.ndarray:
-        if f.ndim == 1:
-            return f * self.sqrt_mu
-        return f * self.sqrt_mu[:, None]
-
 
 def symmetrize(op: Laplacian | SearchHamiltonian) -> Symmetrized:
     """Conjugate op by diag(sqrt(mu)), returning a genuinely symmetric matrix.
@@ -180,9 +175,9 @@ def ground_state(lap: Laplacian) -> np.ndarray:
     return np.full(lap.graph.n, 1.0 / np.sqrt(lap.measure.volume))
 
 
-def _ground_sym(sd: SpectralData) -> np.ndarray:
+def _ground_sym(sqrt_mu: np.ndarray) -> np.ndarray:
     # symmetric coordinates of the uniform ground state
-    return sd.sqrt_mu / np.sqrt((sd.sqrt_mu**2).sum())
+    return sqrt_mu / np.sqrt((sqrt_mu**2).sum())
 
 
 @dataclass(frozen=True)
@@ -250,6 +245,30 @@ class OverlapReport:
     w_psi1: float
 
 
+def _overlap_report(
+    evals: np.ndarray, vecs: np.ndarray, s_sym: np.ndarray, w: int
+) -> OverlapReport:
+    """Report of the two lowest eigenpairs; ``vecs`` columns are symmetric coordinates."""
+    s0 = float(s_sym @ vecs[:, 0])
+    s1 = float(s_sym @ vecs[:, 1])
+    return OverlapReport(
+        e0=float(evals[0]),
+        e1=float(evals[1]),
+        s_psi0=s0**2,
+        w_psi0=float(vecs[w, 0]) ** 2,
+        s_psi1=s1**2,
+        w_psi1=float(vecs[w, 1]) ** 2,
+    )
+
+
+# Crossing functions of an OverlapReport; each critical coupling is a root of one.
+_CROSSINGS = {
+    "s": lambda r: r.s_psi0 - r.s_psi1,
+    "w": lambda r: r.w_psi0 - r.w_psi1,
+    "E": lambda r: r.e0 + r.e1,
+}
+
+
 def _require_simple_low_states(evals: np.ndarray, scale: float) -> None:
     thr = DEGENERACY_TOL * max(scale, 1e-300)
     if evals.size < 2 or evals[1] - evals[0] <= thr:
@@ -268,18 +287,7 @@ def overlaps_direct(
     """Overlap probabilities straight from the eigenvectors of the Hamiltonian."""
     sd = spectral if spectral is not None else decompose(h)
     _require_simple_low_states(sd.eigenvalues, sd.spectral_range)
-    s_sym = _ground_sym(sd)
-    w = h.target
-    s0 = float(s_sym @ sd.sym_vectors[:, 0])
-    s1 = float(s_sym @ sd.sym_vectors[:, 1])
-    return OverlapReport(
-        e0=float(sd.eigenvalues[0]),
-        e1=float(sd.eigenvalues[1]),
-        s_psi0=s0**2,
-        w_psi0=float(sd.sym_vectors[w, 0]) ** 2,
-        s_psi1=s1**2,
-        w_psi1=float(sd.sym_vectors[w, 1]) ** 2,
-    )
+    return _overlap_report(sd.eigenvalues, sd.sym_vectors, _ground_sym(sd.sqrt_mu), h.target)
 
 
 def overlaps_via_green(

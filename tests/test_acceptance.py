@@ -21,7 +21,6 @@ from qwsearch.graphs import (
     probabilistic_laplacian,
 )
 from qwsearch.search import (
-    _LowLevelSolver,
     decompose_at_gamma_E,
     evolve,
     gamma_critical_points,

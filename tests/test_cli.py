@@ -6,6 +6,7 @@ import pytest
 from qwsearch import cli
 from qwsearch.errors import ConfigError
 from qwsearch.cli import parse_config
+from qwsearch.search import optimize_search
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -48,6 +49,8 @@ def test_parse_config_minimal():
         ({"graph.family": "complete", "graph.N": 4, "output.format": "xml"}, "output.format"),
         ({"graph.family": "complete", "graph.N": 4, "figure.kind": "pie"}, "figure.kind"),
         ({"graph.family": "complete", "graph.N": 4, "nonsense.key": 1}, "nonsense.key"),
+        # with gamma_max defaulted to 3.0 the range would be (5.0, 3.0)
+        ({"graph.family": "complete", "graph.N": 4, "sweep.gamma_min": 5.0}, "sweep.gamma_min"),
     ],
 )
 def test_parse_config_names_offending_key(payload, key):
@@ -61,6 +64,20 @@ def test_cli_invalid_p_exits_2(tmp_path, capsys):
     code = cli.main(["spectrum", "--config", cfg])
     assert code == 2
     assert "graph.p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,extra",
+    [
+        (["tables", "--gamma-min", "0"], {}),
+        (["optimize", "--gamma-min", "-1", "--gamma-max", "1.5"], {}),
+        (["tables"], {"sweep.gamma_min": 5.0}),
+    ],
+)
+def test_gamma_range_errors_exit_2(tmp_path, capsys, args, extra):
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | extra)
+    assert cli.main([args[0], "--config", cfg, *args[1:]]) == 2
+    assert "sweep.gamma_min" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exits_4(tmp_path):
@@ -164,6 +181,8 @@ def test_tables_missing_roots_leave_empty_cells(tmp_path, capsys):
     assert row["gamma_s"] == "" and row["gamma_w"] == "" and row["gamma_E"] == ""
     assert row["gamma_opt"] != ""
     assert "no gamma_s root" in capsys.readouterr().err
+    assert cli.main(["figures", "--config", cfg, "--figure", "timeseries"]) == 0
+    assert "no gamma_s root" in capsys.readouterr().err
 
 
 def test_tables_reject_complete_family(tmp_path):
@@ -198,6 +217,26 @@ def test_figure_volume_matches_formula(tmp_path):
         previous = sqrt_vol
     schema = json.loads((out / "volume.schema.json").read_text())
     assert [c["name"] for c in schema["columns"]] == ["p", "sqrt_volume"]
+
+    for d in (1, 2, 3):
+        out_d = tmp_path / f"out_d{d}"
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph.family": "path-power",
+                "graph.p": 0.5,
+                "graph.d": d,
+                "output.path": str(out_d),
+                "figure.kind": "volume",
+                "volume.p_points": 7,
+            },
+            name=f"config_d{d}.json",
+        )
+        assert cli.main(["figures", "--config", cfg]) == 0
+        for line in (out_d / "volume.csv").read_text().splitlines()[1:]:
+            p, sqrt_vol = (float(v) for v in line.split(","))
+            _, _, measure = cli.cartesian_power(cli.path_graph(p), d)
+            assert sqrt_vol == np.sqrt(measure.volume)
 
 
 def test_figure_overlaps_crossing_near_gamma_s(tmp_path):
@@ -250,6 +289,27 @@ def test_figure_timeseries_and_contour(tmp_path):
     lines = (out / "contour_p0.5.csv").read_text().splitlines()
     assert lines[0] == "t,gamma,pi"
     assert len(lines) == 1 + 13 * 101
+
+
+def test_timeseries_meta_matches_tables_row(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_path_config(out) | {"graph.d": 2, "sweep.gamma_points": 60, "sweep.t_points": 300},
+    )
+    assert cli.main(["tables", "--config", cfg]) == 0
+    assert cli.main(["figures", "--config", cfg, "--figure", "timeseries"]) == 0
+    line = (out / "tables.csv").read_text().splitlines()[1]
+    row = {k: float(v) for k, v in zip(cli.TABLE_COLUMNS, line.split(","))}
+    meta = json.loads((out / "timeseries_p0.5.meta.json").read_text())
+    for key in ("gamma_opt", "t_opt", "E0", "E1"):
+        assert meta[key] == row[key]
+    # pi_max is not a table column: rerun the optimizer on the row's gamma_E window
+    g, lap, _ = cli.cartesian_power(cli.path_graph(0.5), 2)
+    gamma_e = row["gamma_E"]
+    opt = optimize_search(g, 0, (0.8 * gamma_e, 1.2 * gamma_e), t_points=300, lap=lap)
+    assert (opt.gamma_opt, opt.t_opt) == (row["gamma_opt"], row["t_opt"])
+    assert meta["pi_max"] == opt.pi_max
 
 
 def test_optimize_complete_graph_json(tmp_path):
