@@ -5,7 +5,8 @@
 
 Runs each subcommand (spectrum, tables, optimize and the four figure kinds)
 on small d=2 path powers with p in {0.4, 0.91}, plus the complete graph on 8
-vertices where the command accepts it, through ``qwsearch.cli.main`` from the
+vertices where the command accepts it, and one spectrum of the d=3 product (64
+vertices) at p=0.91, through ``qwsearch.cli.main`` from the
 ``src/`` next to this script.  It prints one ``sha256  file`` line per output,
 sorted by file name.  Two source trees produce the same outputs when their
 listings are identical on the same machine.  BLAS runs on one thread, because
@@ -37,6 +38,7 @@ RUNS = [
     ("spectrum-p0.4", ["spectrum"], PATH | {"graph.p": 0.4, "spectrum.gamma_values": [0.5, 1.0]}),
     ("spectrum-p0.91", ["spectrum"], PATH | {"graph.p": 0.91}),
     ("spectrum-complete", ["spectrum"], COMPLETE | {"spectrum.gamma_values": [0.875, 2.0]}),
+    ("spectrum-d3", ["spectrum"], PATH | {"graph.d": 3, "graph.p": 0.91}),
     ("tables", ["tables"], PATH | BOTH_P | {"sweep.gamma_points": 120, "sweep.t_points": 400}),
     ("tables-threads2", ["tables", "--threads", "2"],
      PATH | BOTH_P | {"sweep.gamma_points": 120, "sweep.t_points": 400}),

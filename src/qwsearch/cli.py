@@ -203,6 +203,15 @@ def _resolve_target(cfg: ExperimentConfig, g: TransitionGraph) -> int:
     return int(cfg.target)
 
 
+def _single_p(cfg: ExperimentConfig, command: str) -> float | None:
+    """The one path bias a single-graph subcommand runs on; None for the complete graph."""
+    if cfg.family != "path-power":
+        return None
+    if len(cfg.p_values) != 1:
+        raise ConfigError(f"graph.p: {command} expects a single value, got a list")
+    return cfg.p_values[0]
+
+
 def _scan_range(cfg: ExperimentConfig) -> tuple[float, float]:
     lo = cfg.gamma_min if cfg.gamma_min is not None else GAMMA_RANGE_DEFAULT[0]
     hi = cfg.gamma_max if cfg.gamma_max is not None else GAMMA_RANGE_DEFAULT[1]
@@ -246,10 +255,7 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
-    p = cfg.p_values[0] if cfg.family == "path-power" else None
-    if cfg.family == "path-power" and len(cfg.p_values) != 1:
-        raise ConfigError("graph.p: spectrum expects a single value, got a list")
-    g, lap, measure, w = _build_graph(cfg, p)
+    g, lap, measure, w = _build_graph(cfg, _single_p(cfg, "spectrum"))
 
     sd = decompose(lap)
     _write_csv(
@@ -382,9 +388,10 @@ def run_tables(cfg: ExperimentConfig, out: Path) -> None:
         _write_csv(out / "tables.csv", TABLE_COLUMNS, (r.cells() for r in rows))
 
 
-def run_figure_data(cfg: ExperimentConfig, figure: str, out: Path) -> None:
-    if figure not in FIGURE_KINDS:
-        raise ConfigError(f"figure.kind: expected one of {FIGURE_KINDS}, got {figure!r}")
+def run_figure_data(cfg: ExperimentConfig, out: Path) -> None:
+    figure = cfg.figure
+    if figure is None:
+        raise ConfigError("figure.kind: required (or pass --figure)")
     if cfg.family != "path-power":
         raise ConfigError(f"graph.family: figure '{figure}' requires the 'path-power' family")
     if figure == "volume":
@@ -484,13 +491,12 @@ def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
-    p = cfg.p_values[0] if cfg.family == "path-power" else None
-    if cfg.family == "path-power" and len(cfg.p_values) != 1:
-        raise ConfigError("graph.p: optimize expects a single value, got a list")
-    g, lap, _, w = _build_graph(cfg, p)
+    g, lap, _, w = _build_graph(cfg, _single_p(cfg, "optimize"))
+    # either configured end fixes the window (a missing end takes its default);
+    # with neither, optimize_search centres the window on gamma_E
     gamma_range = None
-    if cfg.gamma_min is not None and cfg.gamma_max is not None:
-        gamma_range = (cfg.gamma_min, cfg.gamma_max)
+    if cfg.gamma_min is not None or cfg.gamma_max is not None:
+        gamma_range = _scan_range(cfg)
     opt = optimize_search(
         g, w, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
@@ -545,7 +551,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--gamma-points", type=int, dest="sweep.gamma_points")
         cmd.add_argument("--t-points", type=int, dest="sweep.t_points")
         if name == "figures":
-            cmd.add_argument("--figure", choices=FIGURE_KINDS, help="which figure data to emit")
+            cmd.add_argument(
+                "--figure", dest="figure.kind",
+                help=f"which figure data to emit, one of {', '.join(FIGURE_KINDS)}",
+            )
     return parser
 
 
@@ -581,10 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "tables":
             run_tables(cfg, out)
         elif args.command == "figures":
-            figure = getattr(args, "figure", None) or cfg.figure
-            if figure is None:
-                raise ConfigError("figure.kind: required (or pass --figure)")
-            run_figure_data(cfg, figure, out)
+            run_figure_data(cfg, out)
         else:
             run_optimize(cfg, out)
     except ConfigError as exc:

@@ -18,7 +18,7 @@ from .errors import CycleInconsistency
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
-PRODUCT_SIZE_CAP = 10**6
+PRODUCT_SIZE_CAP = 4**6  # 4,096 vertices: 128 MiB per dense n x n matrix
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ class Laplacian:
 
 
 def _validate_graph(g: TransitionGraph) -> None:
-    P = g.transition_matrix()
+    row_sums = np.zeros(g.n)
     for (x, y), p in g.weights.items():
         if not (0.0 < p <= 1.0):
             raise ValueError(f"edge weight p({x},{y})={p} outside (0, 1]")
-    row_sums = P.sum(axis=1)
+        row_sums[x] += p
     if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
         bad = int(np.abs(row_sums - 1.0).argmax())
         raise ValueError(f"row {bad} of the transition matrix sums to {row_sums[bad]}")
@@ -146,22 +146,26 @@ def kolmogorov_measure(g: TransitionGraph) -> VertexMeasure:
         for y in adj[x]:
             if not np.isnan(mu[y]):
                 continue
-            back = g.weights.get((y, x))
-            if back is None:
-                raise CycleInconsistency(
-                    f"edge ({x},{y}) has no reverse edge; walk is not reversible"
-                )
-            mu[y] = mu[x] * g.weights[(x, y)] / back
+            mu[y] = mu[x] * g.weights[(x, y)] / _reverse_weight(g, x, y)
             todo.append(y)
     for (x, y), p in g.weights.items():
         flow = mu[x] * p
-        back_flow = mu[y] * g.weights[(y, x)]
+        back_flow = mu[y] * _reverse_weight(g, x, y)
         if abs(flow - back_flow) > BALANCE_TOL * max(abs(flow), abs(back_flow)):
             raise CycleInconsistency(
                 f"detailed balance fails on edge ({x},{y}): "
                 f"{flow} vs {back_flow}"
             )
     return VertexMeasure(mu, float(mu.sum()))
+
+
+def _reverse_weight(g: TransitionGraph, x: int, y: int) -> float:
+    back = g.weights.get((y, x))
+    if back is None:
+        raise CycleInconsistency(
+            f"edge ({x},{y}) has no reverse edge; walk is not reversible"
+        )
+    return back
 
 
 def probabilistic_laplacian(
@@ -197,11 +201,13 @@ def _product_measure(g: TransitionGraph, d: int) -> VertexMeasure:
 def cartesian_power(
     g: TransitionGraph, d: int
 ) -> tuple[TransitionGraph, Laplacian, VertexMeasure]:
-    """d-fold Cartesian power of g with the 1/d-normalized Kronecker-sum Laplacian.
+    """d-fold Cartesian power of g: each step moves along one axis, with weight p/d.
 
     Vertices are indexed lexicographically with the first factor most
-    significant.  The measure is the product of per-axis measures, so the
-    volume is the per-axis volume raised to d.
+    significant.  The Laplacian I - P is assembled from these edges like any
+    other graph's; it equals the 1/d-normalized Kronecker sum of g's Laplacian.
+    The measure is the product of per-axis measures, so the volume is the
+    per-axis volume raised to d.
     """
     if d < 1:
         raise ValueError(f"product dimension d={d} must be at least 1")
@@ -210,37 +216,23 @@ def cartesian_power(
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")
 
-    measure = _product_measure(g, d)
-    axis_delta = np.eye(n_axis) - g.transition_matrix()
-
-    delta = np.zeros((n, n))
-    for k in range(d):
-        term = np.array([[1.0]])
-        for j in range(d):
-            term = np.kron(term, axis_delta if j == k else np.eye(n_axis))
-        delta += term
-    delta /= d
-
-    if d == 1:
-        weights = dict(g.weights)
-    else:
-        weights = {}
-        stride = [n_axis ** (d - 1 - k) for k in range(d)]
-        coords = np.array(
-            np.unravel_index(np.arange(n), (n_axis,) * d)
-        ).T  # row v = lattice coordinates of vertex v
-        for v in range(n):
-            for k in range(d):
-                xk = coords[v, k]
-                for (a, b), p in g.weights.items():
-                    if a == xk:
-                        weights[(v, v + (b - a) * stride[k])] = p / d
+    weights = {}
+    stride = [n_axis ** (d - 1 - k) for k in range(d)]
+    coords = np.array(
+        np.unravel_index(np.arange(n), (n_axis,) * d)
+    ).T  # row v = lattice coordinates of vertex v
+    for v in range(n):
+        for k in range(d):
+            xk = coords[v, k]
+            for (a, b), p in g.weights.items():
+                if a == xk:
+                    weights[(v, v + (b - a) * stride[k])] = p / d
 
     params = {"d": d, "axis_n": n_axis, "base": g.family, **g.params}
     gd = TransitionGraph(n, weights, "product", params, axis=g)
     _validate_graph(gd)
-    _check_self_adjoint(delta, measure.mu)
-    return gd, Laplacian(delta, gd, measure), measure
+    measure = _product_measure(g, d)
+    return gd, probabilistic_laplacian(gd, measure), measure
 
 
 @dataclass(frozen=True)

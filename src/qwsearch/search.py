@@ -39,6 +39,7 @@ OPT_GAMMA_POINTS_DEFAULT = 200
 OPT_T_POINTS_DEFAULT = 4000
 BISECTION_WIDTH = 1e-12
 TIE_TOL = 1e-9
+REFINE_DECADES = 2
 _CHUNK = 512
 
 
@@ -298,7 +299,6 @@ def optimize_search(
     gamma_points: int = OPT_GAMMA_POINTS_DEFAULT,
     t_points: int = OPT_T_POINTS_DEFAULT,
     t_ceiling: str | float = "auto",
-    refine_decades: int = 2,
     lap: Laplacian | None = None,
     threads: int = 1,
 ) -> SearchOptimum:
@@ -307,7 +307,7 @@ def optimize_search(
     A coarse gamma grid (default spanning +-20% around gamma_E when it exists)
     is scanned; each gamma gets a uniform time grid up to the ceiling
     min(volume, 3 pi / |E1 - E0|) plus a golden-section refinement of its best
-    peak.  The winning gamma is then re-gridded ``refine_decades`` times, one
+    peak.  The winning gamma is then re-gridded ``REFINE_DECADES`` times, one
     decade finer each pass.  Among all evaluated points within 1e-9 of the
     maximum, the earliest time and then the smallest coupling win.
     """
@@ -358,7 +358,7 @@ def optimize_search(
     grid = np.linspace(lo, hi, gamma_points)
     pool = _map_ordered(eval_gamma, grid, threads)
     step = (hi - lo) / (gamma_points - 1) if gamma_points > 1 else hi - lo
-    for _ in range(refine_decades):
+    for _ in range(REFINE_DECADES):
         best = _select_optimum(pool)
         center = best[2]
         fine = np.linspace(max(lo, center - step), min(hi, center + step), 21)
@@ -418,15 +418,14 @@ def decompose_at_gamma_E(
     gamma_E: float,
     t_samples: np.ndarray,
     *,
-    polish: bool = True,
     lap: Laplacian | None = None,
 ) -> DecompositionReport:
     """Decompose pi(t) into its two-level part and higher-state residual.
 
-    Requires |E0 + E1| < 1e-8 at the supplied coupling.  With ``polish`` the
-    coupling is refined by secant steps until E0 + E1 sits at the eigensolver
-    noise floor, which is what makes the pointwise reconstruction identity
-    hold to full precision.
+    Requires |E0 + E1| < 1e-8 at the supplied coupling.  The coupling is then
+    refined by secant steps until E0 + E1 sits at the eigensolver noise floor,
+    which is what makes the pointwise reconstruction identity hold to full
+    precision.
     """
     lap = lap if lap is not None else probabilistic_laplacian(graph)
     solver = _LowLevelSolver(lap, w)
@@ -435,8 +434,7 @@ def decompose_at_gamma_E(
     f0 = f_e(gamma)
     if abs(f0) >= 1e-8:
         raise NotAtGammaE(f"E0 + E1 = {f0:.3e} at gamma={gamma}; not a symmetric point")
-    if polish:
-        gamma, f0 = _polish_root(f_e, gamma, f0)
+    gamma, f0 = _polish_root(f_e, gamma, f0)
 
     sd = decompose(SearchHamiltonian(gamma, w, lap))
     _require_simple_low_states(sd.eigenvalues, sd.spectral_range)

@@ -132,17 +132,13 @@ class SpectralData:
         return self
 
 
-def eigendecompose(
-    sym: Symmetrized | np.ndarray, *, check: bool = True
-) -> SpectralData:
+def eigendecompose(sym: Symmetrized, *, check: bool = True) -> SpectralData:
     """Eigendecompose a symmetrized operator, fixing phases deterministically.
 
     The sign of each eigenvector is chosen so its largest-magnitude vertex
     component is positive (lowest index on ties).  With ``check`` the
     orthonormality and residual contracts are verified.
     """
-    if isinstance(sym, np.ndarray):
-        sym = Symmetrized(sym, np.ones(sym.shape[0]))
     defect = np.abs(sym.matrix - sym.matrix.T).max()
     if defect > SYMMETRY_TOL * max(np.abs(sym.matrix).max(), 1e-300):
         raise NonSymmetrizable(f"input matrix asymmetry {defect:.3e}")

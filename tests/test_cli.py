@@ -80,6 +80,38 @@ def test_gamma_range_errors_exit_2(tmp_path, capsys, args, extra):
     assert "sweep.gamma_min" in capsys.readouterr().err
 
 
+def test_graph_d_above_cap_exits_2(tmp_path, capsys):
+    # 4^7 vertices would need 2 GiB per dense matrix; nothing is built
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"graph.d": 7})
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    assert "graph.d" in capsys.readouterr().err
+    assert parse_config(base_path_config(tmp_path / "out") | {"graph.d": 6}).d == 6
+
+
+@pytest.mark.parametrize("command", ["spectrum", "optimize"])
+def test_single_graph_commands_reject_p_list(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"graph.p": [0.4, 0.5]})
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"graph.p: {command} expects a single value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--figure", "pie"]])
+def test_figure_kind_missing_or_unknown_exits_2(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out"))
+    assert cli.main(["figures", "--config", cfg, *flags]) == 2
+    assert "figure.kind" in capsys.readouterr().err
+
+
+def test_figure_flag_replaces_config_kind(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_path_config(out) | {"graph.d": 2, "figure.kind": "overlaps", "volume.p_points": 3},
+    )
+    assert cli.main(["figures", "--config", cfg, "--figure", "volume"]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["volume.csv", "volume.schema.json"]
+
+
 def test_cli_missing_config_exits_4(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -330,6 +362,25 @@ def test_optimize_complete_graph_json(tmp_path):
     assert data["gamma_opt"] == pytest.approx(0.75, abs=2e-3)
     assert data["t_opt"] == pytest.approx(np.pi, rel=5e-3)
     assert data["pi_max"] == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "extra,expected",
+    [({"sweep.gamma_min": 2.0}, [2.0, 3.0]), ({"sweep.gamma_max": 0.9}, [0.05, 0.9])],
+)
+def test_optimize_one_sided_range(tmp_path, extra, expected):
+    # the missing end takes its default instead of the window around gamma_E
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_path_config(out)
+        | extra
+        | {"output.format": "json", "sweep.gamma_points": 40, "sweep.t_points": 400},
+    )
+    assert cli.main(["optimize", "--config", cfg]) == 0
+    data = json.loads((out / "optimum.json").read_text())
+    assert data["gamma_range"] == expected
+    assert expected[0] <= data["gamma_opt"] <= expected[1]
 
 
 def test_flag_overrides_config(tmp_path):

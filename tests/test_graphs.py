@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,35 @@ def measure_by_recursion(g):
             if x in mu and y not in mu:
                 mu[y] = mu[x] * p / g.weights[(y, x)]
     return np.array([mu[x] for x in range(g.n)])
+
+
+def kronecker_sum_laplacian(g, d):
+    """Independent oracle: (1/d) sum_k I x .. x (I - P_axis) (k-th factor) x .. x I."""
+    axis_delta = np.eye(g.n) - g.transition_matrix()
+    delta = np.zeros((g.n**d, g.n**d))
+    for k in range(d):
+        term = np.array([[1.0]])
+        for j in range(d):
+            term = np.kron(term, axis_delta if j == k else np.eye(g.n))
+        delta += term
+    delta /= d
+    return delta
+
+
+def product_weights_by_vertex(g, d):
+    """Independent oracle: every one-axis move of every lattice vertex, weight p/d."""
+
+    def index(coords):
+        return sum(c * g.n ** (d - 1 - k) for k, c in enumerate(coords))
+
+    weights = {}
+    for coords in itertools.product(range(g.n), repeat=d):
+        for k in range(d):
+            for (a, b), p in g.weights.items():
+                if a == coords[k]:
+                    moved = coords[:k] + (b,) + coords[k + 1:]
+                    weights[(index(coords), index(moved))] = p / d
+    return weights
 
 
 def test_path_laplacian_half():
@@ -124,6 +156,15 @@ def test_nonreversible_cycle_rejected():
         kolmogorov_measure(g)
 
 
+def test_one_way_edge_off_the_tree_rejected():
+    # the breadth-first tree from 0 uses (0,1) and (0,2), both reversible;
+    # the one-way edge (1,2) is met only by the detailed-balance pass
+    weights = {(0, 1): 0.5, (0, 2): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 0): 1.0}
+    g = TransitionGraph(3, weights, "custom")
+    with pytest.raises(CycleInconsistency, match="has no reverse edge"):
+        kolmogorov_measure(g)
+
+
 def test_detailed_balance_on_all_edges():
     for p in (0.3, 0.8):
         g, _, measure = cartesian_power(path_graph(p), 2)
@@ -183,7 +224,44 @@ def test_cartesian_power_rejects_bad_dimension():
 
 def test_cartesian_power_size_cap():
     with pytest.raises(ValueError):
-        cartesian_power(path_graph(0.5), 10)  # 4^10 > 10^6
+        cartesian_power(path_graph(0.5), 10)  # 4^10 > 4^6
+
+
+def test_cartesian_power_d7_rejected_before_allocating():
+    g = path_graph(0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            cartesian_power(g, 7)  # 4^7 vertices: 2 GiB per dense matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.91, 0.123456])
+def test_cartesian_power_matches_kronecker_sum(p, d):
+    g = path_graph(p)
+    gd, lap, measure = cartesian_power(g, d)
+    assert lap.matrix.tobytes() == kronecker_sum_laplacian(g, d).tobytes()
+    assert gd.weights == product_weights_by_vertex(g, d)
+    assert lap.graph is gd and lap.measure is measure
+
+
+def test_not_strongly_connected_rejected():
+    # two disjoint 2-cycles: every row is stochastic, but 0 never reaches 2
+    weights = {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0}
+    g = TransitionGraph(4, weights, "custom")
+    with pytest.raises(ValueError, match="strongly connected"):
+        probabilistic_laplacian(g)
+
+
+def test_row_not_summing_to_one_rejected():
+    weights = {(0, 1): 1.0, (1, 0): 0.5}
+    g = TransitionGraph(2, weights, "custom")
+    with pytest.raises(ValueError, match="sums to"):
+        probabilistic_laplacian(g)
 
 
 def test_interior_profile_homogeneous():
