@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Full d=5 lattice table run: critical couplings and search optimum per p.
 
-Writes results/tables/tables.csv.  Expect roughly 10-15 minutes on a desktop;
-the 1024-vertex eigendecompositions across the coupling grids dominate.
+Writes results/tables/tables.csv in about 15 seconds on a 2-core machine; the
+dense 1024-vertex eigendecompositions (two solver set-ups and four
+revalidation solves per p) dominate.
 """
 
 import argparse

@@ -35,13 +35,19 @@ from .search import (
     SCAN_POINTS_DEFAULT,
     GammaCriticalPoints,
     SearchOptimum,
-    _LowLevelSolver,
+    _curve,
     _time_ceiling,
     gamma_critical_points,
     optimize_search,
-    success_curve,
 )
-from .spectral import OverlapReport, SearchHamiltonian, decompose
+from .spectral import (
+    _CROSSINGS,
+    SearchHamiltonian,
+    SecularSolver,
+    SecularSpectrum,
+    decompose,
+    overlaps_direct,
+)
 
 TABLE_COLUMNS = [
     "p",
@@ -352,12 +358,11 @@ def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
 
 
 def _revalidate_row(row: TableRow, g: TransitionGraph, lap: Laplacian, w: int) -> None:
-    """Re-derive every derived cell from scratch; reject on any mismatch."""
-    solver = _LowLevelSolver(lap, w)
+    """Re-derive every derived cell from dense eigendecompositions; reject on any mismatch."""
     for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E)):
         if root is None:
             continue
-        if abs(solver.crossing_function(which)(root)) > 1e-9:
+        if abs(_CROSSINGS[which](overlaps_direct(SearchHamiltonian(root, w, lap)))) > 1e-9:
             raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
     sd = decompose(SearchHamiltonian(row.gamma_opt, w, lap))
     if abs(sd.eigenvalues[0] - row.e0) > 1e-12 or abs(sd.eigenvalues[1] - row.e1) > 1e-12:
@@ -406,19 +411,20 @@ def run_figure_data(cfg: ExperimentConfig, out: Path) -> None:
             _figure_timeseries(cfg, p, out)
 
 
-def _low_pair_grid(
+def _secular_grid(
     cfg: ExperimentConfig, lap: Laplacian, w: int
-) -> tuple[np.ndarray, list[OverlapReport]]:
-    """The figure coupling grid and the two-lowest-state report at each point."""
+) -> tuple[np.ndarray, list[SecularSpectrum]]:
+    """The figure coupling grid and the secular spectrum at each point."""
     lo, hi = _scan_range(cfg)
     grid = np.linspace(lo, hi, cfg.gamma_points or SCAN_POINTS_DEFAULT)
-    solver = _LowLevelSolver(lap, w)
-    return grid, [solver.low_pair(gamma) for gamma in grid]
+    solver = SecularSolver(lap, w)
+    return grid, [solver.solve(gamma) for gamma in grid]
 
 
 def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
     _, lap, _, w = _build_graph(cfg, p)
-    grid, reports = _low_pair_grid(cfg, lap, w)
+    grid, spectra = _secular_grid(cfg, lap, w)
+    reports = [spec.low_pair() for spec in spectra]
     rows = [[gamma, r.s_psi0, r.w_psi0, r.s_psi1, r.w_psi1] for gamma, r in zip(grid, reports)]
     _write_csv(
         out / f"overlaps_p{p:g}.csv",
@@ -436,13 +442,13 @@ def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
     _, lap, measure, w = _build_graph(cfg, p)
-    grid, reports = _low_pair_grid(cfg, lap, w)
+    grid, spectra = _secular_grid(cfg, lap, w)
+    reports = [spec.low_pair() for spec in spectra]
     t_max = _time_ceiling("auto", measure.volume, min(abs(r.e1 - r.e0) for r in reports))
     times = np.linspace(0.0, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT)
     rows = []
-    for gamma in grid:
-        h = SearchHamiltonian(gamma, w, lap)
-        curve = success_curve(h, times, spectral=decompose(h, check=False))
+    for gamma, spec in zip(grid, spectra):
+        curve = _curve(spec.energies, spec.amplitudes, times)
         rows.extend([t, gamma, pi] for t, pi in zip(times, curve))
     _write_csv(out / f"contour_p{p:g}.csv", ["t", "gamma", "pi"], rows)
     _write_schema(out, "contour", [
@@ -456,8 +462,8 @@ def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
     g, lap, _, w = _build_graph(cfg, p)
     _, opt = _critical_and_optimum(cfg, p, g, lap, w)
     times = np.linspace(0.0, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT)
-    h = SearchHamiltonian(opt.gamma_opt, w, lap)
-    curve = success_curve(h, times, spectral=decompose(h, check=False))
+    spec = SecularSolver(lap, w).solve(opt.gamma_opt)
+    curve = _curve(spec.energies, spec.amplitudes, times)
     _write_csv(out / f"timeseries_p{p:g}.csv", ["t", "pi"], zip(times, curve))
     _write_json(
         out / f"timeseries_p{p:g}.meta.json",

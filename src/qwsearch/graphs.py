@@ -174,15 +174,26 @@ def probabilistic_laplacian(
     """Assemble I - P for g, validating self-adjointness under the measure."""
     if measure is None:
         measure = kolmogorov_measure(g)
-    delta = np.eye(g.n) - g.transition_matrix()
+    # I - P in the one dense array: 0.0 - p keeps +0.0 where -p would give -0.0
+    delta = g.transition_matrix()
+    np.subtract(0.0, delta, out=delta)
+    delta.flat[:: g.n + 1] += 1.0
     _check_self_adjoint(delta, measure.mu)
     return Laplacian(delta, g, measure)
 
 
+_CHECK_ROWS = 128
+
+
 def _check_self_adjoint(delta: np.ndarray, mu: np.ndarray) -> None:
-    weighted = mu[:, None] * delta
-    skew = np.abs(weighted - weighted.T).max()
-    scale = np.abs(weighted).max()
+    # M Delta is compared with its transpose a block of rows at a time, so no
+    # second n x n array is allocated
+    skew = scale = 0.0
+    for i in range(0, delta.shape[0], _CHECK_ROWS):
+        rows = mu[i : i + _CHECK_ROWS, None] * delta[i : i + _CHECK_ROWS]
+        cols = (mu[:, None] * delta[:, i : i + _CHECK_ROWS]).T
+        skew = max(skew, float(np.abs(rows - cols).max()))
+        scale = max(scale, float(np.abs(rows).max()))
     if skew > 1e-12 * max(scale, 1.0):
         raise CycleInconsistency(
             f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent"

@@ -14,23 +14,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import DegenerateLowStates, NoRootInRange, NotAtGammaE
+from .errors import NoRootInRange, NotAtGammaE
 from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
 from .spectral import (
     _CROSSINGS,
-    DEGENERACY_TOL,
-    OverlapReport,
     SearchHamiltonian,
+    SecularSolver,
     SpectralData,
-    Symmetrized,
     _ground_sym,
-    _overlap_report,
     _require_simple_low_states,
     decompose,
-    eigendecompose,
-    symmetrize,
 )
 
 GAMMA_RANGE_DEFAULT = (0.05, 3.0)
@@ -111,45 +105,6 @@ class GammaCriticalPoints:
     gamma_E: float | None
 
 
-class _LowLevelSolver:
-    """Two lowest eigenpairs of gamma * Delta - V_w as a function of gamma.
-
-    Holds the symmetrized Laplacian so that repeated evaluations during scans
-    and bisections only pay for the partial eigensolve.
-    """
-
-    def __init__(self, lap: Laplacian, w: int):
-        self.w = w
-        sym = symmetrize(lap)
-        self.s_delta = sym.matrix
-        self.sqrt_mu = sym.sqrt_mu
-        self.s_sym = _ground_sym(self.sqrt_mu)
-        self.n = self.s_delta.shape[0]
-
-    def hamiltonian(self, gamma: float) -> np.ndarray:
-        m = gamma * self.s_delta
-        m[self.w, self.w] -= 1.0
-        return m
-
-    def low_pair(self, gamma: float) -> OverlapReport:
-        """Energies and squared overlaps of the two lowest states, guarding degeneracy."""
-        m = self.hamiltonian(gamma)
-        hi = min(2, self.n - 1)
-        evals, vecs = sla.eigh(m, subset_by_index=[0, hi])
-        thr = DEGENERACY_TOL * np.abs(m).sum(axis=1).max()
-        if evals[1] - evals[0] <= thr or (hi == 2 and evals[2] - evals[1] <= thr):
-            raise DegenerateLowStates(
-                f"near-degenerate low states at gamma={gamma}"
-            )
-        return _overlap_report(evals, vecs, self.s_sym, self.w)
-
-    def crossing_function(self, which: str):
-        combine = _CROSSINGS.get(which)
-        if combine is None:
-            raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
-        return lambda gamma: combine(self.low_pair(gamma))
-
-
 def _map_ordered(fn, items, threads: int):
     if threads <= 1:
         return [fn(x) for x in items]
@@ -182,20 +137,16 @@ def _bisect(f, a: float, b: float, fa: float) -> float:
 
 
 def _scan(
-    graph: TransitionGraph,
-    w: int,
+    solver: SecularSolver,
     kinds: tuple[str, ...],
     gamma_range: tuple[float, float],
     grid_points: int,
-    lap: Laplacian | None,
     threads: int,
 ) -> dict[str, float | None]:
     """First root of each requested crossing kind, or None, from one shared grid."""
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = _LowLevelSolver(lap, w)
     crossings = {which: solver.crossing_function(which) for which in kinds}
     grid = np.linspace(lo, hi, grid_points)
     reports = _map_ordered(solver.low_pair, grid, threads)
@@ -221,7 +172,8 @@ def find_gamma_critical(
     bracket narrower than 1e-12.  Raises NoRootInRange if the scanned values
     never change sign.
     """
-    root = _scan(graph, w, (which,), gamma_range, grid_points, lap, threads)[which]
+    lap = lap if lap is not None else probabilistic_laplacian(graph)
+    root = _scan(SecularSolver(lap, w), (which,), gamma_range, grid_points, threads)[which]
     if root is None:
         lo, hi = gamma_range
         raise NoRootInRange(
@@ -240,7 +192,8 @@ def gamma_critical_points(
     threads: int = 1,
 ) -> GammaCriticalPoints:
     """All three critical couplings from a single shared grid scan."""
-    roots = _scan(graph, w, ("s", "w", "E"), gamma_range, grid_points, lap, threads)
+    lap = lap if lap is not None else probabilistic_laplacian(graph)
+    roots = _scan(SecularSolver(lap, w), ("s", "w", "E"), gamma_range, grid_points, threads)
     return GammaCriticalPoints(
         gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"]
     )
@@ -312,33 +265,28 @@ def optimize_search(
     maximum, the earliest time and then the smallest coupling win.
     """
     lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = _LowLevelSolver(lap, w)
+    solver = SecularSolver(lap, w)
     volume = lap.measure.volume
 
     if gamma_range is None:
-        try:
-            g_e = find_gamma_critical(graph, w, "E", lap=lap, threads=threads)
-            gamma_range = (0.8 * g_e, 1.2 * g_e)
-        except NoRootInRange:
-            gamma_range = GAMMA_RANGE_DEFAULT
+        g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT, threads)["E"]
+        gamma_range = (0.8 * g_e, 1.2 * g_e) if g_e is not None else GAMMA_RANGE_DEFAULT
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
     def eval_gamma(gamma: float) -> tuple[float, float, float, float, float, bool]:
-        m = solver.hamiltonian(gamma)
-        sd = eigendecompose(Symmetrized(m, solver.sqrt_mu), check=False)
-        amps = _target_amplitudes(sd, w)
-        gap = abs(float(sd.eigenvalues[1] - sd.eigenvalues[0]))
-        ceiling = _time_ceiling(t_ceiling, volume, gap)
+        spec = solver.solve(gamma)
+        e0, e1 = float(spec.levels[0]), float(spec.levels[1])
+        ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
         times = np.linspace(0.0, ceiling, t_points)
-        curve = _curve(sd.eigenvalues, amps, times)
+        curve = _curve(spec.energies, spec.amplitudes, times)
         peak = curve.max()
         idx = int(np.nonzero(curve >= peak - TIE_TOL)[0][0])
         dt = times[1] - times[0]
         t_ref, pi_ref = _golden_max(
             lambda t: float(
-                abs(np.exp(-1j * t * sd.eigenvalues) @ amps) ** 2
+                abs(np.exp(-1j * t * spec.energies) @ spec.amplitudes) ** 2
             ),
             max(0.0, times[idx] - dt),
             min(ceiling, times[idx] + dt),
@@ -346,14 +294,7 @@ def optimize_search(
         )
         if pi_ref < curve[idx]:
             t_ref, pi_ref = float(times[idx]), float(curve[idx])
-        return (
-            t_ref,
-            pi_ref,
-            gamma,
-            float(sd.eigenvalues[0]),
-            float(sd.eigenvalues[1]),
-            ceiling < volume,
-        )
+        return (t_ref, pi_ref, gamma, e0, e1, ceiling < volume)
 
     grid = np.linspace(lo, hi, gamma_points)
     pool = _map_ordered(eval_gamma, grid, threads)
@@ -428,8 +369,7 @@ def decompose_at_gamma_E(
     precision.
     """
     lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = _LowLevelSolver(lap, w)
-    f_e = solver.crossing_function("E")
+    f_e = SecularSolver(lap, w).crossing_function("E")
     gamma = float(gamma_E)
     f0 = f_e(gamma)
     if abs(f0) >= 1e-8:

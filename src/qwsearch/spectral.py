@@ -185,12 +185,18 @@ class GreenEvaluation:
     derivative: float
 
 
-def _target_weights(sd: SpectralData, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared overlaps of e_w with the eigenspaces of sd, grouped by eigenvalue."""
+def _target_weights(
+    sd: SpectralData, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared overlaps of e_w with the eigenspaces of sd, grouped by eigenvalue.
+
+    Returns the eigenvalue of each group, its weight and its multiplicity.
+    """
     a2 = sd.sym_vectors[w, :] ** 2
     scale = max(sd.spectral_range, 1.0)
     lams: list[float] = []
     weights: list[float] = []
+    counts: list[int] = []
     i = 0
     evals = sd.eigenvalues
     while i < evals.size:
@@ -199,8 +205,9 @@ def _target_weights(sd: SpectralData, w: int) -> tuple[np.ndarray, np.ndarray]:
             j += 1
         lams.append(float(evals[i : j + 1].mean()))
         weights.append(float(a2[i : j + 1].sum()))
+        counts.append(j + 1 - i)
         i = j + 1
-    return np.array(lams), np.array(weights)
+    return np.array(lams), np.array(weights), np.array(counts)
 
 
 def green(
@@ -218,7 +225,7 @@ def green(
     than 1e-12 times its width.
     """
     sd = delta_spectral if delta_spectral is not None else decompose(lap)
-    lams, a2 = _target_weights(sd, w)
+    lams, a2, _ = _target_weights(sd, w)
     poles = gamma * lams
     span = max(gamma * sd.spectral_range, 1e-300)
     gap = np.abs(poles - z).min()
@@ -319,6 +326,194 @@ def overlaps_via_green(
         values.append((e_a, float(s_sq), float(w_sq)))
     (e0, s0, w0), (e1, s1, w1) = values
     return OverlapReport(e0=e0, e1=e1, s_psi0=s0, w_psi0=w0, s_psi1=s1, w_psi1=w1)
+
+
+# Target weight at or below which an eigenspace of Delta counts as orthogonal
+# to e_w.  A component that vanishes comes out of eigh at rounding level, about
+# 1e-16, so its square sits far below this; deflating a true weight this small
+# moves the roots and amplitudes by about the weight itself.
+DEFLATION_TOL = 1e-24
+# Both completeness identities of a secular solve hold to this absolute tolerance.
+IDENTITY_TOL = 1e-10
+_SECULAR_MAX_ITER = 200
+
+
+@dataclass(frozen=True)
+class SecularSpectrum:
+    """Spectrum of gamma * Delta - |e_w><e_w| from the secular equation G(E) = 1.
+
+    A state is visible when it overlaps e_w, and then its energy is a root of
+    G.  ``energies`` ascend over the visible states, with their squared
+    overlaps |<e_w, psi>|^2 = 1/G'(E) and |<s, psi>|^2 = mu(w)/(vol E^2 G'(E)),
+    and the amplitudes <e_w, psi><psi, s> = -sqrt(mu(w)/vol)/(E G'(E)) whose
+    exponential sum gives pi(t).  Every other state is an eigenvector of Delta
+    that vanishes at w: it keeps the energy gamma * lambda and overlaps neither
+    e_w nor s.  ``levels`` holds the (up to) three lowest energies of the whole
+    spectrum, and ``level_index`` the position of each in ``energies``, or -1
+    for an invisible state.
+    """
+
+    gamma: float
+    energies: np.ndarray
+    w_overlaps: np.ndarray
+    s_overlaps: np.ndarray
+    amplitudes: np.ndarray
+    levels: np.ndarray
+    level_index: np.ndarray
+    degeneracy_threshold: float
+
+    def low_pair(self) -> OverlapReport:
+        """Report of the two lowest states; raises DegenerateLowStates when they are not simple."""
+        lv, thr = self.levels, self.degeneracy_threshold
+        if lv[1] - lv[0] <= thr or (lv.size > 2 and lv[2] - lv[1] <= thr):
+            raise DegenerateLowStates(f"near-degenerate low states at gamma={self.gamma}")
+        (s0, w0), (s1, w1) = (
+            (0.0, 0.0) if i < 0 else (float(self.s_overlaps[i]), float(self.w_overlaps[i]))
+            for i in self.level_index[:2]
+        )
+        return OverlapReport(
+            e0=float(lv[0]), e1=float(lv[1]), s_psi0=s0, w_psi0=w0, s_psi1=s1, w_psi1=w1
+        )
+
+
+class SecularSolver:
+    """Every coupling's spectrum of gamma * Delta - |e_w><e_w| from one decomposition of Delta.
+
+    The Hamiltonian is a rank-one change of gamma * Delta, so its visible
+    energies are the roots of G(E) = sum_k a_k / (gamma lambda_k - E) = 1 over
+    the distinct eigenvalues lambda_k of Delta with target weights a_k: one
+    root in [-1, 0) and one between each pair of adjacent poles.  Each root is
+    solved in its offset from the nearer pole (Bunch, Nielsen & Sorensen
+    1978; LAPACK dlaed4), all intervals at once, by Newton steps on
+    -tau (G - 1) safeguarded by bisection.
+    """
+
+    def __init__(self, lap: Laplacian, w: int):
+        sd = decompose(lap)
+        lams, weights, counts = _target_weights(sd, w)
+        lams[0] = 0.0  # the constants span the kernel of I - P exactly
+        visible = weights > DEFLATION_TOL
+        self.lams = lams[visible]
+        self.weights = weights[visible]
+        # lam_gaps[k, j] = lambda_j - lambda_k between visible poles
+        self._lam_gaps = self.lams[None, :] - self.lams[:, None]
+        # the three lowest eigenvalues, with multiplicity, whose eigenvectors
+        # vanish at w: each eigenspace less its one visible direction
+        self._invisible = np.repeat(lams, counts - visible)[:3]
+        self.s_w2 = float(lap.measure.mu[w] / lap.measure.volume)
+        self.n = sd.n
+        # row sums of |gamma * S - e_w e_w^T| are gamma * rows off the target row
+        rows = np.abs(sd.sym_matrix).sum(axis=1)
+        self._diag_w = float(sd.sym_matrix[w, w])
+        self._row_w = float(rows[w]) - abs(self._diag_w)
+        self._row_max = float(np.delete(rows, w).max(initial=0.0))
+
+    def _threshold(self, gamma: float) -> float:
+        """DEGENERACY_TOL times the infinity norm of the symmetrized Hamiltonian."""
+        norm = max(gamma * self._row_max, gamma * self._row_w + abs(gamma * self._diag_w - 1.0))
+        return DEGENERACY_TOL * norm
+
+    def solve(self, gamma: float) -> SecularSpectrum:
+        """All roots of G(E) = 1 at this coupling, with their overlaps and amplitudes.
+
+        Raises ConvergenceFailure when the iteration stalls or when the
+        completeness identities sum 1/G'(E_a) = 1 and
+        (sum alpha_a)^2 = mu(w)/vol fail, which is how a missed root shows.
+        """
+        a = self.weights
+        m = a.size
+        gaps = gamma * self._lam_gaps
+        # Root 0 lies in [-1, 0), below pole 0 (gamma * Delta >= 0); root i >= 1
+        # between poles i-1 and i, in the half that G at the midpoint picks.  The
+        # pole bounding that half is the origin of tau = E - pole.
+        k = np.arange(1, m)
+        half = 0.5 * gaps[k - 1, k]
+        g_mid = (a / (gaps[k - 1] - half[:, None])).sum(axis=1)
+        left = g_mid >= 1.0
+        origin = np.concatenate([[0], np.where(left, k - 1, k)])
+        lo = np.concatenate([[-2.0], np.where(left, 0.0, -half)])
+        hi = np.concatenate([[0.0], np.where(left, half, 0.0)])
+        rows = np.arange(m)
+        rel = gaps[origin]  # rel[i, j] = pole j minus the origin pole of root i
+        a_o = a[origin]
+        # Each root starts at the root of a quadratic q2 tau^2 + q1 tau + q0 = 0
+        # modelling tau (G - 1).  Root 0: the origin pole, and the other poles'
+        # share of G to first order at it.  Root i: both poles of its interval,
+        # at distance span apart, and the other poles' share at the midpoint.
+        partner = np.where(left, k, k - 1)
+        span = gaps[origin[1:], partner]
+        b = 1.0 - g_mid - (a[k - 1] - a[k]) / half
+        near = a[1:] / gaps[0, 1:]
+        q2 = np.concatenate([[(near / gaps[0, 1:]).sum()], b])
+        q1 = np.concatenate([[near.sum() - 1.0], a_o[1:] + a[partner] - b * span])
+        q0 = -a_o * np.concatenate([[1.0], span])
+        eps = np.finfo(float).eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            big = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
+            r1, r2 = big / q2, q0 / big
+            tau = np.where(
+                (r1 > lo) & (r1 < hi), r1, np.where((r2 > lo) & (r2 < hi), r2, 0.5 * (lo + hi))
+            )
+            done = np.zeros(m, dtype=bool)
+            for _ in range(_SECULAR_MAX_ITER):
+                diff = rel - tau[:, None]
+                q = a / diff
+                q[rows, origin] = 0.0
+                r = q.sum(axis=1) - 1.0
+                # f = -tau (G - 1) drops the origin pole: smooth across the root
+                f = a_o - tau * r
+                # settled once f is within its own rounding error
+                settled = np.abs(f) <= 8.0 * eps * (a_o + np.abs(tau) * (np.abs(q).sum(axis=1) + 1.0))
+                below = f * tau > 0.0  # G < 1: the root lies above tau
+                lo = np.where(below, tau, lo)
+                hi = np.where(below, hi, tau)
+                step = tau + f / (r + tau * (q / diff).sum(axis=1))
+                new = np.where(
+                    settled, tau, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+                )
+                converged = settled | (np.abs(new - tau) <= 4.0 * eps * np.abs(new))
+                tau = np.where(done, tau, new)
+                done |= converged
+                if done.all():
+                    break
+            else:
+                raise ConvergenceFailure(
+                    f"secular iteration did not converge at gamma={gamma}"
+                )
+        gprime = (a / (rel - tau[:, None]) ** 2).sum(axis=1)
+        energies = gamma * self.lams[origin] + tau
+        w_sq = 1.0 / gprime
+        amps = -np.sqrt(self.s_w2) / (energies * gprime)
+        w_defect = abs(w_sq.sum() - 1.0)
+        s_defect = abs(amps.sum() ** 2 - self.s_w2)
+        if not (w_defect <= IDENTITY_TOL and s_defect <= IDENTITY_TOL):
+            raise ConvergenceFailure(
+                f"secular solve at gamma={gamma} misses weight: "
+                f"|sum 1/G' - 1| = {w_defect:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect:.3e}"
+            )
+        candidates = np.concatenate([energies[:3], gamma * self._invisible])
+        index = np.concatenate([np.arange(min(m, 3)), np.full(self._invisible.size, -1)])
+        order = np.argsort(candidates, kind="stable")[: min(self.n, 3)]
+        return SecularSpectrum(
+            gamma=float(gamma),
+            energies=energies,
+            w_overlaps=w_sq,
+            s_overlaps=self.s_w2 / (energies**2 * gprime),
+            amplitudes=amps,
+            levels=candidates[order],
+            level_index=index[order],
+            degeneracy_threshold=self._threshold(gamma),
+        )
+
+    def low_pair(self, gamma: float) -> OverlapReport:
+        """Energies and squared overlaps of the two lowest states, guarding degeneracy."""
+        return self.solve(gamma).low_pair()
+
+    def crossing_function(self, which: str):
+        combine = _CROSSINGS.get(which)
+        if combine is None:
+            raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
+        return lambda gamma: combine(self.low_pair(gamma))
 
 
 @dataclass(frozen=True)

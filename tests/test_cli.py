@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwsearch
 from qwsearch import cli
 from qwsearch.errors import ConfigError
 from qwsearch.cli import parse_config
+from qwsearch.graphs import cartesian_power, path_graph
 from qwsearch.search import optimize_search
 
 
@@ -150,6 +156,18 @@ def test_spectrum_path_outputs(tmp_path):
         [[1, -1, 0, 0], [-0.5, 1, -0.5, 0], [0, -0.5, 1, -0.5], [0, 0, -1, 1]],
         atol=0,
     )
+
+
+def test_laplacian_csv_matches_identity_minus_transition(tmp_path):
+    # I - P written with +0.0 off the edges: a negated zero would print "-0"
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_path_config(out) | {"graph.p": 0.4, "graph.d": 2})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    g, _, _ = cartesian_power(path_graph(0.4), 2)
+    cli.export_matrix_csv(tmp_path / "oracle.csv", np.eye(g.n) - g.transition_matrix())
+    text = (out / "laplacian.csv").read_bytes()
+    assert text == (tmp_path / "oracle.csv").read_bytes()
+    assert b"-0," not in text and b"-0\n" not in text
 
 
 def test_spectrum_complete_outputs(tmp_path):
@@ -422,3 +440,15 @@ def test_determinism_across_thread_counts(tmp_path):
             (out / "overlaps_p0.6.csv").read_bytes(),
         )
     assert results["one"] == results["three"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the package must run without it
+    src = str(Path(qwsearch.__file__).resolve().parents[1])
+    code = "import sys, qwsearch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=os.environ | {"PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"

@@ -239,6 +239,18 @@ def test_cartesian_power_d7_rejected_before_allocating():
     assert peak < 1 << 20
 
 
+def test_cartesian_power_d5_holds_one_dense_matrix():
+    g = path_graph(0.5)
+    tracemalloc.start()
+    try:
+        _, lap, _ = cartesian_power(g, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lap.matrix.nbytes == 8 * 1024**2  # 8.4 MB
+    assert peak < 26e6
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.91, 0.123456])
 def test_cartesian_power_matches_kronecker_sum(p, d):

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwsearch.errors import DegenerateLowStates
 from qwsearch.graphs import (
+    TransitionGraph,
     cartesian_power,
     complete_graph,
     kolmogorov_measure,
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.search import evolve, success_curve
+from qwsearch.search import _curve, evolve, success_curve
 from qwsearch.spectral import (
     SearchHamiltonian,
+    SecularSolver,
     decompose,
     overlaps_direct,
     overlaps_via_green,
@@ -128,3 +131,79 @@ def test_success_curve_matches_pointwise_evolution(p, gamma):
     curve = success_curve(h, times, spectral=sd)
     for t, pi in zip(times, curve):
         assert pi == pytest.approx(evolve(h, float(t), spectral=sd).success, abs=1e-12)
+
+
+def assert_secular_matches_dense(lap, w, gamma):
+    """The secular engine against dense eigh: low pair, amplitudes and pi(t) to 1e-10."""
+    h = SearchHamiltonian(gamma, w, lap)
+    sd = decompose(h)
+    spec = SecularSolver(lap, w).solve(gamma)
+    try:
+        dense = overlaps_direct(h, spectral=sd)
+    except DegenerateLowStates:
+        with pytest.raises(DegenerateLowStates):
+            spec.low_pair()
+        return
+    report = spec.low_pair()
+    for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
+        assert abs(getattr(report, name) - getattr(dense, name)) <= 1e-10, name
+    s_sym = sd.sqrt_mu / np.sqrt((sd.sqrt_mu**2).sum())
+    alpha = sd.sym_vectors[w, :] * (sd.sym_vectors.T @ s_sym)
+    nearest = np.abs(sd.eigenvalues[:, None] - spec.energies[None, :]).argmin(axis=0)
+    assert np.unique(nearest).size == nearest.size
+    assert np.abs(alpha[nearest] - spec.amplitudes).max() <= 1e-10
+    assert np.abs(np.delete(alpha, nearest)).max(initial=0.0) <= 1e-10
+    times = np.linspace(0.0, 60.0, 41)
+    np.testing.assert_allclose(
+        _curve(spec.energies, spec.amplitudes, times),
+        success_curve(h, times, spectral=sd),
+        rtol=0.0,
+        atol=1e-10,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=3), gamma=st_gamma)
+def test_secular_engine_matches_dense_on_lattices(p, d, gamma):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    for w in range(lap.graph.n):
+        assert_secular_matches_dense(lap, w, gamma)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gamma=st_gamma)
+def test_secular_engine_matches_dense_on_complete_graphs(n, gamma):
+    lap = probabilistic_laplacian(complete_graph(n))
+    for w in sorted({0, n - 1}):
+        assert_secular_matches_dense(lap, w, gamma)
+
+
+def linked_cliques(eps):
+    """Three 4-cliques whose first vertices are joined pairwise with weight eps.
+
+    The second Laplacian eigenvalue is O(eps) and doubly degenerate, so the
+    first excited energy is squeezed below it within O(eps).
+    """
+    weights = {}
+    for c in range(3):
+        for x in range(4 * c, 4 * c + 4):
+            share = (1.0 - 2.0 * eps) / 3.0 if x == 4 * c else 1.0 / 3.0
+            weights.update({(x, y): share for y in range(4 * c, 4 * c + 4) if y != x})
+        weights.update({(4 * c, 4 * k): eps for k in range(3) if k != c})
+    return TransitionGraph(12, weights, "custom")
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-14])
+@pytest.mark.parametrize("w", [0, 1])
+def test_secular_engine_raises_where_dense_is_degenerate(eps, w):
+    lap = probabilistic_laplacian(linked_cliques(eps))
+    with pytest.raises(DegenerateLowStates):
+        overlaps_direct(SearchHamiltonian(1.0, w, lap))
+    assert_secular_matches_dense(lap, w, 1.0)
+
+
+def test_secular_engine_matches_dense_on_linked_cliques():
+    lap = probabilistic_laplacian(linked_cliques(0.05))
+    for w in range(12):
+        for gamma in (0.3, 1.0, 1.9):
+            assert_secular_matches_dense(lap, w, gamma)

@@ -17,7 +17,13 @@ from qwsearch.search import (
     optimize_search,
     success_curve,
 )
-from qwsearch.spectral import SearchHamiltonian, decompose, symmetrize
+from qwsearch.spectral import (
+    _CROSSINGS,
+    SearchHamiltonian,
+    decompose,
+    overlaps_direct,
+    symmetrize,
+)
 
 
 def complete_success_curve(n, times):
@@ -95,13 +101,11 @@ def test_gamma_E_complete_graph(n):
 def test_gamma_roots_satisfy_their_equations():
     g = path_graph(0.5)
     lap = probabilistic_laplacian(g)
-    from qwsearch.search import _LowLevelSolver
-
-    solver = _LowLevelSolver(lap, 0)
     # the target-overlap crossing of the single axis sits just above 3
     for which in ("s", "w", "E"):
         root = find_gamma_critical(g, 0, which, (0.05, 5.0), lap=lap)
-        assert abs(solver.crossing_function(which)(root)) < 1e-9
+        dense = overlaps_direct(SearchHamiltonian(root, 0, lap))
+        assert abs(_CROSSINGS[which](dense)) < 1e-9
 
 
 def test_gamma_ordering_single_axis():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qwsearch.errors import (
+    ConvergenceFailure,
     DegenerateLowStates,
     EigenvalueOnSpectrum,
     NonSymmetrizable,
@@ -17,7 +18,9 @@ from qwsearch.graphs import (
     probabilistic_laplacian,
 )
 from qwsearch.spectral import (
+    DEGENERACY_TOL,
     SearchHamiltonian,
+    SecularSolver,
     SpectralData,
     decompose,
     eigendecompose,
@@ -305,3 +308,26 @@ def test_lattice_overlaps_near_balanced_point():
     for v in values:
         assert v == pytest.approx(0.5, abs=0.05)
     assert max(values) - min(values) < 0.05
+
+
+@pytest.mark.parametrize("w", [0, 5, 15])
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+def test_secular_degeneracy_threshold_is_the_hamiltonian_norm(gamma, w):
+    # the low-pair check keeps the dense threshold: 1e-10 times the largest
+    # absolute row sum of the symmetrized Hamiltonian
+    _, lap, _ = cartesian_power(path_graph(0.3), 2)
+    sym = symmetrize(SearchHamiltonian(gamma, w, lap)).matrix
+    spec = SecularSolver(lap, w).solve(gamma)
+    assert spec.degeneracy_threshold == pytest.approx(
+        DEGENERACY_TOL * np.abs(sym).sum(axis=1).max(), rel=1e-12
+    )
+
+
+def test_secular_solve_rejects_missing_weight():
+    # weights that no longer sum to one stand for a lost eigenspace: the
+    # completeness identity sum 1/G'(E_a) = 1 must catch it
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0)
+    solver.solve(1.0)
+    solver.weights = solver.weights * (1.0 - 1e-6)
+    with pytest.raises(ConvergenceFailure, match="misses weight"):
+        solver.solve(1.0)
