@@ -102,7 +102,6 @@ class ExperimentConfig:
     volume_p_min: float = 0.05
     volume_p_max: float = 0.95
     volume_p_points: int = 19
-    threads: int = 1
 
 
 def _want(raw: dict, key: str, kind, default, check, describe: str):
@@ -252,8 +251,21 @@ def _write_schema(out: Path, kind: str, columns: list[tuple[str, str]]) -> None:
 
 
 def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    """Row-major headerless CSV dump with 17 significant digits."""
-    _write_csv(path, None, ([_fmt(v) for v in row] for row in matrix))
+    """Row-major headerless CSV dump with 17 significant digits.
+
+    Written a row at a time; each distinct bit pattern is formatted once, so
+    -0.0 and +0.0 keep their own text.
+    """
+    text: dict[int, str] = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in matrix:
+            bits = np.ascontiguousarray(row, dtype=float).view(np.int64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            for key, value in zip(keys.tolist(), keys.view(float).tolist()):
+                if key not in text:
+                    text[key] = _fmt(value)
+            cells = np.array([text[key] for key in keys.tolist()], dtype=object)
+            fh.write(",".join(cells[inverse].tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +328,14 @@ class TableRow:
 
 
 def _critical_and_optimum(
-    cfg: ExperimentConfig, p: float, g: TransitionGraph, lap: Laplacian, w: int
+    cfg: ExperimentConfig, p: float, g: TransitionGraph, solver: SecularSolver, w: int
 ) -> tuple[GammaCriticalPoints, SearchOptimum]:
     """Critical couplings, then the optimum within +-20% of gamma_E (else the scan range)."""
     scan = _scan_range(cfg)
     crit = gamma_critical_points(
         g, w, scan,
         grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT,
-        lap=lap, threads=cfg.threads,
+        solver=solver,
     )
     for name, value in (("gamma_s", crit.gamma_s), ("gamma_w", crit.gamma_w), ("gamma_E", crit.gamma_E)):
         if value is None:
@@ -333,14 +345,14 @@ def _critical_and_optimum(
         g, w, opt_range,
         gamma_points=OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        lap=lap, threads=cfg.threads,
+        solver=solver,
     )
     return crit, opt
 
 
 def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
     g, lap, measure, w = _build_graph(cfg, p)
-    crit, opt = _critical_and_optimum(cfg, p, g, lap, w)
+    crit, opt = _critical_and_optimum(cfg, p, g, SecularSolver(lap, w), w)
     row = TableRow(
         p=p,
         gamma_s=crit.gamma_s,
@@ -417,8 +429,7 @@ def _secular_grid(
     """The figure coupling grid and the secular spectrum at each point."""
     lo, hi = _scan_range(cfg)
     grid = np.linspace(lo, hi, cfg.gamma_points or SCAN_POINTS_DEFAULT)
-    solver = SecularSolver(lap, w)
-    return grid, [solver.solve(gamma) for gamma in grid]
+    return grid, SecularSolver(lap, w).solve_many(grid)
 
 
 def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
@@ -460,9 +471,10 @@ def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
     g, lap, _, w = _build_graph(cfg, p)
-    _, opt = _critical_and_optimum(cfg, p, g, lap, w)
+    solver = SecularSolver(lap, w)
+    _, opt = _critical_and_optimum(cfg, p, g, solver, w)
     times = np.linspace(0.0, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT)
-    spec = SecularSolver(lap, w).solve(opt.gamma_opt)
+    spec = solver.solve(opt.gamma_opt)
     curve = _curve(spec.energies, spec.amplitudes, times)
     _write_csv(out / f"timeseries_p{p:g}.csv", ["t", "pi"], zip(times, curve))
     _write_json(
@@ -507,7 +519,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
         g, w, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        lap=lap, threads=cfg.threads,
+        lap=lap,
     )
     payload = {
         "t_opt": opt.t_opt,
@@ -551,7 +563,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a flat JSON config")
         # a flag whose dest is a dotted config key replaces that key before validation
         cmd.add_argument("--out", dest="output.path", help="output directory (overrides output.path)")
-        cmd.add_argument("--threads", type=int, help="worker threads for sweeps")
+        cmd.add_argument(
+            "--threads", type=int,
+            help="accepted for compatibility and validated (>= 1); has no effect",
+        )
         cmd.add_argument("--gamma-min", type=float, dest="sweep.gamma_min")
         cmd.add_argument("--gamma-max", type=float, dest="sweep.gamma_max")
         cmd.add_argument("--gamma-points", type=int, dest="sweep.gamma_points")
@@ -585,10 +600,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(_with_flags(raw, args))
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-            cfg.threads = args.threads
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         out = Path(cfg.out_path)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":

@@ -10,7 +10,6 @@ E0 = -E1 (gamma_E).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,11 @@ import numpy as np
 from .errors import NoRootInRange, NotAtGammaE
 from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
 from .spectral import (
-    _CROSSINGS,
     SearchHamiltonian,
     SecularSolver,
+    SecularSpectrum,
     SpectralData,
+    _crossing,
     _ground_sym,
     _require_simple_low_states,
     decompose,
@@ -105,35 +105,45 @@ class GammaCriticalPoints:
     gamma_E: float | None
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _lockstep_roots(grid: np.ndarray, values: dict, crossings) -> dict[str, float | None]:
+    """First root of each kind's crossing function on grid, or None.
 
-
-def _first_root(grid: np.ndarray, values: np.ndarray, f) -> float | None:
-    for i in range(grid.size - 1):
-        if values[i] == 0.0:
-            return float(grid[i])
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            return _bisect(f, float(grid[i]), float(grid[i + 1]), float(values[i]))
-    if values[-1] == 0.0:
-        return float(grid[-1])
-    return None
-
-
-def _bisect(f, a: float, b: float, fa: float) -> float:
-    while b - a > BISECTION_WIDTH:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
+    ``values`` maps each kind to its crossing values on the grid.  Every first
+    sign change is bisected down to a bracket narrower than
+    ``BISECTION_WIDTH``, all brackets in lockstep: ``crossings(kinds,
+    gammas)`` returns the value of kind i at coupling i for one midpoint per
+    open bracket.  Each bracket halves exactly as it would alone.
+    """
+    roots: dict[str, float | None] = dict.fromkeys(values)
+    brackets: dict[str, tuple[float, float, float]] = {}
+    for which, v in values.items():
+        for i in range(grid.size - 1):
+            if v[i] == 0.0:
+                roots[which] = float(grid[i])
+                break
+            if (v[i] < 0.0) != (v[i + 1] < 0.0):
+                brackets[which] = (float(grid[i]), float(grid[i + 1]), float(v[i]))
+                break
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            if v[-1] == 0.0:
+                roots[which] = float(grid[-1])
+    while True:
+        for which in [k for k, (a, b, _) in brackets.items() if not b - a > BISECTION_WIDTH]:
+            a, b, _ = brackets.pop(which)
+            roots[which] = 0.5 * (a + b)
+        if not brackets:
+            return roots
+        kinds = list(brackets)
+        mids = [0.5 * (brackets[k][0] + brackets[k][1]) for k in kinds]
+        for which, mid, fm in zip(kinds, mids, crossings(kinds, mids)):
+            a, b, fa = brackets[which]
+            if fm == 0.0:
+                del brackets[which]
+                roots[which] = mid
+            elif (fa < 0.0) != (fm < 0.0):
+                brackets[which] = (a, mid, fa)
+            else:
+                brackets[which] = (mid, b, fm)
 
 
 def _scan(
@@ -141,19 +151,32 @@ def _scan(
     kinds: tuple[str, ...],
     gamma_range: tuple[float, float],
     grid_points: int,
-    threads: int,
 ) -> dict[str, float | None]:
     """First root of each requested crossing kind, or None, from one shared grid."""
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
-    crossings = {which: solver.crossing_function(which) for which in kinds}
+    crossing = {which: _crossing(which) for which in kinds}
+
+    def crossings(batch_kinds, gammas):
+        spectra = solver.solve_many(gammas)
+        return [crossing[k](spec.low_pair()) for k, spec in zip(batch_kinds, spectra)]
+
     grid = np.linspace(lo, hi, grid_points)
-    reports = _map_ordered(solver.low_pair, grid, threads)
-    return {
-        which: _first_root(grid, np.array([_CROSSINGS[which](r) for r in reports]), f)
-        for which, f in crossings.items()
-    }
+    reports = [spec.low_pair() for spec in solver.solve_many(grid)]
+    values = {which: np.array([f(r) for r in reports]) for which, f in crossing.items()}
+    return _lockstep_roots(grid, values, crossings)
+
+
+def _solver_for(
+    graph: TransitionGraph, w: int, lap: Laplacian | None, solver: SecularSolver | None
+) -> SecularSolver:
+    """The given solver, which must be for target w, or a new one for lap (or graph)."""
+    if solver is None:
+        return SecularSolver(lap if lap is not None else probabilistic_laplacian(graph), w)
+    if solver.target != w:
+        raise ValueError(f"solver is for target {solver.target}, not {w}")
+    return solver
 
 
 def find_gamma_critical(
@@ -164,16 +187,16 @@ def find_gamma_critical(
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
     lap: Laplacian | None = None,
-    threads: int = 1,
+    solver: SecularSolver | None = None,
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
     Scans a uniform grid for the first sign change, then bisects it down to a
     bracket narrower than 1e-12.  Raises NoRootInRange if the scanned values
-    never change sign.
+    never change sign.  A ``solver`` for (lap, w) saves its set-up.
     """
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    root = _scan(SecularSolver(lap, w), (which,), gamma_range, grid_points, threads)[which]
+    solver = _solver_for(graph, w, lap, solver)
+    root = _scan(solver, (which,), gamma_range, grid_points)[which]
     if root is None:
         lo, hi = gamma_range
         raise NoRootInRange(
@@ -189,11 +212,11 @@ def gamma_critical_points(
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
     lap: Laplacian | None = None,
-    threads: int = 1,
+    solver: SecularSolver | None = None,
 ) -> GammaCriticalPoints:
     """All three critical couplings from a single shared grid scan."""
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    roots = _scan(SecularSolver(lap, w), ("s", "w", "E"), gamma_range, grid_points, threads)
+    solver = _solver_for(graph, w, lap, solver)
+    roots = _scan(solver, ("s", "w", "E"), gamma_range, grid_points)
     return GammaCriticalPoints(
         gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"]
     )
@@ -253,7 +276,7 @@ def optimize_search(
     t_points: int = OPT_T_POINTS_DEFAULT,
     t_ceiling: str | float = "auto",
     lap: Laplacian | None = None,
-    threads: int = 1,
+    solver: SecularSolver | None = None,
 ) -> SearchOptimum:
     """Locate (t_opt, gamma_opt) maximizing the success probability.
 
@@ -262,21 +285,21 @@ def optimize_search(
     min(volume, 3 pi / |E1 - E0|) plus a golden-section refinement of its best
     peak.  The winning gamma is then re-gridded ``REFINE_DECADES`` times, one
     decade finer each pass.  Among all evaluated points within 1e-9 of the
-    maximum, the earliest time and then the smallest coupling win.
+    maximum, the earliest time and then the smallest coupling win.  Each
+    grid is solved in one batched secular pass.  A ``solver`` for (lap, w)
+    saves its set-up.
     """
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    solver = SecularSolver(lap, w)
-    volume = lap.measure.volume
+    solver = _solver_for(graph, w, lap, solver)
+    volume = solver.volume
 
     if gamma_range is None:
-        g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT, threads)["E"]
+        g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT)["E"]
         gamma_range = (0.8 * g_e, 1.2 * g_e) if g_e is not None else GAMMA_RANGE_DEFAULT
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
-    def eval_gamma(gamma: float) -> tuple[float, float, float, float, float, bool]:
-        spec = solver.solve(gamma)
+    def eval_gamma(spec: SecularSpectrum) -> tuple[float, float, float, float, float, bool]:
         e0, e1 = float(spec.levels[0]), float(spec.levels[1])
         ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
         times = np.linspace(0.0, ceiling, t_points)
@@ -294,16 +317,18 @@ def optimize_search(
         )
         if pi_ref < curve[idx]:
             t_ref, pi_ref = float(times[idx]), float(curve[idx])
-        return (t_ref, pi_ref, gamma, e0, e1, ceiling < volume)
+        return (t_ref, pi_ref, spec.gamma, e0, e1, ceiling < volume)
 
-    grid = np.linspace(lo, hi, gamma_points)
-    pool = _map_ordered(eval_gamma, grid, threads)
+    def eval_grid(gammas: np.ndarray) -> list:
+        return [eval_gamma(spec) for spec in solver.solve_many(gammas)]
+
+    pool = eval_grid(np.linspace(lo, hi, gamma_points))
     step = (hi - lo) / (gamma_points - 1) if gamma_points > 1 else hi - lo
     for _ in range(REFINE_DECADES):
         best = _select_optimum(pool)
         center = best[2]
         fine = np.linspace(max(lo, center - step), min(hi, center + step), 21)
-        pool.extend(_map_ordered(eval_gamma, fine, threads))
+        pool.extend(eval_grid(fine))
         step /= 10.0
     best = _select_optimum(pool)
     truncated = any(r[5] for r in pool)

@@ -272,6 +272,14 @@ _CROSSINGS = {
 }
 
 
+def _crossing(which: str):
+    """The crossing function of an OverlapReport for kind 's', 'w' or 'E'."""
+    combine = _CROSSINGS.get(which)
+    if combine is None:
+        raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
+    return combine
+
+
 def _require_simple_low_states(evals: np.ndarray, scale: float) -> None:
     thr = DEGENERACY_TOL * max(scale, 1e-300)
     if evals.size < 2 or evals[1] - evals[0] <= thr:
@@ -336,6 +344,9 @@ DEFLATION_TOL = 1e-24
 # Both completeness identities of a secular solve hold to this absolute tolerance.
 IDENTITY_TOL = 1e-10
 _SECULAR_MAX_ITER = 200
+# Cells of one (couplings x roots x poles) array in a batched secular solve;
+# bounds the solve's working memory to a few such arrays of 8 bytes a cell.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -400,6 +411,8 @@ class SecularSolver:
         # the three lowest eigenvalues, with multiplicity, whose eigenvectors
         # vanish at w: each eigenspace less its one visible direction
         self._invisible = np.repeat(lams, counts - visible)[:3]
+        self.target = w
+        self.volume = lap.measure.volume
         self.s_w2 = float(lap.measure.mu[w] / lap.measure.volume)
         self.n = sd.n
         # row sums of |gamma * S - e_w e_w^T| are gamma * rows off the target row
@@ -414,39 +427,61 @@ class SecularSolver:
         return DEGENERACY_TOL * norm
 
     def solve(self, gamma: float) -> SecularSpectrum:
-        """All roots of G(E) = 1 at this coupling, with their overlaps and amplitudes.
+        """All roots of G(E) = 1 at this coupling; see ``solve_many``."""
+        return self.solve_many([gamma])[0]
 
-        Raises ConvergenceFailure when the iteration stalls or when the
-        completeness identities sum 1/G'(E_a) = 1 and
-        (sum alpha_a)^2 = mu(w)/vol fail, which is how a missed root shows.
+    def solve_many(self, gammas) -> list[SecularSpectrum]:
+        """All roots of G(E) = 1 at each coupling, with their overlaps and amplitudes.
+
+        The couplings are solved together, ``_BATCH_ELEMENTS`` array cells at
+        a time, and each comes out bit for bit as it would alone.  Raises
+        ConvergenceFailure, naming the first failing coupling in input order,
+        when the iteration stalls or when the completeness identities
+        sum 1/G'(E_a) = 1 and (sum alpha_a)^2 = mu(w)/vol fail, which is how a
+        missed root shows.
         """
+        gammas = np.asarray(gammas, dtype=float).reshape(-1)
+        step = max(1, _BATCH_ELEMENTS // self.weights.size**2)
+        spectra: list[SecularSpectrum] = []
+        for i in range(0, gammas.size, step):
+            spectra.extend(self._solve_batch(gammas[i : i + step]))
+        return spectra
+
+    def _solve_batch(self, gammas: np.ndarray) -> list[SecularSpectrum]:
+        # Arrays run (couplings, roots, poles); every sum runs along the last,
+        # contiguous axis, so each coupling sees the arithmetic of a lone solve.
         a = self.weights
         m = a.size
-        gaps = gamma * self._lam_gaps
+        nb = gammas.size
+        batch = np.arange(nb)[:, None]
+        gaps = gammas[:, None, None] * self._lam_gaps
         # Root 0 lies in [-1, 0), below pole 0 (gamma * Delta >= 0); root i >= 1
         # between poles i-1 and i, in the half that G at the midpoint picks.  The
         # pole bounding that half is the origin of tau = E - pole.
         k = np.arange(1, m)
-        half = 0.5 * gaps[k - 1, k]
-        g_mid = (a / (gaps[k - 1] - half[:, None])).sum(axis=1)
+        half = 0.5 * gaps[:, k - 1, k]
+        g_mid = (a / (gaps[:, k - 1] - half[..., None])).sum(axis=-1)
         left = g_mid >= 1.0
-        origin = np.concatenate([[0], np.where(left, k - 1, k)])
-        lo = np.concatenate([[-2.0], np.where(left, 0.0, -half)])
-        hi = np.concatenate([[0.0], np.where(left, half, 0.0)])
+        first = np.zeros((nb, 1))
+        origin = np.concatenate([first.astype(int), np.where(left, k - 1, k)], axis=1)
+        lo = np.concatenate([first - 2.0, np.where(left, 0.0, -half)], axis=1)
+        hi = np.concatenate([first, np.where(left, half, 0.0)], axis=1)
         rows = np.arange(m)
-        rel = gaps[origin]  # rel[i, j] = pole j minus the origin pole of root i
+        rel = gaps[batch, origin]  # rel[c, i, j] = pole j minus the origin pole of root i
         a_o = a[origin]
         # Each root starts at the root of a quadratic q2 tau^2 + q1 tau + q0 = 0
         # modelling tau (G - 1).  Root 0: the origin pole, and the other poles'
         # share of G to first order at it.  Root i: both poles of its interval,
         # at distance span apart, and the other poles' share at the midpoint.
         partner = np.where(left, k, k - 1)
-        span = gaps[origin[1:], partner]
+        span = gaps[batch, origin[:, 1:], partner]
         b = 1.0 - g_mid - (a[k - 1] - a[k]) / half
-        near = a[1:] / gaps[0, 1:]
-        q2 = np.concatenate([[(near / gaps[0, 1:]).sum()], b])
-        q1 = np.concatenate([[near.sum() - 1.0], a_o[1:] + a[partner] - b * span])
-        q0 = -a_o * np.concatenate([[1.0], span])
+        near = a[1:] / gaps[:, 0, 1:]
+        q2 = np.concatenate([(near / gaps[:, 0, 1:]).sum(axis=-1)[:, None], b], axis=1)
+        q1 = np.concatenate(
+            [near.sum(axis=-1)[:, None] - 1.0, a_o[:, 1:] + a[partner] - b * span], axis=1
+        )
+        q0 = -a_o * np.concatenate([first + 1.0, span], axis=1)
         eps = np.finfo(float).eps
         with np.errstate(divide="ignore", invalid="ignore"):
             big = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
@@ -454,20 +489,20 @@ class SecularSolver:
             tau = np.where(
                 (r1 > lo) & (r1 < hi), r1, np.where((r2 > lo) & (r2 < hi), r2, 0.5 * (lo + hi))
             )
-            done = np.zeros(m, dtype=bool)
+            done = np.zeros((nb, m), dtype=bool)
             for _ in range(_SECULAR_MAX_ITER):
-                diff = rel - tau[:, None]
+                diff = rel - tau[..., None]
                 q = a / diff
-                q[rows, origin] = 0.0
-                r = q.sum(axis=1) - 1.0
+                q[batch, rows, origin] = 0.0
+                r = q.sum(axis=-1) - 1.0
                 # f = -tau (G - 1) drops the origin pole: smooth across the root
                 f = a_o - tau * r
                 # settled once f is within its own rounding error
-                settled = np.abs(f) <= 8.0 * eps * (a_o + np.abs(tau) * (np.abs(q).sum(axis=1) + 1.0))
+                settled = np.abs(f) <= 8.0 * eps * (a_o + np.abs(tau) * (np.abs(q).sum(axis=-1) + 1.0))
                 below = f * tau > 0.0  # G < 1: the root lies above tau
                 lo = np.where(below, tau, lo)
                 hi = np.where(below, hi, tau)
-                step = tau + f / (r + tau * (q / diff).sum(axis=1))
+                step = tau + f / (r + tau * (q / diff).sum(axis=-1))
                 new = np.where(
                     settled, tau, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
                 )
@@ -476,43 +511,48 @@ class SecularSolver:
                 done |= converged
                 if done.all():
                     break
-            else:
-                raise ConvergenceFailure(
-                    f"secular iteration did not converge at gamma={gamma}"
-                )
-        gprime = (a / (rel - tau[:, None]) ** 2).sum(axis=1)
-        energies = gamma * self.lams[origin] + tau
-        w_sq = 1.0 / gprime
-        amps = -np.sqrt(self.s_w2) / (energies * gprime)
-        w_defect = abs(w_sq.sum() - 1.0)
-        s_defect = abs(amps.sum() ** 2 - self.s_w2)
-        if not (w_defect <= IDENTITY_TOL and s_defect <= IDENTITY_TOL):
+            gprime = (a / (rel - tau[..., None]) ** 2).sum(axis=-1)
+            energies = gammas[:, None] * self.lams[origin] + tau
+            w_sq = 1.0 / gprime
+            amps = -np.sqrt(self.s_w2) / (energies * gprime)
+            w_defect = np.abs(w_sq.sum(axis=-1) - 1.0)
+            s_defect = np.abs(amps.sum(axis=-1) ** 2 - self.s_w2)
+        stalled = ~done.all(axis=1)
+        failed = stalled | ~((w_defect <= IDENTITY_TOL) & (s_defect <= IDENTITY_TOL))
+        if failed.any():
+            j = int(failed.argmax())
+            gamma = float(gammas[j])
+            if stalled[j]:
+                raise ConvergenceFailure(f"secular iteration did not converge at gamma={gamma}")
             raise ConvergenceFailure(
                 f"secular solve at gamma={gamma} misses weight: "
-                f"|sum 1/G' - 1| = {w_defect:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect:.3e}"
+                f"|sum 1/G' - 1| = {w_defect[j]:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect[j]:.3e}"
             )
-        candidates = np.concatenate([energies[:3], gamma * self._invisible])
+        s_sq = self.s_w2 / (energies**2 * gprime)
+        candidates = np.concatenate([energies[:, :3], gammas[:, None] * self._invisible], axis=1)
         index = np.concatenate([np.arange(min(m, 3)), np.full(self._invisible.size, -1)])
-        order = np.argsort(candidates, kind="stable")[: min(self.n, 3)]
-        return SecularSpectrum(
-            gamma=float(gamma),
-            energies=energies,
-            w_overlaps=w_sq,
-            s_overlaps=self.s_w2 / (energies**2 * gprime),
-            amplitudes=amps,
-            levels=candidates[order],
-            level_index=index[order],
-            degeneracy_threshold=self._threshold(gamma),
-        )
+        order = np.argsort(candidates, axis=1, kind="stable")[:, : min(self.n, 3)]
+        levels = np.take_along_axis(candidates, order, axis=1)
+        return [
+            SecularSpectrum(
+                gamma=float(gammas[c]),
+                energies=energies[c],
+                w_overlaps=w_sq[c],
+                s_overlaps=s_sq[c],
+                amplitudes=amps[c],
+                levels=levels[c],
+                level_index=index[order[c]],
+                degeneracy_threshold=self._threshold(float(gammas[c])),
+            )
+            for c in range(nb)
+        ]
 
     def low_pair(self, gamma: float) -> OverlapReport:
         """Energies and squared overlaps of the two lowest states, guarding degeneracy."""
         return self.solve(gamma).low_pair()
 
     def crossing_function(self, which: str):
-        combine = _CROSSINGS.get(which)
-        if combine is None:
-            raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
+        combine = _crossing(which)
         return lambda gamma: combine(self.low_pair(gamma))
 
 

@@ -452,3 +452,43 @@ def test_cli_import_leaves_scipy_unloaded():
         env=os.environ | {"PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out"))
+    assert cli.main(["tables", "--config", cfg, "--threads", threads]) == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+
+
+def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
+    # one secular set-up serves the scan and the optimizer; the other dense
+    # solves are the revalidation's three roots and its E0/E1 check
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_path_config(out) | {"graph.p": 0.4, "graph.d": 2, "sweep.gamma_points": 60, "sweep.t_points": 200},
+    )
+    assert cli.main(["tables", "--config", cfg]) == 0
+    row = dict(zip(cli.TABLE_COLUMNS, (out / "tables.csv").read_text().splitlines()[1].split(",")))
+    assert all(row[k] for k in ("gamma_s", "gamma_w", "gamma_E"))
+    assert calls == [16] * 5
+
+
+def test_export_matrix_csv_formats_every_cell_as_alone(tmp_path):
+    # cells are formatted once per bit pattern: -0.0 must keep its own text
+    matrix = np.array(
+        [[0.0, -0.0, 1.0 / 3.0, 0.0], [-0.0, 1e-300, 1.0 / 3.0, -1.5], [np.nan, np.inf, -np.inf, 0.0]]
+    )
+    cli.export_matrix_csv(tmp_path / "m.csv", matrix)
+    expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
+    assert (tmp_path / "m.csv").read_text() == expected
+    assert expected.startswith("0,-0,0.33333333333333331,0\n-0,")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsearch.errors import DegenerateLowStates
+from qwsearch import spectral
+from qwsearch.errors import ConvergenceFailure, DegenerateLowStates, NumericalFailure
 from qwsearch.graphs import (
     TransitionGraph,
     cartesian_power,
@@ -207,3 +208,87 @@ def test_secular_engine_matches_dense_on_linked_cliques():
     for w in range(12):
         for gamma in (0.3, 1.0, 1.9):
             assert_secular_matches_dense(lap, w, gamma)
+
+
+SPECTRUM_FIELDS = ("energies", "w_overlaps", "s_overlaps", "amplitudes", "levels", "level_index")
+
+
+def assert_batch_matches_lone_solves(solver, gammas):
+    """solve_many gives, field for field and bit for bit, what solve gives alone."""
+    batch = solver.solve_many(gammas)
+    assert len(batch) == len(gammas)
+    for gamma, spec in zip(gammas, batch):
+        lone = solver.solve(gamma)
+        for name in SPECTRUM_FIELDS:
+            assert np.array_equal(getattr(spec, name), getattr(lone, name)), name
+        assert spec.gamma == lone.gamma
+        assert spec.degeneracy_threshold == lone.degeneracy_threshold
+
+
+st_gammas = st.lists(st_gamma, min_size=1, max_size=12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=3), gammas=st_gammas, data=st.data())
+def test_solve_many_matches_solve_on_lattices(p, d, gammas, data):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    w = data.draw(st.integers(min_value=0, max_value=lap.graph.n - 1), label="w")
+    assert_batch_matches_lone_solves(SecularSolver(lap, w), gammas)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gammas=st_gammas, data=st.data())
+def test_solve_many_matches_solve_on_complete_graphs(n, gammas, data):
+    lap = probabilistic_laplacian(complete_graph(n))
+    w = data.draw(st.integers(min_value=0, max_value=n - 1), label="w")
+    assert_batch_matches_lone_solves(SecularSolver(lap, w), gammas)
+
+
+def test_solve_many_matches_solve_across_batch_chunks(monkeypatch):
+    # a batch larger than one chunk of array cells is solved chunk by chunk
+    _, lap, _ = cartesian_power(path_graph(0.7), 2)
+    solver = SecularSolver(lap, 3)
+    monkeypatch.setattr(spectral, "_BATCH_ELEMENTS", 3 * solver.weights.size**2)
+    assert_batch_matches_lone_solves(solver, list(np.linspace(0.1, 2.5, 10)))
+
+
+def first_error(calls):
+    """Type and message of the first exception the calls raise in order, or None."""
+    try:
+        for call in calls:
+            call()
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# couplings at which a secular solve fails: 0 loses the s-identity, the others stall
+st_bad_gamma = st.sampled_from([0.0, -1.0, float("nan"), float("inf")])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st_p,
+    d=st.integers(min_value=1, max_value=3),
+    gammas=st_gammas,
+    bad=st.lists(st.tuples(st.integers(min_value=0, max_value=12), st_bad_gamma), min_size=1, max_size=3),
+)
+def test_solve_many_names_first_failing_coupling(p, d, gammas, bad):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    solver = SecularSolver(lap, 0)
+    for i, gamma in bad:
+        gammas.insert(min(i, len(gammas)), gamma)
+    lone = first_error([lambda g=g: solver.solve(g) for g in gammas])
+    assert lone is not None and lone[0] is ConvergenceFailure
+    assert first_error([lambda: solver.solve_many(gammas)]) == lone
+
+
+@settings(max_examples=10, deadline=None)
+@given(eps=st.sampled_from([1e-12, 1e-14]), w=st.sampled_from([0, 1]), gammas=st_gammas)
+def test_batched_low_pairs_name_first_degenerate_coupling(eps, w, gammas):
+    solver = SecularSolver(probabilistic_laplacian(linked_cliques(eps)), w)
+    lone = first_error([lambda g=g: solver.low_pair(g) for g in gammas])
+    assert lone is not None and lone[0] is DegenerateLowStates
+    batch = solver.solve_many(gammas)
+    assert first_error([spec.low_pair for spec in batch]) == lone

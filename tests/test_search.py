@@ -10,6 +10,8 @@ from qwsearch.graphs import (
     probabilistic_laplacian,
 )
 from qwsearch.search import (
+    BISECTION_WIDTH,
+    _lockstep_roots,
     decompose_at_gamma_E,
     evolve,
     find_gamma_critical,
@@ -20,6 +22,7 @@ from qwsearch.search import (
 from qwsearch.spectral import (
     _CROSSINGS,
     SearchHamiltonian,
+    SecularSolver,
     decompose,
     overlaps_direct,
     symmetrize,
@@ -219,3 +222,114 @@ def test_success_probability_lipschitz_in_gamma():
     )
     step = gammas[1] - gammas[0]
     assert np.abs(np.diff(pis)).max() <= 8.0 * t * step + 1e-9
+
+
+def serial_first_root(grid, values, f):
+    """The scan's former root finder: one kind at a time, one coupling per halving."""
+    for i in range(grid.size - 1):
+        if values[i] == 0.0:
+            return float(grid[i])
+        if (values[i] < 0.0) != (values[i + 1] < 0.0):
+            a, b, fa = float(grid[i]), float(grid[i + 1]), float(values[i])
+            while b - a > BISECTION_WIDTH:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0:
+                    return mid
+                if (fa < 0.0) != (fm < 0.0):
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            return 0.5 * (a + b)
+    if values[-1] == 0.0:
+        return float(grid[-1])
+    return None
+
+
+def lockstep_against_serial(grid, functions):
+    values = {k: np.array([f(x) for x in grid]) for k, f in functions.items()}
+    batches = []
+
+    def crossings(kinds, gammas):
+        batches.append(list(kinds))
+        return [functions[k](x) for k, x in zip(kinds, gammas)]
+
+    roots = _lockstep_roots(grid, values, crossings)
+    for k, f in functions.items():
+        assert roots[k] == serial_first_root(grid, values[k], f), k
+    return roots, batches
+
+
+def halvings(width):
+    steps = 0
+    while width > BISECTION_WIDTH:
+        width *= 0.5
+        steps += 1
+    return steps
+
+
+GRID = np.linspace(0.0, 1.0, 5)  # 0, 0.25, 0.5, 0.75, 1 exactly
+
+
+def test_lockstep_one_root():
+    roots, batches = lockstep_against_serial(GRID, {"s": lambda x: x - 0.3})
+    assert roots["s"] == pytest.approx(0.3, abs=BISECTION_WIDTH)
+    assert len(batches) == halvings(0.25)
+
+
+def test_lockstep_three_roots_in_one_batch_per_halving():
+    functions = {
+        "s": lambda x: x - 0.1,
+        "w": lambda x: 0.6 - x,
+        "E": lambda x: np.sin(8.0 * x) - 0.5,
+    }
+    roots, batches = lockstep_against_serial(GRID, functions)
+    assert roots["s"] == pytest.approx(0.1, abs=BISECTION_WIDTH)
+    assert roots["w"] == pytest.approx(0.6, abs=BISECTION_WIDTH)
+    assert roots["E"] == pytest.approx(np.arcsin(0.5) / 8.0, abs=BISECTION_WIDTH)
+    assert batches[0] == ["s", "w", "E"]
+    assert len(batches) == halvings(0.25)
+
+
+def test_lockstep_kinds_sharing_a_bracket():
+    roots, batches = lockstep_against_serial(
+        GRID, {"s": lambda x: x - 0.3, "w": lambda x: 2.0 * (x - 0.31)}
+    )
+    assert roots["s"] < roots["w"]
+    assert all(b == ["s", "w"] for b in batches)
+
+
+def test_lockstep_exact_zero_at_a_midpoint():
+    # 0.375 is the first midpoint of [0.25, 0.5] and 0.28125 the third, both exact
+    roots, batches = lockstep_against_serial(
+        GRID, {"s": lambda x: x - 0.375, "w": lambda x: x - 0.28125, "E": lambda x: x - 0.7}
+    )
+    assert roots["s"] == 0.375 and roots["w"] == 0.28125
+    assert batches[0] == ["s", "w", "E"] and batches[1] == ["w", "E"] and batches[3] == ["E"]
+
+
+def test_lockstep_missing_root_and_zero_on_the_grid():
+    # a zero reached from above on the grid is a root without a bracket
+    roots, batches = lockstep_against_serial(
+        GRID,
+        {"s": lambda x: x + 1.0, "w": lambda x: 0.5 - x, "E": lambda x: x - 0.9},
+    )
+    assert roots["s"] is None and roots["w"] == 0.5
+    assert all(b == ["E"] for b in batches)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.91])
+def test_scan_roots_match_serial_bisection_on_a_lattice(p):
+    g, lap, _ = cartesian_power(path_graph(p), 2)
+    solver = SecularSolver(lap, 0)
+    grid = np.linspace(0.05, 3.0, 60)
+    crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver)
+    for which, root in (("s", crit.gamma_s), ("w", crit.gamma_w), ("E", crit.gamma_E)):
+        f = solver.crossing_function(which)
+        assert root == serial_first_root(grid, np.array([f(x) for x in grid]), f), which
+
+
+def test_search_rejects_a_solver_for_another_target():
+    g, lap, _ = cartesian_power(path_graph(0.5), 2)
+    with pytest.raises(ValueError, match="target 0, not 3"):
+        gamma_critical_points(g, 3, solver=SecularSolver(lap, 0))

@@ -331,3 +331,6 @@ def test_secular_solve_rejects_missing_weight():
     solver.weights = solver.weights * (1.0 - 1e-6)
     with pytest.raises(ConvergenceFailure, match="misses weight"):
         solver.solve(1.0)
+    # a batch fails the same check and names its first coupling
+    with pytest.raises(ConvergenceFailure, match=r"at gamma=0\.5 misses weight"):
+        solver.solve_many([0.5, 1.0, 1.5])
