@@ -254,10 +254,12 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     """Row-major headerless CSV dump with 17 significant digits.
 
     Written a row at a time; each distinct bit pattern is formatted once, so
-    -0.0 and +0.0 keep their own text.
+    -0.0 and +0.0 keep their own text.  Each row reaches _write_csv as one
+    pre-joined cell, which skips its per-cell type check.
     """
     text: dict[int, str] = {}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+    def rows():
         for row in matrix:
             bits = np.ascontiguousarray(row, dtype=float).view(np.int64)
             keys, inverse = np.unique(bits, return_inverse=True)
@@ -265,7 +267,9 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
                 if key not in text:
                     text[key] = _fmt(value)
             cells = np.array([text[key] for key in keys.tolist()], dtype=object)
-            fh.write(",".join(cells[inverse].tolist()) + "\n")
+            yield [",".join(cells[inverse].tolist())]
+
+    _write_csv(path, None, rows())
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,15 @@ def find_gamma_critical(
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
     lap: Laplacian | None = None,
-    solver: SecularSolver | None = None,
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
     Scans a uniform grid for the first sign change, then bisects it down to a
     bracket narrower than 1e-12.  Raises NoRootInRange if the scanned values
-    never change sign.  A ``solver`` for (lap, w) saves its set-up.
+    never change sign.
     """
-    solver = _solver_for(graph, w, lap, solver)
-    root = _scan(solver, (which,), gamma_range, grid_points)[which]
+    lap = lap if lap is not None else probabilistic_laplacian(graph)
+    root = _scan(SecularSolver(lap, w), (which,), gamma_range, grid_points)[which]
     if root is None:
         lo, hi = gamma_range
         raise NoRootInRange(

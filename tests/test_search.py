@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qwsearch.errors import NoRootInRange, NotAtGammaE
+from qwsearch.errors import (
+    ConvergenceFailure,
+    DegenerateLowStates,
+    NoRootInRange,
+    NotAtGammaE,
+)
 from qwsearch.graphs import (
     cartesian_power,
     complete_graph,
@@ -316,6 +321,29 @@ def test_lockstep_missing_root_and_zero_on_the_grid():
     )
     assert roots["s"] is None and roots["w"] == 0.5
     assert all(b == ["E"] for b in batches)
+
+
+def test_lockstep_reports_the_first_failing_halving():
+    # serially s would fail first, at its 30th halving; in lockstep w fails at its 5th
+    def failing_at(halving, error):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) == halving:
+                raise error(f"failed at halving {halving}")
+            return x - 0.3
+
+        return f
+
+    functions = {"s": failing_at(30, DegenerateLowStates), "w": failing_at(5, ConvergenceFailure)}
+    values = {k: GRID - 0.3 for k in functions}
+
+    def crossings(kinds, gammas):
+        return [functions[k](x) for k, x in zip(kinds, gammas)]
+
+    with pytest.raises(ConvergenceFailure, match="halving 5"):
+        _lockstep_roots(GRID, values, crossings)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.91])
