@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Golden output set: hash every file a fixed set of small CLI runs writes.
 
-    python scripts/golden.py
+    python scripts/golden.py                  # print the listing
+    python scripts/golden.py --keep DIR       # ... and keep the outputs in DIR
+    python scripts/golden.py --diff OLD NEW   # compare two kept output sets
 
 Runs each subcommand (spectrum, tables, optimize and the four figure kinds)
 on small d=2 path powers with p in {0.4, 0.91}, plus the complete graph on 8
@@ -11,9 +13,15 @@ vertices) at p=0.91, through ``qwsearch.cli.main`` from the
 sorted by file name.  Two source trees produce the same outputs when their
 listings are identical on the same machine.  BLAS runs on one thread, because
 the thread count changes the last bits of the eigensolver's results.
+
+Where listings differ, keep both output sets and run ``--diff``: for each file
+whose bytes changed it prints the largest absolute and relative difference of
+every numeric column (CSV) or key (JSON) that moved.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -61,21 +69,121 @@ RUNS = [
 ]
 
 
+def write_outputs(root: Path) -> int:
+    """Run every golden config, writing each run's outputs under root/<run name>."""
+    for name, command, config in RUNS:
+        out = root / name
+        cfg_path = root / f"{name}.json"
+        cfg_path.write_text(json.dumps(config | {"output.path": str(out)}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = qwsearch_main([*command, "--config", str(cfg_path)])
+        if code != 0:
+            print(f"error: {name} exited {code}: {err.getvalue()}", file=sys.stderr)
+            return 1
+    return 0
+
+
+def outputs(root: Path) -> list[Path]:
+    # the run configs sit directly in root; every output is one level down
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file() and p.parent != root)
+
+
+def _columns(path: Path) -> dict[str, list]:
+    """Column name -> cells of a CSV (headerless ones get col0, col1, ...) or key -> value of a JSON."""
+    if path.suffix == ".json":
+        flat: dict[str, list] = {}
+
+        def walk(prefix: str, node) -> None:
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(f"{prefix}.{key}" if prefix else key, value)
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    walk(f"{prefix}[{i}]", value)
+            else:
+                flat[prefix] = [node]
+
+        walk("", json.loads(path.read_text()))
+        return flat
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return {}
+    try:
+        [float(v) for v in rows[0]]
+        header = [f"col{i}" for i in range(len(rows[0]))]
+    except ValueError:
+        header, rows = rows[0], rows[1:]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _number(cell) -> float | None:
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def diff(old_root: Path, new_root: Path) -> int:
+    """Print, per changed file, the largest absolute and relative move of each moved column."""
+    old_files, new_files = set(outputs(old_root)), set(outputs(new_root))
+    for rel in sorted(old_files ^ new_files):
+        print(f"{rel.as_posix()}: only in {old_root if rel in old_files else new_root}")
+    changed = 0
+    for rel in sorted(old_files & new_files):
+        old_path, new_path = old_root / rel, new_root / rel
+        if old_path.read_bytes() == new_path.read_bytes():
+            continue
+        changed += 1
+        print(rel.as_posix())
+        old_cols, new_cols = _columns(old_path), _columns(new_path)
+        for name in [*old_cols, *(k for k in new_cols if k not in old_cols)]:
+            old, new = old_cols.get(name), new_cols.get(name)
+            if old is None or new is None or len(old) != len(new):
+                print(f"  {name}: missing or of another length")
+                continue
+            worst_abs = worst_rel = 0.0
+            for a, b in zip(old, new):
+                x, y = _number(a), _number(b)
+                if x is None or y is None:
+                    if a != b:
+                        print(f"  {name}: non-numeric cell {a!r} -> {b!r}")
+                        break
+                    continue
+                if x == y or (x != x and y != y):
+                    continue
+                gap = abs(x - y)
+                worst_abs = max(worst_abs, gap)
+                worst_rel = max(worst_rel, gap / max(abs(x), abs(y)))
+            if worst_abs > 0.0:
+                print(f"  {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    print(f"{changed} file(s) differ, {len(old_files ^ new_files)} present on one side only")
+    return 0
+
+
 def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="qwsearch-golden-") as tmp:
-        root = Path(tmp)
-        for name, command, config in RUNS:
-            out = root / name
-            cfg_path = root / f"{name}.json"
-            cfg_path.write_text(json.dumps(config | {"output.path": str(out)}))
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                code = qwsearch_main([*command, "--config", str(cfg_path)])
-            if code != 0:
-                print(f"error: {name} exited {code}: {err.getvalue()}", file=sys.stderr)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="write the outputs into DIR (new or empty) and keep them")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"), help="compare two kept output sets")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            root = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="qwsearch-golden-")))
+        else:
+            root = args.keep
+            root.mkdir(parents=True, exist_ok=True)
+            if any(root.iterdir()):
+                print(f"error: {root} is not empty", file=sys.stderr)
                 return 1
-        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(root).as_posix()}")
+        if write_outputs(root) != 0:
+            return 1
+        for rel in outputs(root):
+            digest = hashlib.sha256((root / rel).read_bytes()).hexdigest()
+            print(f"{digest}  {rel.as_posix()}")
     return 0
 
 

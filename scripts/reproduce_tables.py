@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Full d=5 lattice table run: critical couplings and search optimum per p.
 
-Writes results/tables/tables.csv in about 14 seconds on a 2-core machine; the
+Writes results/tables/tables.csv in about 8 seconds on a 2-core machine; the
 dense 1024-vertex eigendecompositions (one solver set-up and four
-revalidation solves per p) and the optimizer's success curves dominate.
+revalidation solves per p) dominate.
 """
 
 import argparse

@@ -35,7 +35,7 @@ from .search import (
     SCAN_POINTS_DEFAULT,
     GammaCriticalPoints,
     SearchOptimum,
-    _curve,
+    _grid_curve,
     _time_ceiling,
     gamma_critical_points,
     optimize_search,
@@ -460,10 +460,11 @@ def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
     grid, spectra = _secular_grid(cfg, lap, w)
     reports = [spec.low_pair() for spec in spectra]
     t_max = _time_ceiling("auto", measure.volume, min(abs(r.e1 - r.e0) for r in reports))
-    times = np.linspace(0.0, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT)
     rows = []
     for gamma, spec in zip(grid, spectra):
-        curve = _curve(spec.energies, spec.amplitudes, times)
+        times, curve = _grid_curve(
+            spec.energies, spec.amplitudes, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT
+        )
         rows.extend([t, gamma, pi] for t, pi in zip(times, curve))
     _write_csv(out / f"contour_p{p:g}.csv", ["t", "gamma", "pi"], rows)
     _write_schema(out, "contour", [
@@ -477,9 +478,10 @@ def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
     g, lap, _, w = _build_graph(cfg, p)
     solver = SecularSolver(lap, w)
     _, opt = _critical_and_optimum(cfg, p, g, solver, w)
-    times = np.linspace(0.0, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT)
     spec = solver.solve(opt.gamma_opt)
-    curve = _curve(spec.energies, spec.amplitudes, times)
+    times, curve = _grid_curve(
+        spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT
+    )
     _write_csv(out / f"timeseries_p{p:g}.csv", ["t", "pi"], zip(times, curve))
     _write_json(
         out / f"timeseries_p{p:g}.meta.json",

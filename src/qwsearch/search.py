@@ -10,6 +10,7 @@ E0 = -E1 (gamma_E).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
 from .spectral import (
     SearchHamiltonian,
     SecularSolver,
-    SecularSpectrum,
     SpectralData,
     _crossing,
     _ground_sym,
@@ -90,6 +90,25 @@ def _exp_sum(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarr
 
 def _curve(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.abs(_exp_sum(evals, amps, times)) ** 2
+
+
+def _grid_curve(
+    evals: np.ndarray, amps: np.ndarray, stop: float, num: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The time grid np.linspace(0, stop, num) and pi(t) on it.
+
+    Baby-step/giant-step: with B = ceil(sqrt(num)), grid point bB + k is the
+    block start bB plus the offset k < B, so e^{-i E t} is the product of one
+    row of a B-row offset table and one of ceil(num/B) block-start rows.  That
+    is (B + ceil(num/B)) m complex exponentials for m energies, in place of
+    num m, and one matmul.  The curve agrees with ``_curve`` on the same times
+    up to the rounding of E t.
+    """
+    times = np.linspace(0.0, stop, num)
+    width = math.isqrt(num - 1) + 1
+    offsets = np.exp(-1j * times[:width, None] * evals)
+    starts = amps * np.exp(-1j * times[::width, None] * evals)
+    return times, np.abs((starts @ offsets.T).ravel()[:num]) ** 2
 
 
 @dataclass(frozen=True)
@@ -250,20 +269,57 @@ def _time_ceiling(policy, volume: float, gap: float) -> float:
     return float(policy)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_lockstep(
+    f, a: np.ndarray, b: np.ndarray, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximum of f_i on [a_i, b_i] for every i, all in lockstep.
+
+    ``f(rows, x)`` returns f_rows[j](x[j]) for one point per open bracket.
+    Bracket i closes once its inner points are within tol_i, and each
+    narrows through exactly the IEEE operations of a lone golden section, so
+    each (x_i, f_i(x_i)) returned is the one that section would find.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    rows = np.arange(a.size)
+    fc, fd = f(rows, c), f(rows, d)
+    live = rows[d - c > tol]
+    while live.size:
+        al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]
+        # f(c) > f(d): the maximum lies in [a, d], and c becomes its upper
+        # inner point; otherwise in [c, b], and d becomes its lower one
+        left = fcl > fdl
+        al, bl = np.where(left, al, cl), np.where(left, dl, bl)
+        x = np.where(left, bl - _INV_PHI * (bl - al), al + _INV_PHI * (bl - al))
+        fx = f(live, x)
+        a[live], b[live] = al, bl
+        c[live], fc[live] = np.where(left, x, dl), np.where(left, fx, fdl)
+        d[live], fd[live] = np.where(left, cl, x), np.where(left, fcl, fx)
+        live = live[d[live] - c[live] > tol[live]]
+    upper = fc > fd
+    return np.where(upper, c, d), np.where(upper, fc, fd)
+
+
+def _peak_objective(energies: np.ndarray, amps: np.ndarray):
+    """f(rows, t) = pi(t[j]) of coupling rows[j], for spectra stacked one per row.
+
+    Each value is bit for bit abs(np.exp(-1j * t * E) @ amps) ** 2 of that
+    coupling alone, so a peak refines to the same t whatever grid it shares.
+    The stacked vector products and hypot keep those operations; np.abs,
+    einsum or a sum over the last axis each move the last bit, and at a flat
+    peak one bit of pi moves the maximizing t by about sqrt(eps).
+    """
+
+    def f(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * t[:, None] * energies[rows])
+        z = np.matmul(phases[:, None, :], amps[rows][:, :, None])[:, 0, 0]
+        return np.hypot(z.real, z.imag) ** 2
+
+    return f
 
 
 def optimize_search(
@@ -285,8 +341,8 @@ def optimize_search(
     peak.  The winning gamma is then re-gridded ``REFINE_DECADES`` times, one
     decade finer each pass.  Among all evaluated points within 1e-9 of the
     maximum, the earliest time and then the smallest coupling win.  Each
-    grid is solved in one batched secular pass.  A ``solver`` for (lap, w)
-    saves its set-up.
+    grid is solved in one batched secular pass, and its peaks are refined in
+    lockstep.  A ``solver`` for (lap, w) saves its set-up.
     """
     solver = _solver_for(graph, w, lap, solver)
     volume = solver.volume
@@ -298,28 +354,34 @@ def optimize_search(
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
-    def eval_gamma(spec: SecularSpectrum) -> tuple[float, float, float, float, float, bool]:
-        e0, e1 = float(spec.levels[0]), float(spec.levels[1])
-        ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
-        times = np.linspace(0.0, ceiling, t_points)
-        curve = _curve(spec.energies, spec.amplitudes, times)
-        peak = curve.max()
-        idx = int(np.nonzero(curve >= peak - TIE_TOL)[0][0])
-        dt = times[1] - times[0]
-        t_ref, pi_ref = _golden_max(
-            lambda t: float(
-                abs(np.exp(-1j * t * spec.energies) @ spec.amplitudes) ** 2
-            ),
-            max(0.0, times[idx] - dt),
-            min(ceiling, times[idx] + dt),
-            tol=1e-10 * max(1.0, ceiling),
-        )
-        if pi_ref < curve[idx]:
-            t_ref, pi_ref = float(times[idx]), float(curve[idx])
-        return (t_ref, pi_ref, spec.gamma, e0, e1, ceiling < volume)
-
     def eval_grid(gammas: np.ndarray) -> list:
-        return [eval_gamma(spec) for spec in solver.solve_many(gammas)]
+        spectra = solver.solve_many(gammas)
+        rows, peaks, brackets = [], [], []
+        for spec in spectra:
+            e0, e1 = float(spec.levels[0]), float(spec.levels[1])
+            ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
+            times, curve = _grid_curve(spec.energies, spec.amplitudes, ceiling, t_points)
+            idx = int(np.nonzero(curve >= curve.max() - TIE_TOL)[0][0])
+            dt = times[1] - times[0]
+            rows.append((spec.gamma, e0, e1, ceiling < volume))
+            peaks.append((float(times[idx]), float(curve[idx])))
+            brackets.append(
+                (max(0.0, times[idx] - dt), min(ceiling, times[idx] + dt), 1e-10 * max(1.0, ceiling))
+            )
+        lo_t, hi_t, tol = np.array(brackets).T
+        t_ref, pi_ref = _golden_lockstep(
+            _peak_objective(
+                np.stack([s.energies for s in spectra]), np.stack([s.amplitudes for s in spectra])
+            ),
+            lo_t,
+            hi_t,
+            tol,
+        )
+        # the grid point stands when the refinement falls below it
+        return [
+            (t_grid, pi_grid, *row) if pi_r < pi_grid else (float(t_r), float(pi_r), *row)
+            for t_r, pi_r, (t_grid, pi_grid), row in zip(t_ref, pi_ref, peaks, rows)
+        ]
 
     pool = eval_grid(np.linspace(lo, hi, gamma_points))
     step = (hi - lo) / (gamma_points - 1) if gamma_points > 1 else hi - lo

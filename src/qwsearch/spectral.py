@@ -438,9 +438,13 @@ class SecularSolver:
         ConvergenceFailure, naming the first failing coupling in input order,
         when the iteration stalls or when the completeness identities
         sum 1/G'(E_a) = 1 and (sum alpha_a)^2 = mu(w)/vol fail, which is how a
-        missed root shows.
+        missed root shows.  Raises ValueError, naming the first offender, for
+        a coupling that is not positive and finite, before any iteration.
         """
         gammas = np.asarray(gammas, dtype=float).reshape(-1)
+        bad = ~(np.isfinite(gammas) & (gammas > 0.0))
+        if bad.any():
+            raise ValueError(f"gamma={float(gammas[bad.argmax()])} must be positive and finite")
         step = max(1, _BATCH_ELEMENTS // self.weights.size**2)
         spectra: list[SecularSpectrum] = []
         for i in range(0, gammas.size, step):

@@ -13,7 +13,7 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.search import _curve, evolve, success_curve
+from qwsearch.search import _curve, _exp_sum, _grid_curve, evolve, success_curve
 from qwsearch.spectral import (
     SearchHamiltonian,
     SecularSolver,
@@ -179,6 +179,38 @@ def test_secular_engine_matches_dense_on_complete_graphs(n, gamma):
         assert_secular_matches_dense(lap, w, gamma)
 
 
+GRID_SIZES = (2, 3, 97, 500, 4000)
+
+
+def assert_grid_curve_matches_direct_sum(spec, stop):
+    """_grid_curve keeps np.linspace's times, and its pi to 1e-12 of the direct sum."""
+    for num in GRID_SIZES:
+        times, curve = _grid_curve(spec.energies, spec.amplitudes, stop, num)
+        assert np.array_equal(times, np.linspace(0.0, stop, num)), num
+        direct = np.abs(_exp_sum(spec.energies, spec.amplitudes, times)) ** 2
+        assert np.abs(curve - direct).max() <= 1e-12, num
+
+
+st_fraction = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=4), gamma=st_gamma, fraction=st_fraction)
+def test_grid_curve_matches_direct_sum_on_lattices(p, d, gamma, fraction):
+    # the optimizer's time grids stop at most at the graph volume
+    _, lap, measure = cartesian_power(path_graph(p), d)
+    spec = SecularSolver(lap, 0).solve(gamma)
+    assert_grid_curve_matches_direct_sum(spec, fraction * measure.volume)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gamma=st_gamma, fraction=st_fraction)
+def test_grid_curve_matches_direct_sum_on_complete_graphs(n, gamma, fraction):
+    lap = probabilistic_laplacian(complete_graph(n))
+    spec = SecularSolver(lap, 0).solve(gamma)
+    assert_grid_curve_matches_direct_sum(spec, fraction * lap.measure.volume)
+
+
 def linked_cliques(eps):
     """Three 4-cliques whose first vertices are joined pairwise with weight eps.
 
@@ -262,8 +294,9 @@ def first_error(calls):
     return None
 
 
-# couplings at which a secular solve fails: 0 loses the s-identity, the others stall
-st_bad_gamma = st.sampled_from([0.0, -1.0, float("nan"), float("inf")])
+# valid couplings at which a secular solve fails: the subnormal one loses the
+# weight identity, the huge ones stall (invalid ones never reach the solve)
+st_bad_gamma = st.sampled_from([5e-324, 1e200, 1e300])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -16,7 +16,9 @@ from qwsearch.graphs import (
 )
 from qwsearch.search import (
     BISECTION_WIDTH,
+    _golden_lockstep,
     _lockstep_roots,
+    _peak_objective,
     decompose_at_gamma_E,
     evolve,
     find_gamma_critical,
@@ -361,3 +363,49 @@ def test_search_rejects_a_solver_for_another_target():
     g, lap, _ = cartesian_power(path_graph(0.5), 2)
     with pytest.raises(ValueError, match="target 0, not 3"):
         gamma_critical_points(g, 3, solver=SecularSolver(lap, 0))
+
+
+def serial_golden_max(f, a, b, tol):
+    """One golden section at a time, the reference for _golden_lockstep; also counts its steps."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    steps = 0
+    while d - c > tol:
+        steps += 1
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return ((c, fc) if fc > fd else (d, fd)), steps
+
+
+def test_golden_lockstep_matches_serial_sections_bit_for_bit():
+    _, lap, measure = cartesian_power(path_graph(0.91), 2)
+    spectra = SecularSolver(lap, 0).solve_many(np.linspace(0.3, 2.0, 200))
+    rng = np.random.default_rng(7)
+    # brackets of widths 1e-6 .. 10 around random times, some clipped at 0,
+    # and tolerances 1e-12 .. 1e-6: the sections take different step counts
+    centers = rng.uniform(0.0, measure.volume, 200)
+    centers[:20] = 0.0
+    widths = 10.0 ** rng.uniform(-6.0, 1.0, 200)
+    lo, hi = np.maximum(0.0, centers - widths), centers + widths
+    tol = 10.0 ** rng.uniform(-12.0, -6.0, 200)
+    f = _peak_objective(
+        np.stack([s.energies for s in spectra]), np.stack([s.amplitudes for s in spectra])
+    )
+    t, pi = _golden_lockstep(f, lo, hi, tol)
+    counts = set()
+    for i, spec in enumerate(spectra):
+
+        def lone(x, spec=spec):
+            return float(abs(np.exp(-1j * x * spec.energies) @ spec.amplitudes) ** 2)
+
+        (t_ref, pi_ref), steps = serial_golden_max(lone, lo[i], hi[i], tol[i])
+        assert (t[i], pi[i]) == (t_ref, pi_ref), i
+        counts.add(steps)
+    assert len(counts) > 10

@@ -334,3 +334,20 @@ def test_secular_solve_rejects_missing_weight():
     # a batch fails the same check and names its first coupling
     with pytest.raises(ConvergenceFailure, match=r"at gamma=0\.5 misses weight"):
         solver.solve_many([0.5, 1.0, 1.5])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_secular_solve_rejects_a_coupling_that_is_not_positive_and_finite(bad):
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0)
+    with pytest.raises(ValueError, match=rf"gamma={bad} must be positive and finite"):
+        solver.solve(bad)
+    # a batch names its first offender, before solving any coupling
+    with pytest.raises(ValueError, match=rf"gamma={bad} must"):
+        solver.solve_many([1.0, bad, -2.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_secular_solve_at_a_huge_coupling_fails_typed():
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0)
+    with pytest.raises(ConvergenceFailure):
+        solver.solve(1e300)
