@@ -253,21 +253,26 @@ def _write_schema(out: Path, kind: str, columns: list[tuple[str, str]]) -> None:
 def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     """Row-major headerless CSV dump with 17 significant digits.
 
-    Written a row at a time; each distinct bit pattern is formatted once, so
-    -0.0 and +0.0 keep their own text.  Each row reaches _write_csv as one
+    Written a row at a time.  A row starts as +0.0 cells, and only its
+    nonzero bit patterns are formatted, each distinct one once across the
+    matrix, so -0.0 keeps its own text.  Each row reaches _write_csv as one
     pre-joined cell, which skips its per-cell type check.
     """
+    zero = _fmt(0.0)
     text: dict[int, str] = {}
 
     def rows():
         for row in matrix:
-            bits = np.ascontiguousarray(row, dtype=float).view(np.int64)
-            keys, inverse = np.unique(bits, return_inverse=True)
-            for key, value in zip(keys.tolist(), keys.view(float).tolist()):
-                if key not in text:
-                    text[key] = _fmt(value)
-            cells = np.array([text[key] for key in keys.tolist()], dtype=object)
-            yield [",".join(cells[inverse].tolist())]
+            row = np.ascontiguousarray(row, dtype=float)
+            bits = row.view(np.int64)
+            nonzero = np.flatnonzero(bits)
+            cells = [zero] * row.size
+            for j, key, value in zip(nonzero.tolist(), bits[nonzero].tolist(), row[nonzero].tolist()):
+                cell = text.get(key)
+                if cell is None:
+                    cell = text[key] = _fmt(value)
+                cells[j] = cell
+            yield [",".join(cells)]
 
     _write_csv(path, None, rows())
 
@@ -279,16 +284,15 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
     g, lap, measure, w = _build_graph(cfg, _single_p(cfg, "spectrum"))
 
-    sd = decompose(lap)
+    solver = SecularSolver(lap, w)
     _write_csv(
         out / "laplacian_spectrum.csv",
         ["index", "eigenvalue"],
-        ([i, sd.eigenvalues[i]] for i in range(g.n)),
+        enumerate(solver.laplacian_spectrum),
     )
     rows = []
-    for gamma in cfg.spectrum_gammas:
-        hsd = decompose(SearchHamiltonian(gamma, w, lap))
-        rows.extend([gamma, i, hsd.eigenvalues[i]] for i in range(g.n))
+    for gamma, energies in zip(cfg.spectrum_gammas, solver.hamiltonian_spectra(cfg.spectrum_gammas)):
+        rows.extend([gamma, i, e] for i, e in enumerate(energies))
     _write_csv(out / "hamiltonian_spectrum.csv", ["gamma", "index", "eigenvalue"], rows)
     export_matrix_csv(out / "laplacian.csv", lap.matrix)
 

@@ -266,10 +266,13 @@ class InteriorMeasureProfile:
 
 def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
     """Profile the reversibility measure of g over its interior vertices."""
-    axis = g.axis if g.axis is not None else g
-    d = g.params.get("d", 1) if g.family == "product" else 1
-    measure = kolmogorov_measure(g)
-    mu = measure.mu
+    if g.family == "product" and g.axis is not None:
+        # the measure cartesian_power gives the power, behind its volume
+        axis, d = g.axis, g.params["d"]
+        mu = _product_measure(axis, d).mu
+    else:
+        axis, d = g, 1
+        mu = kolmogorov_measure(g).mu
 
     out_degree = np.zeros(axis.n, dtype=int)
     for x, _ in axis.weights:

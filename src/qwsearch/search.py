@@ -307,11 +307,14 @@ def _golden_lockstep(
 def _peak_objective(energies: np.ndarray, amps: np.ndarray):
     """f(rows, t) = pi(t[j]) of coupling rows[j], for spectra stacked one per row.
 
-    Each value is bit for bit abs(np.exp(-1j * t * E) @ amps) ** 2 of that
-    coupling alone, so a peak refines to the same t whatever grid it shares.
-    The stacked vector products and hypot keep those operations; np.abs,
-    einsum or a sum over the last axis each move the last bit, and at a flat
-    peak one bit of pi moves the maximizing t by about sqrt(eps).
+    Each value is bit for bit the one-row call f([i], [t]) of that coupling,
+    so a peak refines to the same t whatever grid it shares: the stacked
+    vector products and hypot round per row.  np.abs, einsum or a sum over
+    the last axis each move the last bit, and at a flat peak one bit of pi
+    moves the maximizing t by about sqrt(eps).  Against the lone
+    abs(np.exp(-1j * t * E) @ amps) ** 2 it agrees to 1 ulp, not bit for
+    bit: the vector products are equal, but a scalar ** 2 rounds through
+    pow where the array square multiplies.
     """
 
     def f(rows: np.ndarray, t: np.ndarray) -> np.ndarray:

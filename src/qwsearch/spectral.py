@@ -19,7 +19,7 @@ from .errors import (
     NonSymmetrizable,
     PoleProximity,
 )
-from .graphs import Laplacian
+from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
 
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -186,19 +186,19 @@ class GreenEvaluation:
 
 
 def _target_weights(
-    sd: SpectralData, w: int
+    evals: np.ndarray, a2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared overlaps of e_w with the eigenspaces of sd, grouped by eigenvalue.
+    """Group ascending eigenvalues evals with target weights a2 by eigenvalue.
 
-    Returns the eigenvalue of each group, its weight and its multiplicity.
+    Eigenvalues within 1e-10 of the group's first (relative to the spectral
+    range, at least 1) form one eigenspace.  Returns the mean eigenvalue of
+    each group, its summed weight and its multiplicity.
     """
-    a2 = sd.sym_vectors[w, :] ** 2
-    scale = max(sd.spectral_range, 1.0)
+    scale = max(float(evals[-1] - evals[0]), 1.0)
     lams: list[float] = []
     weights: list[float] = []
     counts: list[int] = []
     i = 0
-    evals = sd.eigenvalues
     while i < evals.size:
         j = i
         while j + 1 < evals.size and evals[j + 1] - evals[i] <= 1e-10 * scale:
@@ -225,7 +225,7 @@ def green(
     than 1e-12 times its width.
     """
     sd = delta_spectral if delta_spectral is not None else decompose(lap)
-    lams, a2, _ = _target_weights(sd, w)
+    lams, a2, _ = _target_weights(sd.eigenvalues, sd.sym_vectors[w, :] ** 2)
     poles = gamma * lams
     span = max(gamma * sd.spectral_range, 1e-300)
     gap = np.abs(poles - z).min()
@@ -349,6 +349,69 @@ _SECULAR_MAX_ITER = 200
 _BATCH_ELEMENTS = 1 << 16
 
 
+def _dense_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Eigenvalues of Delta with the target weight of each eigenvector, from one dense solve.
+
+    Also returns the row sums of |S| and S[w, w], for S the symmetrized Delta.
+    """
+    sd = decompose(lap)
+    rows = np.abs(sd.sym_matrix).sum(axis=1)
+    return sd.eigenvalues, sd.sym_vectors[w, :] ** 2, rows, float(sd.sym_matrix[w, w])
+
+
+def _axis_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """What ``_dense_poles`` returns, for a Cartesian power, from its axis alone.
+
+    The d-fold power's Laplacian is the 1/d-scaled Kronecker sum of the axis
+    Laplacian, so in symmetric coordinates its eigenvectors are tensor
+    products of the axis ones (Horn & Johnson, Topics in Matrix Analysis,
+    4.4): index tuple k has eigenvalue sum_i lambda_{k_i} / d and target
+    weight prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The row sums come
+    from the same stencil.  One eigendecomposition of the axis, and no n x n
+    array; ``_check_kronecker_form`` first certifies that lap.matrix is the
+    Laplacian these poles stand for.
+    """
+    g = lap.graph
+    d = g.params["d"]
+    _check_kronecker_form(lap.matrix, g.axis, d)
+    axis = decompose(probabilistic_laplacian(g.axis))
+    diag = np.diagonal(axis.sym_matrix)
+    off = np.abs(axis.sym_matrix).sum(axis=1) - np.abs(diag)
+    evals, a2, diags, offs = np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1)
+    for x in np.unravel_index(w, (g.axis.n,) * d):
+        evals = np.add.outer(evals, axis.eigenvalues).ravel()
+        a2 = np.multiply.outer(a2, axis.sym_vectors[x, :] ** 2).ravel()
+        diags = np.add.outer(diags, diag).ravel()
+        offs = np.add.outer(offs, off).ravel()
+    order = np.argsort(evals, kind="stable")
+    return evals[order] / d, a2[order], (np.abs(diags) + offs) / d, float(diags[w]) / d
+
+
+def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
+    """Raise NonSymmetrizable unless delta is I - P of the d-fold Cartesian power of axis.
+
+    Every stencil entry must equal what ``cartesian_power`` assembles, 1 on
+    the diagonal and 0.0 - p/d for a step along one axis, and the nonzero
+    count must equal the stencil's size, so no other entry is nonzero: O(n d)
+    gathers and one count, with no n x n temporary.
+    """
+    n, m = delta.shape[0], axis.n
+    vertices = np.arange(n)
+    exact = bool((np.diagonal(delta) == 1.0).all())
+    size = n
+    for k in range(d):
+        stride = m ** (d - 1 - k)
+        digit = vertices // stride % m
+        for (a, b), p in axis.weights.items():
+            v = vertices[digit == a]
+            exact = exact and bool((delta[v, v + (b - a) * stride] == 0.0 - p / d).all())
+            size += v.size
+    if not exact or np.count_nonzero(delta) != size:
+        raise NonSymmetrizable(
+            f"Laplacian of the {d}-fold product differs from the Kronecker sum of its axis"
+        )
+
+
 @dataclass(frozen=True)
 class SecularSpectrum:
     """Spectrum of gamma * Delta - |e_w><e_w| from the secular equation G(E) = 1.
@@ -396,29 +459,34 @@ class SecularSolver:
     root in [-1, 0) and one between each pair of adjacent poles.  Each root is
     solved in its offset from the nearer pole (Bunch, Nielsen & Sorensen
     1978; LAPACK dlaed4), all intervals at once, by Newton steps on
-    -tau (G - 1) safeguarded by bisection.
+    -tau (G - 1) safeguarded by bisection.  The eigenvalues and weights of
+    Delta come from the axis when lap is a Cartesian power (``_axis_poles``),
+    and from one dense decomposition of Delta otherwise (``_dense_poles``).
     """
 
     def __init__(self, lap: Laplacian, w: int):
-        sd = decompose(lap)
-        lams, weights, counts = _target_weights(sd, w)
+        g = lap.graph
+        poles = _axis_poles if g.family == "product" and g.axis is not None else _dense_poles
+        evals, a2, rows, diag_w = poles(lap, w)
+        # every eigenvalue of Delta, ascending with multiplicity
+        self.laplacian_spectrum = evals
+        lams, weights, counts = _target_weights(evals, a2)
         lams[0] = 0.0  # the constants span the kernel of I - P exactly
         visible = weights > DEFLATION_TOL
         self.lams = lams[visible]
         self.weights = weights[visible]
         # lam_gaps[k, j] = lambda_j - lambda_k between visible poles
         self._lam_gaps = self.lams[None, :] - self.lams[:, None]
-        # the three lowest eigenvalues, with multiplicity, whose eigenvectors
-        # vanish at w: each eigenspace less its one visible direction
-        self._invisible = np.repeat(lams, counts - visible)[:3]
+        # the eigenvalues, with multiplicity, whose eigenvectors vanish at w:
+        # each eigenspace less its one visible direction
+        self._invisible = np.repeat(lams, counts - visible)
         self.target = w
         self.volume = lap.measure.volume
         self.s_w2 = float(lap.measure.mu[w] / lap.measure.volume)
-        self.n = sd.n
+        self.n = evals.size
         # row sums of |gamma * S - e_w e_w^T| are gamma * rows off the target row
-        rows = np.abs(sd.sym_matrix).sum(axis=1)
-        self._diag_w = float(sd.sym_matrix[w, w])
-        self._row_w = float(rows[w]) - abs(self._diag_w)
+        self._diag_w = diag_w
+        self._row_w = float(rows[w]) - abs(diag_w)
         self._row_max = float(np.delete(rows, w).max(initial=0.0))
 
     def _threshold(self, gamma: float) -> float:
@@ -487,7 +555,7 @@ class SecularSolver:
         )
         q0 = -a_o * np.concatenate([first + 1.0, span], axis=1)
         eps = np.finfo(float).eps
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             big = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
             r1, r2 = big / q2, q0 / big
             tau = np.where(
@@ -533,8 +601,9 @@ class SecularSolver:
                 f"|sum 1/G' - 1| = {w_defect[j]:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect[j]:.3e}"
             )
         s_sq = self.s_w2 / (energies**2 * gprime)
-        candidates = np.concatenate([energies[:, :3], gammas[:, None] * self._invisible], axis=1)
-        index = np.concatenate([np.arange(min(m, 3)), np.full(self._invisible.size, -1)])
+        low = self._invisible[:3]
+        candidates = np.concatenate([energies[:, :3], gammas[:, None] * low], axis=1)
+        index = np.concatenate([np.arange(min(m, 3)), np.full(low.size, -1)])
         order = np.argsort(candidates, axis=1, kind="stable")[:, : min(self.n, 3)]
         levels = np.take_along_axis(candidates, order, axis=1)
         return [
@@ -549,6 +618,17 @@ class SecularSolver:
                 degeneracy_threshold=self._threshold(float(gammas[c])),
             )
             for c in range(nb)
+        ]
+
+    def hamiltonian_spectra(self, gammas) -> list[np.ndarray]:
+        """Every eigenvalue of gamma * Delta - |e_w><e_w|, ascending with multiplicity, per coupling.
+
+        One ``solve_many``: each coupling's visible energies merged with gamma
+        times every eigenvalue of Delta whose eigenvector vanishes at w.
+        """
+        return [
+            np.sort(np.concatenate([spec.energies, spec.gamma * self._invisible]))
+            for spec in self.solve_many(gammas)
         ]
 
     def low_pair(self, gamma: float) -> OverlapReport:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,9 +129,19 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise DegenerateLowStates("forced")
 
-    monkeypatch.setattr(cli, "decompose", boom)
+    monkeypatch.setattr(cli, "SecularSolver", boom)
     cfg = write_config(tmp_path, base_path_config(tmp_path / "out"))
     assert cli.main(["spectrum", "--config", cfg]) == 3
+
+
+def test_spectrum_unsolvable_coupling_exits_3_with_one_line(tmp_path, capsys):
+    # gamma = 1e300 stalls the secular iteration: a typed failure, no numpy warnings
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"spectrum.gamma_values": [1e300]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
 def test_spectrum_path_outputs(tmp_path):
@@ -461,9 +472,8 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
-def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
-    # one secular set-up serves the scan and the optimizer; the other dense
-    # solves are the revalidation's three roots and its E0/E1 check
+def count_eigh(monkeypatch) -> list[int]:
+    """Patch np.linalg.eigh to record the order of every matrix it is given."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -472,6 +482,14 @@ def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
+    # one secular set-up, from the 4 x 4 axis, serves the scan and the
+    # optimizer; the n x n solves are the revalidation's three roots and its
+    # E0/E1 check
+    calls = count_eigh(monkeypatch)
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -480,7 +498,25 @@ def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
     assert cli.main(["tables", "--config", cfg]) == 0
     row = dict(zip(cli.TABLE_COLUMNS, (out / "tables.csv").read_text().splitlines()[1].split(",")))
     assert all(row[k] for k in ("gamma_s", "gamma_w", "gamma_E"))
-    assert calls == [16] * 5
+    assert calls == [4] + [16] * 4
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ({"graph.family": "path-power", "graph.p": 0.4, "graph.d": 2}, [4]),
+        ({"graph.family": "path-power", "graph.p": 0.91, "graph.d": 3, "target.vertex": 21}, [4]),
+        ({"graph.family": "complete", "graph.N": 8}, [8]),
+    ],
+)
+def test_spectrum_eigendecomposes_no_hamiltonian(tmp_path, monkeypatch, config, expected):
+    # a lattice takes its spectra from the 4 x 4 axis, with no n x n eigh; the
+    # complete graph takes one of its Laplacian; no Hamiltonian is decomposed
+    calls = count_eigh(monkeypatch)
+    extra = {"output.path": str(tmp_path / "out"), "spectrum.gamma_values": [0.5, 1.0, 2.0]}
+    cfg = write_config(tmp_path, config | extra)
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    assert calls == expected
 
 
 def test_export_matrix_csv_formats_every_cell_as_alone(tmp_path):
@@ -492,3 +528,30 @@ def test_export_matrix_csv_formats_every_cell_as_alone(tmp_path):
     expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
     assert (tmp_path / "m.csv").read_text() == expected
     assert expected.startswith("0,-0,0.33333333333333331,0\n-0,")
+
+
+def per_row_matrix_csv(path, matrix):
+    """The per-row formatter export_matrix_csv replaced: one np.unique per row."""
+    text = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in matrix:
+            bits = np.ascontiguousarray(row, dtype=float).view(np.int64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            for key, value in zip(keys.tolist(), keys.view(float).tolist()):
+                text.setdefault(key, format(value, ".17g"))
+            cells = np.array([text[key] for key in keys.tolist()], dtype=object)
+            fh.write(",".join(cells[inverse].tolist()) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["lattice", "signed zeros", "dense"])
+def test_export_matrix_csv_matches_the_per_row_formatter(tmp_path, kind):
+    rng = np.random.default_rng(3)
+    if kind == "lattice":
+        matrix = cartesian_power(path_graph(0.91), 3)[1].matrix
+    elif kind == "signed zeros":
+        matrix = np.array([[0.0, -0.0, 0.0, -0.0, 2.5, -0.0], [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0]])
+    else:
+        matrix = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-300, 300, (40, 40))
+    cli.export_matrix_csv(tmp_path / "sparse.csv", matrix)
+    per_row_matrix_csv(tmp_path / "per_row.csv", matrix)
+    assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()

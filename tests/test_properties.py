@@ -1,11 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwsearch import spectral
-from qwsearch.errors import ConvergenceFailure, DegenerateLowStates, NumericalFailure
+from qwsearch.errors import (
+    ConvergenceFailure,
+    DegenerateLowStates,
+    NonSymmetrizable,
+    NumericalFailure,
+)
 from qwsearch.graphs import (
+    Laplacian,
     TransitionGraph,
     cartesian_power,
     complete_graph,
@@ -325,3 +333,77 @@ def test_batched_low_pairs_name_first_degenerate_coupling(eps, w, gammas):
     assert lone is not None and lone[0] is DegenerateLowStates
     batch = solver.solve_many(gammas)
     assert first_error([spec.low_pair for spec in batch]) == lone
+
+
+def dense_setup_laplacian(lap):
+    """The same Laplacian with its product structure hidden, so SecularSolver decomposes it densely."""
+    return Laplacian(lap.matrix, dataclasses.replace(lap.graph, axis=None), lap.measure)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=4), gamma=st_gamma, data=st.data())
+def test_product_setup_matches_dense_setup(p, d, gamma, data):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    w = data.draw(st.integers(min_value=1, max_value=lap.graph.n - 1), label="target")
+    product = SecularSolver(lap, w)
+    dense = SecularSolver(dense_setup_laplacian(lap), w)
+    assert product.lams.size == dense.lams.size
+    assert product._invisible.size == dense._invisible.size
+    assert np.abs(gamma * product.lams - gamma * dense.lams).max() <= 1e-14
+    # the dense eigenvectors, and so the dense weights, are accurate only to
+    # about eps / gap (Davis-Kahan); the gaps of Delta shrink like p / d as p -> 0
+    gaps = np.diff(dense.laplacian_spectrum)
+    gap = gaps[gaps > 1e-10].min(initial=1.0)
+    assert np.abs(product.weights - dense.weights).max() <= 1e-14 + 4.0 * np.finfo(float).eps / gap
+    assert np.abs(gamma * product._invisible - gamma * dense._invisible).max(initial=0.0) <= 1e-14
+    assert np.abs(product.laplacian_spectrum - dense.laplacian_spectrum).max() <= 1e-14
+    assert product._threshold(gamma) == pytest.approx(dense._threshold(gamma), rel=1e-14)
+
+
+def assert_hamiltonian_spectra_match_eigvalsh(lap, w, gammas):
+    """Every eigenvalue from the secular solver within 1e-13 max(1, ||H||) of dense eigvalsh."""
+    for gamma, energies in zip(gammas, SecularSolver(lap, w).hamiltonian_spectra(gammas)):
+        dense = np.linalg.eigvalsh(symmetrize(SearchHamiltonian(gamma, w, lap)).matrix)
+        assert energies.shape == dense.shape
+        assert np.abs(energies - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max()), gamma
+
+
+st_wide_gammas = st.lists(
+    st.floats(min_value=-6.0, max_value=9.0).map(lambda e: 10.0**e), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=4), gammas=st_wide_gammas, data=st.data())
+def test_hamiltonian_spectra_match_eigvalsh_on_lattices(p, d, gammas, data):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    w = data.draw(st.integers(min_value=0, max_value=lap.graph.n - 1), label="target")
+    assert_hamiltonian_spectra_match_eigvalsh(lap, w, gammas)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gammas=st_wide_gammas)
+def test_hamiltonian_spectra_match_eigvalsh_on_complete_graphs(n, gammas):
+    assert_hamiltonian_spectra_match_eigvalsh(probabilistic_laplacian(complete_graph(n)), n - 1, gammas)
+
+
+def test_hamiltonian_spectra_match_eigvalsh_on_linked_cliques():
+    lap = probabilistic_laplacian(linked_cliques(0.05))
+    gammas = np.geomspace(1e-6, 1e9, 16)
+    for w in (0, 1, 5):
+        assert_hamiltonian_spectra_match_eigvalsh(lap, w, gammas)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
+    g, lap, _ = cartesian_power(path_graph(0.4), d)
+    x, y = next(iter(g.weights))
+    off_stencil = lap.matrix.copy()
+    off_stencil[x, y] *= 1.0 + 1e-12
+    with pytest.raises(NonSymmetrizable):
+        SecularSolver(Laplacian(off_stencil, g, lap.measure), 0)
+    # an entry outside the stencil, which no gathered cell sees: the nonzero count
+    stray = lap.matrix.copy()
+    stray[0, g.n - 1] = -1e-300
+    with pytest.raises(NonSymmetrizable):
+        SecularSolver(Laplacian(stray, g, lap.measure), 0)

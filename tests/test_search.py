@@ -400,12 +400,31 @@ def test_golden_lockstep_matches_serial_sections_bit_for_bit():
     )
     t, pi = _golden_lockstep(f, lo, hi, tol)
     counts = set()
-    for i, spec in enumerate(spectra):
+    for i in range(len(spectra)):
+        # the objective's own one-row call: what is under test is the brackets
 
-        def lone(x, spec=spec):
-            return float(abs(np.exp(-1j * x * spec.energies) @ spec.amplitudes) ** 2)
+        def lone(x, i=i):
+            return float(f(np.array([i]), np.array([x]))[0])
 
         (t_ref, pi_ref), steps = serial_golden_max(lone, lo[i], hi[i], tol[i])
         assert (t[i], pi[i]) == (t_ref, pi_ref), i
         counts.add(steps)
     assert len(counts) > 10
+
+
+@pytest.mark.parametrize("p, d", [(0.91, 2), (0.4, 2), (0.91, 4), (0.5, 5)])
+def test_peak_objective_rows_match_the_lone_success_probability(p, d):
+    # batched rows equal one-row calls bit for bit, and the lone
+    # abs(exp(-i t E) @ alpha)^2 to within 2 ulp (its scalar ** 2 rounds through pow)
+    _, lap, measure = cartesian_power(path_graph(p), d)
+    spectra = SecularSolver(lap, 0).solve_many(np.linspace(0.3, 2.0, 50))
+    energies = np.stack([s.energies for s in spectra])
+    amps = np.stack([s.amplitudes for s in spectra])
+    f = _peak_objective(energies, amps)
+    rng = np.random.default_rng(11)
+    rows, times = rng.integers(0, 50, 1000), rng.uniform(0.0, measure.volume, 1000)
+    got = f(rows, times)
+    lone = np.array([abs(np.exp(-1j * t * energies[r]) @ amps[r]) ** 2 for r, t in zip(rows, times)])
+    one_row = np.array([f(np.array([r]), np.array([t]))[0] for r, t in zip(rows, times)])
+    assert np.array_equal(got, one_row)
+    assert (np.abs(got - lone) <= 2.0 * np.spacing(np.maximum(got, lone))).all()
