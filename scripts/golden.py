@@ -7,8 +7,10 @@
 
 Runs each subcommand (spectrum, tables, optimize and the four figure kinds)
 on small d=2 path powers with p in {0.4, 0.91}, plus the complete graph on 8
-vertices where the command accepts it, and one spectrum of the d=3 product (64
-vertices) at p=0.91, through ``qwsearch.cli.main`` from the
+vertices where the command accepts it, one spectrum of the d=3 product (64
+vertices) at p=0.91, and one ``tables`` run of the d=4 product (256 vertices)
+with p in {0.91, 0.4} on the benchmark's tables-d4 grid (60 scan points, 500
+time points), through ``qwsearch.cli.main`` from the
 ``src/`` next to this script.  It prints one ``sha256  file`` line per output,
 sorted by file name.  Two source trees produce the same outputs when their
 listings are identical on the same machine.  BLAS runs on one thread, because
@@ -51,6 +53,8 @@ RUNS = [
     ("tables-threads2", ["tables", "--threads", "2"],
      PATH | BOTH_P | {"sweep.gamma_points": 120, "sweep.t_points": 400}),
     ("tables-defaults", ["tables"], PATH | {"graph.p": 0.91, "output.format": "json"}),
+    ("tables-d4", ["tables"],
+     PATH | {"graph.d": 4, "graph.p": [0.91, 0.4], "sweep.gamma_points": 60, "sweep.t_points": 500}),
     ("tables-missing-roots", ["tables"],
      PATH | {"graph.p": 0.4, "sweep.gamma_min": 0.05, "sweep.gamma_max": 0.1,
              "sweep.gamma_points": 20, "sweep.t_points": 200}),

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Full d=5 lattice table run: critical couplings and search optimum per p.
 
-Writes results/tables/tables.csv in about 8 seconds on a 2-core machine; the
-dense 1024-vertex eigendecompositions (one solver set-up and four
-revalidation solves per p) dominate.
+Writes results/tables/tables.csv in about 1 second on a 2-core machine.  No
+dense 1024-vertex eigendecomposition runs: each p builds the lattice, takes
+its poles from the 4 x 4 axis, runs the secular scan, ITP root refinement
+and optimizer, and certifies the row by residuals on the dense Laplacian.
 """
 
 import argparse

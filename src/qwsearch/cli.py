@@ -40,14 +40,7 @@ from .search import (
     gamma_critical_points,
     optimize_search,
 )
-from .spectral import (
-    _CROSSINGS,
-    SearchHamiltonian,
-    SecularSolver,
-    SecularSpectrum,
-    decompose,
-    overlaps_direct,
-)
+from .spectral import SecularSolver, SecularSpectrum
 
 TABLE_COLUMNS = [
     "p",
@@ -360,7 +353,8 @@ def _critical_and_optimum(
 
 def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
     g, lap, measure, w = _build_graph(cfg, p)
-    crit, opt = _critical_and_optimum(cfg, p, g, SecularSolver(lap, w), w)
+    solver = SecularSolver(lap, w)
+    crit, opt = _critical_and_optimum(cfg, p, g, solver, w)
     row = TableRow(
         p=p,
         gamma_s=crit.gamma_s,
@@ -373,20 +367,32 @@ def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
         t_opt=opt.t_opt,
         half_pi_sqrt_vol=float(np.pi / 2.0 * np.sqrt(measure.volume / measure.mu[w])),
     )
-    _revalidate_row(row, g, lap, w)
+    _certify_row(row, solver, lap, w)
     return row
 
 
-def _revalidate_row(row: TableRow, g: TransitionGraph, lap: Laplacian, w: int) -> None:
-    """Re-derive every derived cell from dense eigendecompositions; reject on any mismatch."""
-    for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E)):
-        if root is None:
-            continue
-        if abs(_CROSSINGS[which](overlaps_direct(SearchHamiltonian(root, w, lap)))) > 1e-9:
+def _certify_row(row: TableRow, solver: SecularSolver, lap: Laplacian, w: int) -> None:
+    """Certify every derived cell by residual bounds on the dense Laplacian; reject on any miss.
+
+    One ``certify_low_pairs`` call covers the roots and gamma_opt.  At each
+    root the certified crossing value plus its bound must stay within 1e-9,
+    and at gamma_opt |E_a - row| plus the residual bound within 1e-12, so
+    the true crossings and energies are within those limits.
+    """
+    roots = [
+        (which, root)
+        for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E))
+        if root is not None
+    ]
+    *at_roots, at_opt = solver.certify_low_pairs(lap, [root for _, root in roots] + [row.gamma_opt])
+    for (which, root), cert in zip(roots, at_roots):
+        value, bound = cert.crossing(which)
+        if abs(value) + bound > 1e-9:
             raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
-    sd = decompose(SearchHamiltonian(row.gamma_opt, w, lap))
-    if abs(sd.eigenvalues[0] - row.e0) > 1e-12 or abs(sd.eigenvalues[1] - row.e1) > 1e-12:
-        raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
+    energies = (at_opt.report.e0, at_opt.report.e1)
+    for e, cell, r in zip(energies, (row.e0, row.e1), at_opt.residuals):
+        if abs(e - cell) + r > 1e-12:
+            raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
     mu_w, vol = lap.measure.mu[w], lap.measure.volume
     if abs(row.sqrt_mu_over_vol - np.sqrt(mu_w / vol)) > 1e-15:
         raise NumericalFailure("sqrt(mu/vol) cell does not reproduce")

@@ -236,7 +236,10 @@ def cartesian_power(
         for k in range(d):
             xk = coords[v, k]
             for (a, b), p in g.weights.items():
-                if a == xk:
+                if a == b == xk:
+                    # a self-loop of the axis is one of every axis: they add up
+                    weights[(v, v)] = weights.get((v, v), 0.0) + p / d
+                elif a == xk:
                     weights[(v, v + (b - a) * stride[k])] = p / d
 
     params = {"d": d, "axis_n": n_axis, "base": g.family, **g.params}

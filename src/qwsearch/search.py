@@ -124,45 +124,96 @@ class GammaCriticalPoints:
     gamma_E: float | None
 
 
+def _halvings(width: float) -> int:
+    """Bisection steps that take a bracket of this width to at most ``BISECTION_WIDTH``."""
+    steps = 0
+    while width > BISECTION_WIDTH:
+        width *= 0.5
+        steps += 1
+    return steps
+
+
+# ITP aims a sliver below BISECTION_WIDTH, so a last step that rounds by an
+# ulp of a coupling up to about 30 still closes its bracket
+_ITP_TARGET = 0.5 * BISECTION_WIDTH * (1.0 - 2.0**-6)
+# Least truncation: once kappa1 (b - a)^2 falls below an ulp, the truncated
+# point is the interpolation point itself, and when that sits on an end of
+# the bracket the step is lost.  Stepping a quarter of BISECTION_WIDTH past
+# it closes the bracket instead.
+_ITP_MIN_STEP = 0.25 * BISECTION_WIDTH
+
+
+def _itp_point(a: float, b: float, fa: float, fb: float, kappa1: float, steps_left: int) -> float:
+    """The next ITP point in [a, b], where fa and fb differ in sign.
+
+    Interpolate (regula falsi), Truncate towards the midpoint by
+    kappa1 (b - a)^2 (kappa2 = 2), at least ``_ITP_MIN_STEP``, and Project
+    onto the ball about the midpoint that keeps the bracket within reach of
+    the target width in steps_left more steps (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020).  The projection comes last, so no truncation can
+    cost the worst case.
+    """
+    mid = 0.5 * (a + b)
+    radius = max(_ITP_TARGET * 2.0**steps_left - 0.5 * (b - a), 0.0)
+    delta = max(kappa1 * (b - a) ** 2, _ITP_MIN_STEP)
+    x_f = (a * fb - b * fa) / (fb - fa)
+    sigma = math.copysign(1.0, mid - x_f)
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    return x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+
+
 def _lockstep_roots(grid: np.ndarray, values: dict, crossings) -> dict[str, float | None]:
     """First root of each kind's crossing function on grid, or None.
 
-    ``values`` maps each kind to its crossing values on the grid.  Every first
-    sign change is bisected down to a bracket narrower than
-    ``BISECTION_WIDTH``, all brackets in lockstep: ``crossings(kinds,
-    gammas)`` returns the value of kind i at coupling i for one midpoint per
-    open bracket.  Each bracket halves exactly as it would alone.
+    ``values`` maps each kind to its crossing values on the grid.  Every
+    first sign change is refined by ITP (``_itp_point``, with
+    kappa1 = 0.2 / (b - a) of the grid bracket and n0 = 1) until its bracket
+    is at most ``BISECTION_WIDTH`` wide (or holds no float between its
+    ends), and the root is the bracket midpoint, or a point where the
+    crossing is exactly zero.  A bracket takes at most one call more than
+    bisection would.  All brackets step in lockstep: ``crossings(kinds,
+    gammas)`` returns the value of kind i at coupling i for one point per
+    open bracket, and each bracket steps exactly as it would alone.
     """
     roots: dict[str, float | None] = dict.fromkeys(values)
-    brackets: dict[str, tuple[float, float, float]] = {}
+    # kind -> (a, b, f(a), f(b), kappa1, steps left), the arguments of _itp_point
+    brackets: dict[str, tuple[float, float, float, float, float, int]] = {}
     for which, v in values.items():
         for i in range(grid.size - 1):
             if v[i] == 0.0:
                 roots[which] = float(grid[i])
                 break
             if (v[i] < 0.0) != (v[i + 1] < 0.0):
-                brackets[which] = (float(grid[i]), float(grid[i + 1]), float(v[i]))
+                a, b = float(grid[i]), float(grid[i + 1])
+                brackets[which] = (a, b, float(v[i]), float(v[i + 1]), 0.2 / (b - a), _halvings(b - a) + 1)
                 break
         else:
             if v[-1] == 0.0:
                 roots[which] = float(grid[-1])
     while True:
-        for which in [k for k, (a, b, _) in brackets.items() if not b - a > BISECTION_WIDTH]:
-            a, b, _ = brackets.pop(which)
+        # a bracket also closes when no float lies inside it: above 8192 one
+        # ulp of a coupling is wider than BISECTION_WIDTH
+        closed = [
+            k
+            for k, (a, b, *_) in brackets.items()
+            if not (b - a > BISECTION_WIDTH and a < 0.5 * (a + b) < b)
+        ]
+        for which in closed:
+            a, b, *_ = brackets.pop(which)
             roots[which] = 0.5 * (a + b)
         if not brackets:
             return roots
         kinds = list(brackets)
-        mids = [0.5 * (brackets[k][0] + brackets[k][1]) for k in kinds]
-        for which, mid, fm in zip(kinds, mids, crossings(kinds, mids)):
-            a, b, fa = brackets[which]
-            if fm == 0.0:
+        points = [_itp_point(*brackets[k]) for k in kinds]
+        for which, x, fx in zip(kinds, points, crossings(kinds, points)):
+            a, b, fa, fb, kappa1, steps_left = brackets[which]
+            if fx == 0.0:
                 del brackets[which]
-                roots[which] = mid
-            elif (fa < 0.0) != (fm < 0.0):
-                brackets[which] = (a, mid, fa)
+                roots[which] = x
+            elif (fa < 0.0) != (fx < 0.0):
+                brackets[which] = (a, x, fa, fx, kappa1, steps_left - 1)
             else:
-                brackets[which] = (mid, b, fm)
+                brackets[which] = (x, b, fx, fb, kappa1, steps_left - 1)
 
 
 def _scan(
@@ -209,9 +260,9 @@ def find_gamma_critical(
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
-    Scans a uniform grid for the first sign change, then bisects it down to a
-    bracket narrower than 1e-12.  Raises NoRootInRange if the scanned values
-    never change sign.
+    Scans a uniform grid for the first sign change, then refines it by ITP
+    down to a bracket at most 1e-12 wide.  Raises NoRootInRange if the
+    scanned values never change sign.
     """
     lap = lap if lap is not None else probabilistic_laplacian(graph)
     root = _scan(SecularSolver(lap, w), (which,), gamma_range, grid_points)[which]
@@ -345,7 +396,11 @@ def optimize_search(
     decade finer each pass.  Among all evaluated points within 1e-9 of the
     maximum, the earliest time and then the smallest coupling win.  Each
     grid is solved in one batched secular pass, and its peaks are refined in
-    lockstep.  A ``solver`` for (lap, w) saves its set-up.
+    lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
+    than 1e-9, plus rounding, below the best pi already reached (the
+    pool's, or the grid maximum of the grid's coupling with the largest
+    bound) can win no tie, and gets no curve.  A ``solver`` for (lap, w)
+    saves its set-up.
     """
     solver = _solver_for(graph, w, lap, solver)
     volume = solver.volume
@@ -357,45 +412,62 @@ def optimize_search(
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
-    def eval_grid(gammas: np.ndarray) -> list:
+    def draw(spec, ceiling: float):
+        """The grid peak of one coupling's curve, and the bracket that refines it."""
+        times, curve = _grid_curve(spec.energies, spec.amplitudes, ceiling, t_points)
+        idx = int(np.nonzero(curve >= curve.max() - TIE_TOL)[0][0])
+        dt = times[1] - times[0]
+        bracket = (max(0.0, times[idx] - dt), min(ceiling, times[idx] + dt), 1e-10 * max(1.0, ceiling))
+        return (float(times[idx]), float(curve[idx])), bracket
+
+    def eval_grid(gammas: np.ndarray, incumbent: float) -> tuple[list, bool]:
+        """Pool rows of the couplings that can still win, and whether any window was capped."""
         spectra = solver.solve_many(gammas)
-        rows, peaks, brackets = [], [], []
-        for spec in spectra:
-            e0, e1 = float(spec.levels[0]), float(spec.levels[1])
-            ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
-            times, curve = _grid_curve(spec.energies, spec.amplitudes, ceiling, t_points)
-            idx = int(np.nonzero(curve >= curve.max() - TIE_TOL)[0][0])
-            dt = times[1] - times[0]
-            rows.append((spec.gamma, e0, e1, ceiling < volume))
-            peaks.append((float(times[idx]), float(curve[idx])))
-            brackets.append(
-                (max(0.0, times[idx] - dt), min(ceiling, times[idx] + dt), 1e-10 * max(1.0, ceiling))
-            )
-        lo_t, hi_t, tol = np.array(brackets).T
+        ceilings = [
+            _time_ceiling(t_ceiling, volume, abs(float(s.levels[1]) - float(s.levels[0])))
+            for s in spectra
+        ]
+        # pi(t) <= (sum |alpha_a|)^2 at every t, and a computed pi exceeds it
+        # by at most its rounding, well within `slack` (sum |alpha_a| <= 1)
+        bounds = np.array([np.abs(s.amplitudes).sum() ** 2 for s in spectra])
+        slack = 8.0 * (spectra[0].amplitudes.size + 4) * np.finfo(float).eps
+        top = int(bounds.argmax())
+        drawn = {top: draw(spectra[top], ceilings[top])}
+        # a pi below this floor lies more than TIE_TOL under the pool's maximum
+        floor = max(drawn[top][0][1], incumbent) - TIE_TOL - slack
+        live = [c for c in range(len(spectra)) if c == top or bounds[c] >= floor]
+        for c in live:
+            if c not in drawn:
+                drawn[c] = draw(spectra[c], ceilings[c])
+        lo_t, hi_t, tol = np.array([drawn[c][1] for c in live]).T
         t_ref, pi_ref = _golden_lockstep(
             _peak_objective(
-                np.stack([s.energies for s in spectra]), np.stack([s.amplitudes for s in spectra])
+                np.stack([spectra[c].energies for c in live]),
+                np.stack([spectra[c].amplitudes for c in live]),
             ),
             lo_t,
             hi_t,
             tol,
         )
-        # the grid point stands when the refinement falls below it
-        return [
-            (t_grid, pi_grid, *row) if pi_r < pi_grid else (float(t_r), float(pi_r), *row)
-            for t_r, pi_r, (t_grid, pi_grid), row in zip(t_ref, pi_ref, peaks, rows)
-        ]
+        rows = []
+        for c, t_r, pi_r in zip(live, t_ref, pi_ref):
+            (t_grid, pi_grid), spec = drawn[c][0], spectra[c]
+            row = (spec.gamma, float(spec.levels[0]), float(spec.levels[1]), ceilings[c] < volume)
+            # the grid point stands when the refinement falls below it
+            rows.append((t_grid, pi_grid, *row) if pi_r < pi_grid else (float(t_r), float(pi_r), *row))
+        return rows, any(c < volume for c in ceilings)
 
-    pool = eval_grid(np.linspace(lo, hi, gamma_points))
+    pool, truncated = eval_grid(np.linspace(lo, hi, gamma_points), -np.inf)
     step = (hi - lo) / (gamma_points - 1) if gamma_points > 1 else hi - lo
     for _ in range(REFINE_DECADES):
         best = _select_optimum(pool)
         center = best[2]
         fine = np.linspace(max(lo, center - step), min(hi, center + step), 21)
-        pool.extend(eval_grid(fine))
+        rows, capped = eval_grid(fine, max(r[1] for r in pool))
+        pool.extend(rows)
+        truncated = truncated or capped
         step /= 10.0
     best = _select_optimum(pool)
-    truncated = any(r[5] for r in pool)
     return SearchOptimum(
         t_opt=best[0],
         gamma_opt=best[2],

@@ -349,17 +349,22 @@ _SECULAR_MAX_ITER = 200
 _BATCH_ELEMENTS = 1 << 16
 
 
-def _dense_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _dense_poles(
+    lap: Laplacian, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, SpectralData | None]:
     """Eigenvalues of Delta with the target weight of each eigenvector, from one dense solve.
 
-    Also returns the row sums of |S| and S[w, w], for S the symmetrized Delta.
+    Also returns the row sums of |S| and S[w, w], for S the symmetrized Delta,
+    and None in place of ``_axis_poles``'s axis decomposition.
     """
     sd = decompose(lap)
     rows = np.abs(sd.sym_matrix).sum(axis=1)
-    return sd.eigenvalues, sd.sym_vectors[w, :] ** 2, rows, float(sd.sym_matrix[w, w])
+    return sd.eigenvalues, sd.sym_vectors[w, :] ** 2, rows, float(sd.sym_matrix[w, w]), None
 
 
-def _axis_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _axis_poles(
+    lap: Laplacian, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, SpectralData | None]:
     """What ``_dense_poles`` returns, for a Cartesian power, from its axis alone.
 
     The d-fold power's Laplacian is the 1/d-scaled Kronecker sum of the axis
@@ -369,7 +374,8 @@ def _axis_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     weight prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The row sums come
     from the same stencil.  One eigendecomposition of the axis, and no n x n
     array; ``_check_kronecker_form`` first certifies that lap.matrix is the
-    Laplacian these poles stand for.
+    Laplacian these poles stand for.  The axis decomposition itself comes
+    last, for the solver to keep.
     """
     g = lap.graph
     d = g.params["d"]
@@ -384,7 +390,7 @@ def _axis_poles(lap: Laplacian, w: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         diags = np.add.outer(diags, diag).ravel()
         offs = np.add.outer(offs, off).ravel()
     order = np.argsort(evals, kind="stable")
-    return evals[order] / d, a2[order], (np.abs(diags) + offs) / d, float(diags[w]) / d
+    return evals[order] / d, a2[order], (np.abs(diags) + offs) / d, float(diags[w]) / d, axis
 
 
 def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
@@ -395,6 +401,12 @@ def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> N
     count must equal the stencil's size, so no other entry is nonzero: O(n d)
     gathers and one count, with no n x n temporary.
     """
+    loops = sorted(a for a, b in axis.weights if a == b)
+    if loops:
+        raise NonSymmetrizable(
+            f"axis vertex {loops[0]} has a self-loop; the Kronecker-form certificate "
+            "expects a unit diagonal"
+        )
     n, m = delta.shape[0], axis.n
     vertices = np.arange(n)
     exact = bool((np.diagonal(delta) == 1.0).all())
@@ -450,6 +462,29 @@ class SecularSpectrum:
         )
 
 
+@dataclass(frozen=True)
+class LowPairCertificate:
+    """The two lowest states of gamma * Delta - |e_w><e_w|, bounded around a secular solve.
+
+    ``report`` holds the secular energies E0 and E1 and the squared overlaps
+    of the certificate's own unit vectors psi_0 and psi_1.  The true a-th
+    lowest energy lies within ``residuals[a]`` of E_a, and the true a-th
+    eigenvector within an angle of psi_a whose sine is at most ``angles[a]``,
+    so each of its squared overlaps with a unit vector lies within
+    ``angles[a]`` of psi_a's.
+    """
+
+    gamma: float
+    report: OverlapReport
+    residuals: tuple[float, float]
+    angles: tuple[float, float]
+
+    def crossing(self, which: str) -> tuple[float, float]:
+        """The crossing value of the report, and a bound on its distance from the true one."""
+        bound = sum(self.residuals) if which == "E" else sum(self.angles)
+        return _crossing(which)(self.report), bound
+
+
 class SecularSolver:
     """Every coupling's spectrum of gamma * Delta - |e_w><e_w| from one decomposition of Delta.
 
@@ -462,12 +497,18 @@ class SecularSolver:
     -tau (G - 1) safeguarded by bisection.  The eigenvalues and weights of
     Delta come from the axis when lap is a Cartesian power (``_axis_poles``),
     and from one dense decomposition of Delta otherwise (``_dense_poles``).
+    A Cartesian power keeps its validated axis decomposition as ``axis``
+    (None otherwise), which ``certify_low_pairs`` builds its vectors from.
     """
 
     def __init__(self, lap: Laplacian, w: int):
         g = lap.graph
         poles = _axis_poles if g.family == "product" and g.axis is not None else _dense_poles
-        evals, a2, rows, diag_w = poles(lap, w)
+        evals, a2, rows, diag_w, self.axis = poles(lap, w)
+        # the target's coordinate on each axis of a Cartesian power
+        self._axis_target = (
+            np.unravel_index(w, (g.axis.n,) * g.params["d"]) if self.axis is not None else None
+        )
         # every eigenvalue of Delta, ascending with multiplicity
         self.laplacian_spectrum = evals
         lams, weights, counts = _target_weights(evals, a2)
@@ -629,6 +670,96 @@ class SecularSolver:
         return [
             np.sort(np.concatenate([spec.energies, spec.gamma * self._invisible]))
             for spec in self.solve_many(gammas)
+        ]
+
+    def certify_low_pairs(self, lap: Laplacian, gammas) -> list[LowPairCertificate]:
+        """Bounds on the two lowest states at each coupling, from one ``solve_many``.
+
+        Needs a Cartesian power, the lap this solver was built from.  E_a is
+        the a-th level of the solve, which must be visible.  The vector
+        psi_a, proportional to (gamma S - E_a)^{-1} e_w for S the symmetrized
+        Delta, has coefficients prod_i u(x_i) / (gamma lambda - E_a) in the
+        product eigenbasis of the axis, mapped back by one ``tensordot`` per
+        axis.  Its residual r_a = ||H psi_a - E_a psi_a||, with H built from
+        the dense lap.matrix (symmetrized and checked by ``symmetrize``) and
+        an allowance for the rounding of the product, is the independent
+        route: by Weyl's theorem H has an eigenvalue within r_a of E_a.
+        Subtracting the rank-one e_w e_w^T from gamma S puts mu_2 >= 0 and
+        mu_3 >= gamma lambda_2, for lambda_2 the smallest nonzero eigenvalue
+        of Delta, so E0 + r0 < 0 certifies the ground state and
+        0 <= E1 - r1, E1 + r1 < gamma lambda_2 the first excited one.  The
+        same bounds give the gaps to the rest of the spectrum, and the angles
+        follow by Davis & Kahan (1970): sin theta_a <= r_a / gap_a.  Raises
+        ConvergenceFailure when a low state is invisible or the ordering
+        cannot be certified.
+        """
+        if self.axis is None:
+            raise ValueError("the low-pair certificate needs a Cartesian power")
+        spectra = self.solve_many(gammas)
+        for spec in spectra:
+            if list(spec.level_index[:2]) != [0, 1]:
+                raise ConvergenceFailure(
+                    f"a low state at gamma={spec.gamma} is orthogonal to e_w; "
+                    "the certificate needs both visible"
+                )
+        gam = np.array([spec.gamma for spec in spectra])
+        energies = np.array([spec.levels[:2] for spec in spectra])
+        u, axis_lams = self.axis.sym_vectors, self.axis.eigenvalues
+        d = len(self._axis_target)
+        num, lams = np.ones(1), np.zeros(1)
+        for x in self._axis_target:
+            num = np.multiply.outer(num, u[x, :]).ravel()
+            lams = np.add.outer(lams, axis_lams).ravel()
+        psi = num / (gam[:, None, None] * (lams / d) - energies[..., None])
+        psi = psi.reshape(-1, *(u.shape[0],) * d)
+        for _ in range(d):
+            psi = np.tensordot(psi, u, axes=([1], [1]))
+        psi = psi.reshape(gam.size, 2, -1)
+        psi /= np.linalg.norm(psi, axis=-1)[..., None]
+
+        sym = symmetrize(lap)
+        s, w = sym.matrix, self.target
+        h_psi = gam[:, None, None] * (psi @ s)
+        h_psi[..., w] -= psi[..., w]
+        residuals = np.linalg.norm(h_psi - energies[..., None] * psi, axis=-1)
+        # each entry of S psi rounds over at most `nonzeros` products, and the
+        # rest of H psi - E psi over three more operations
+        nonzeros = int(np.count_nonzero(s, axis=1).max())
+        scale = gam * float(np.abs(s).sum(axis=1).max()) + 1.0
+        eps = np.finfo(float).eps
+        residuals += 2.0 * (nonzeros + 3) * eps * (scale[:, None] + np.abs(energies))
+
+        # lambda_2 of the axis is within the 2-norm of its 4 x 4 residual, at
+        # most twice the largest column norm, of the computed one (Weyl)
+        gap_2 = gam * (axis_lams[1] - 2.0 * self.axis.residual_norm) / d
+        (e0, e1), (r0, r1) = energies.T, residuals.T
+        certified = (e0 + r0 < 0.0) & (e1 - r1 >= 0.0) & (e1 + r1 < gap_2)
+        if not certified.all():
+            j = int(np.argmin(certified))
+            raise ConvergenceFailure(
+                f"cannot certify the two lowest states at gamma={gam[j]}: "
+                f"E0 = {e0[j]:.6e} +- {r0[j]:.3e}, E1 = {e1[j]:.6e} +- {r1[j]:.3e}, "
+                f"gamma lambda_2 = {gap_2[j]:.6e}"
+            )
+        angle0 = r0 / (e1 - r1 - e0)
+        angle1 = r1 / np.minimum(e1 - e0 - r0, gap_2 - e1)
+        s_overlaps = (psi @ _ground_sym(sym.sqrt_mu)) ** 2
+        w_overlaps = psi[..., w] ** 2
+        return [
+            LowPairCertificate(
+                gamma=float(gam[c]),
+                report=OverlapReport(
+                    e0=float(e0[c]),
+                    e1=float(e1[c]),
+                    s_psi0=float(s_overlaps[c, 0]),
+                    w_psi0=float(w_overlaps[c, 0]),
+                    s_psi1=float(s_overlaps[c, 1]),
+                    w_psi1=float(w_overlaps[c, 1]),
+                ),
+                residuals=(float(r0[c]), float(r1[c])),
+                angles=(float(angle0[c]), float(angle1[c])),
+            )
+            for c in range(gam.size)
         ]
 
     def low_pair(self, gamma: float) -> OverlapReport:

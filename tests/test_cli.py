@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +10,15 @@ import numpy as np
 import pytest
 
 import qwsearch
-from qwsearch import cli
-from qwsearch.errors import ConfigError
+from qwsearch import cli, search
+from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
 from qwsearch.graphs import cartesian_power, path_graph
 from qwsearch.search import optimize_search
+from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
+
+# the row certificate itself, for tests that replace it in cli while rows are computed
+CERTIFY_ROW = cli._certify_row
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -486,9 +491,8 @@ def count_eigh(monkeypatch) -> list[int]:
 
 
 def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
-    # one secular set-up, from the 4 x 4 axis, serves the scan and the
-    # optimizer; the n x n solves are the revalidation's three roots and its
-    # E0/E1 check
+    # one secular set-up, from the 4 x 4 axis, serves the scan, the optimizer
+    # and the row's certificate, which makes no n x n solve
     calls = count_eigh(monkeypatch)
     out = tmp_path / "out"
     cfg = write_config(
@@ -498,7 +502,168 @@ def test_tables_row_eigendecomposes_the_laplacian_once(tmp_path, monkeypatch):
     assert cli.main(["tables", "--config", cfg]) == 0
     row = dict(zip(cli.TABLE_COLUMNS, (out / "tables.csv").read_text().splitlines()[1].split(",")))
     assert all(row[k] for k in ("gamma_s", "gamma_w", "gamma_E"))
-    assert calls == [4] + [16] * 4
+    assert calls == [4]
+
+
+def test_tables_d4_row_work_counts(tmp_path, monkeypatch):
+    # the benchmark's tables-d4 seed-0 row: one 4 x 4 eigh and no n x n one,
+    # few solve_many calls (40 with bisection and a separate check), and pi(t)
+    # curves for few of the optimizer's 242 couplings
+    eighs = count_eigh(monkeypatch)
+    solves, curves = [], []
+    solve_many, grid_curve = cli.SecularSolver.solve_many, search._grid_curve
+
+    def counted_solves(self, gammas):
+        solves.append(len(gammas))
+        return solve_many(self, gammas)
+
+    def counted_curve(*args):
+        curves.append(args[3])
+        return grid_curve(*args)
+
+    monkeypatch.setattr(cli.SecularSolver, "solve_many", counted_solves)
+    monkeypatch.setattr(search, "_grid_curve", counted_curve)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_path_config(out) | {"graph.p": 0.91, "graph.d": 4, "sweep.gamma_points": 60, "sweep.t_points": 500},
+    )
+    assert cli.main(["tables", "--config", cfg]) == 0
+    assert eighs == [4]
+    assert len(solves) <= 15
+    assert len(curves) <= 10 and set(curves) == {500}
+
+
+def dense_revalidate(row, lap, w):
+    """The dense row check that the certificate replaced, kept as its oracle for d <= 5."""
+    for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E)):
+        if root is None:
+            continue
+        if abs(_CROSSINGS[which](overlaps_direct(SearchHamiltonian(root, w, lap)))) > 1e-9:
+            raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
+    sd = decompose(SearchHamiltonian(row.gamma_opt, w, lap))
+    if abs(sd.eigenvalues[0] - row.e0) > 1e-12 or abs(sd.eigenvalues[1] - row.e1) > 1e-12:
+        raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
+
+
+def verdict(check, *args) -> str | None:
+    try:
+        check(*args)
+    except NumericalFailure as exc:
+        return str(exc)
+    return None
+
+
+def uncertified_rows(monkeypatch, config):
+    """Every (row, solver, lap, w) a tables run would certify, computed without the certificate."""
+    seen = []
+    monkeypatch.setattr(cli, "_certify_row", lambda *args: seen.append(args))
+    cfg = parse_config(config)
+    for p in cfg.p_values:
+        cli.compute_table_row(cfg, p)
+    return seen
+
+
+def path_tables(d, ps, **extra):
+    return {"graph.family": "path-power", "graph.d": d, "graph.p": ps, "target.vertex": "corner"} | extra
+
+
+# the golden listing's tables runs, and d=4 rows across the bias range
+CERTIFIED_CONFIGS = [
+    path_tables(2, [0.4, 0.91], **{"sweep.gamma_points": 120, "sweep.t_points": 400}),
+    path_tables(2, [0.91]),
+    path_tables(2, [0.4], **{"sweep.gamma_min": 0.05, "sweep.gamma_max": 0.1,
+                             "sweep.gamma_points": 20, "sweep.t_points": 200}),
+    path_tables(4, [0.91, 0.5, 0.4, 0.1], **{"sweep.gamma_points": 60, "sweep.t_points": 500}),
+]
+
+
+@pytest.mark.parametrize("config", CERTIFIED_CONFIGS)
+def test_certificate_agrees_with_the_dense_oracle(monkeypatch, config):
+    rows = uncertified_rows(monkeypatch, config)
+    for row, solver, lap, w in rows:
+        assert verdict(CERTIFY_ROW, row, solver, lap, w) is None, row.p
+        assert verdict(dense_revalidate, row, lap, w) is None, row.p
+
+
+def mutate_engine(monkeypatch, mutation):
+    """Break the secular engine as a scratch check of the engine once did."""
+    if mutation == "invisible levels dropped":
+        init = cli.SecularSolver.__init__
+
+        def dropped(self, lap, w):
+            init(self, lap, w)
+            self._invisible = self._invisible[:0]
+
+        monkeypatch.setattr(cli.SecularSolver, "__init__", dropped)
+        return
+    solve_batch = cli.SecularSolver._solve_batch
+
+    def mutated(self, gammas):
+        spectra = []
+        for spec in solve_batch(self, gammas):
+            if mutation == "amplitudes scaled by 1 + 1e-9 a":
+                scale = 1.0 + 1e-9 * np.arange(spec.amplitudes.size)
+                spec = dataclasses.replace(spec, amplitudes=spec.amplitudes * scale)
+            else:
+                visible = spec.level_index >= 0
+                spec = dataclasses.replace(
+                    spec,
+                    energies=spec.energies * (1.0 + 1e-9),
+                    levels=np.where(visible, spec.levels * (1.0 + 1e-9), spec.levels),
+                )
+            spectra.append(spec)
+        return spectra
+
+    monkeypatch.setattr(cli.SecularSolver, "_solve_batch", mutated)
+
+
+@pytest.mark.parametrize(
+    "mutation, rejected",
+    [
+        # pi(t) and the third level are outside both checks' reach: the
+        # optimizer's and the degeneracy tests' business
+        ("amplitudes scaled by 1 + 1e-9 a", False),
+        ("invisible levels dropped", False),
+        ("visible levels shifted by 1e-9 relative", True),
+    ],
+)
+def test_certificate_rejects_what_the_dense_oracle_rejects(monkeypatch, mutation, rejected):
+    mutate_engine(monkeypatch, mutation)
+    rows = uncertified_rows(monkeypatch, path_tables(4, [0.91, 0.5, 0.1], **{"sweep.gamma_points": 60, "sweep.t_points": 500}))
+    rows += uncertified_rows(monkeypatch, CERTIFIED_CONFIGS[0])
+    for row, solver, lap, w in rows:
+        dense = verdict(dense_revalidate, row, lap, w)
+        certificate = verdict(CERTIFY_ROW, row, solver, lap, w)
+        assert (dense is not None) == rejected, (row.p, dense)
+        assert (certificate is not None) == rejected, (row.p, certificate)
+
+
+def test_certificate_bounds_hold_against_dense_eigh():
+    # the certified intervals contain the dense energies and crossings
+    g, lap, _ = cartesian_power(path_graph(0.5), 3)
+    solver = cli.SecularSolver(lap, 0)
+    gammas = [0.4, 1.0, 1.2, 2.5]
+    for cert in solver.certify_low_pairs(lap, gammas):
+        dense = overlaps_direct(SearchHamiltonian(cert.gamma, 0, lap))
+        assert abs(dense.e0 - cert.report.e0) <= cert.residuals[0]
+        assert abs(dense.e1 - cert.report.e1) <= cert.residuals[1]
+        assert max(cert.residuals) < 1e-13
+        for which in ("s", "w", "E"):
+            value, bound = cert.crossing(which)
+            assert abs(_CROSSINGS[which](dense) - value) <= bound + 1e-15, which
+
+
+def test_certificate_sees_a_laplacian_it_does_not_stand_for():
+    # the residual runs on the dense matrix, so a solver for another bias
+    # shows in the residuals, and far enough off in the ordering
+    _, lap, _ = cartesian_power(path_graph(0.5), 2)
+    _, near, _ = cartesian_power(path_graph(0.5 + 1e-6), 2)
+    cert = cli.SecularSolver(near, 0).certify_low_pairs(lap, [1.0])[0]
+    assert min(cert.residuals) > 1e-7
+    _, far, _ = cartesian_power(path_graph(0.6), 2)
+    with pytest.raises(ConvergenceFailure, match="cannot certify"):
+        cli.SecularSolver(far, 0).certify_low_pairs(lap, [1.0])
 
 
 @pytest.mark.parametrize(

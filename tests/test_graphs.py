@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwsearch.errors import CycleInconsistency
+from qwsearch.errors import CycleInconsistency, NonSymmetrizable
 from qwsearch.graphs import (
     TransitionGraph,
     cartesian_power,
@@ -14,6 +14,7 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
+from qwsearch.spectral import SecularSolver
 
 
 def measure_by_recursion(g):
@@ -259,6 +260,20 @@ def test_cartesian_power_matches_kronecker_sum(p, d):
     assert lap.matrix.tobytes() == kronecker_sum_laplacian(g, d).tobytes()
     assert gd.weights == product_weights_by_vertex(g, d)
     assert lap.graph is gd and lap.measure is measure
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cartesian_power_sums_an_axis_self_loop(d):
+    # a lazy 2-vertex axis: every axis adds p(0, 0)/d to the loop of a vertex
+    # whose coordinate on it is 0, so the corner keeps the axis's 0.5
+    axis = TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+    gd, lap, _ = cartesian_power(axis, d)
+    assert gd.weights[(0, 0)] == pytest.approx(0.5, abs=1e-15)
+    assert gd.weights.get((1, 1), 0.0) == pytest.approx(0.5 * (d - 1) / d, abs=1e-15)
+    np.testing.assert_allclose(lap.matrix, kronecker_sum_laplacian(axis, d), rtol=0.0, atol=1e-15)
+    # the secular set-up still takes no self-loop, and says so
+    with pytest.raises(NonSymmetrizable, match="self-loop"):
+        SecularSolver(lap, 0)
 
 
 def test_not_strongly_connected_rejected():

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+
+from qwsearch import search
 
 from qwsearch.errors import (
     ConvergenceFailure,
@@ -16,7 +20,14 @@ from qwsearch.graphs import (
 )
 from qwsearch.search import (
     BISECTION_WIDTH,
+    REFINE_DECADES,
+    TIE_TOL,
+    SearchOptimum,
+    _grid_curve,
+    _select_optimum,
+    _time_ceiling,
     _golden_lockstep,
+    _itp_point,
     _lockstep_roots,
     _peak_objective,
     decompose_at_gamma_E,
@@ -253,20 +264,6 @@ def serial_first_root(grid, values, f):
     return None
 
 
-def lockstep_against_serial(grid, functions):
-    values = {k: np.array([f(x) for x in grid]) for k, f in functions.items()}
-    batches = []
-
-    def crossings(kinds, gammas):
-        batches.append(list(kinds))
-        return [functions[k](x) for k, x in zip(kinds, gammas)]
-
-    roots = _lockstep_roots(grid, values, crossings)
-    for k, f in functions.items():
-        assert roots[k] == serial_first_root(grid, values[k], f), k
-    return roots, batches
-
-
 def halvings(width):
     steps = 0
     while width > BISECTION_WIDTH:
@@ -275,77 +272,168 @@ def halvings(width):
     return steps
 
 
+def first_bracket(grid, values):
+    """The grid bracket of the first sign change, or None for a root on the grid or none at all."""
+    for i in range(grid.size - 1):
+        if values[i] == 0.0:
+            return None
+        if (values[i] < 0.0) != (values[i + 1] < 0.0):
+            return float(grid[i]), float(grid[i + 1])
+    return None
+
+
+def run_lockstep(grid, functions):
+    """_lockstep_roots on these crossing functions, with its batches and each kind's points.
+
+    Checks the ITP contract for every kind whose first sign change is
+    bracketed: the kind steps exactly as it does alone; it takes at most one
+    call more than bisection; and its root is either a point where the
+    crossing is exactly zero, or the midpoint of two adjacent evaluated
+    points with a sign change between them, at most BISECTION_WIDTH (or
+    one ulp) apart.
+    """
+    values = {k: np.array([f(x) for x in grid]) for k, f in functions.items()}
+    batches, points = [], {k: [] for k in functions}
+
+    def crossings(kinds, gammas):
+        batches.append(list(kinds))
+        for k, x in zip(kinds, gammas):
+            points[k].append(x)
+        return [functions[k](x) for k, x in zip(kinds, gammas)]
+
+    roots = _lockstep_roots(grid, values, crossings)
+    for k, f in functions.items():
+        alone = _lockstep_roots(grid, {k: values[k]}, lambda kinds, xs, f=f: [f(x) for x in xs])
+        assert alone[k] == roots[k], k
+        bracket = first_bracket(grid, values[k])
+        if bracket is None:
+            assert not points[k], k
+            continue
+        a0, b0 = bracket
+        assert len(points[k]) <= halvings(b0 - a0) + 1, k
+        if f(roots[k]) == 0.0 and roots[k] in points[k]:
+            continue
+        ends = sorted({a0, b0, *points[k]})
+        final = [
+            (a, b)
+            for a, b in zip(ends, ends[1:])
+            if roots[k] == 0.5 * (a + b) and (f(a) < 0.0) != (f(b) < 0.0)
+        ]
+        assert len(final) == 1, k
+        a, b = final[0]
+        assert b - a <= BISECTION_WIDTH or np.nextafter(a, b) == b, k
+    return roots, batches, points
+
+
+def ordered_subset(batch, kinds):
+    return bool(batch) and batch == [k for k in kinds if k in batch]
+
+
 GRID = np.linspace(0.0, 1.0, 5)  # 0, 0.25, 0.5, 0.75, 1 exactly
 
 
 def test_lockstep_one_root():
-    roots, batches = lockstep_against_serial(GRID, {"s": lambda x: x - 0.3})
+    roots, batches, points = run_lockstep(GRID, {"s": lambda x: x - 0.3})
     assert roots["s"] == pytest.approx(0.3, abs=BISECTION_WIDTH)
-    assert len(batches) == halvings(0.25)
+    assert all(b == ["s"] for b in batches)
+    # regula falsi is exact on a line, and the truncation closes both sides fast
+    assert len(points["s"]) <= 12
 
 
-def test_lockstep_three_roots_in_one_batch_per_halving():
+def test_lockstep_three_roots_in_one_batch_per_step():
     functions = {
         "s": lambda x: x - 0.1,
         "w": lambda x: 0.6 - x,
         "E": lambda x: np.sin(8.0 * x) - 0.5,
     }
-    roots, batches = lockstep_against_serial(GRID, functions)
+    roots, batches, _ = run_lockstep(GRID, functions)
     assert roots["s"] == pytest.approx(0.1, abs=BISECTION_WIDTH)
     assert roots["w"] == pytest.approx(0.6, abs=BISECTION_WIDTH)
     assert roots["E"] == pytest.approx(np.arcsin(0.5) / 8.0, abs=BISECTION_WIDTH)
     assert batches[0] == ["s", "w", "E"]
-    assert len(batches) == halvings(0.25)
+    # one batch per step, each naming the kinds still open in their order
+    assert all(ordered_subset(b, ["s", "w", "E"]) for b in batches)
+    assert len(batches) <= halvings(0.25) + 1
+
+
+def test_lockstep_worst_case_is_one_call_past_bisection():
+    # a jump, a flat ninth-order root and a kink, where interpolation helps little
+    functions = {
+        "s": lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,
+        "w": lambda x: (x - 0.6) ** 9,
+        "E": lambda x: x - 0.3 if x < 0.3 else 1e6 * (x - 0.3),
+    }
+    run_lockstep(GRID, functions)
+    run_lockstep(np.linspace(0.05, 3.0, 60), functions)
+
+
+def test_lockstep_closes_a_bracket_with_no_float_inside():
+    # above 8192 an ulp exceeds BISECTION_WIDTH: the bracket ends one ulp apart
+    grid = np.linspace(1e4, 1e4 + 1.0, 3)
+    root = 1e4 + 0.3
+    roots, _, points = run_lockstep(grid, {"s": lambda x: -1.0 if x <= root else 1.0})
+    assert root <= roots["s"] <= np.nextafter(root, np.inf)
+    assert len(points["s"]) <= halvings(0.5) + 1
 
 
 def test_lockstep_kinds_sharing_a_bracket():
-    roots, batches = lockstep_against_serial(
+    roots, batches, _ = run_lockstep(
         GRID, {"s": lambda x: x - 0.3, "w": lambda x: 2.0 * (x - 0.31)}
     )
     assert roots["s"] < roots["w"]
-    assert all(b == ["s", "w"] for b in batches)
+    assert batches[0] == ["s", "w"]
+    assert all(ordered_subset(b, ["s", "w"]) for b in batches)
 
 
-def test_lockstep_exact_zero_at_a_midpoint():
-    # 0.375 is the first midpoint of [0.25, 0.5] and 0.28125 the third, both exact
-    roots, batches = lockstep_against_serial(
-        GRID, {"s": lambda x: x - 0.375, "w": lambda x: x - 0.28125, "E": lambda x: x - 0.7}
-    )
-    assert roots["s"] == 0.375 and roots["w"] == 0.28125
-    assert batches[0] == ["s", "w", "E"] and batches[1] == ["w", "E"] and batches[3] == ["E"]
+def test_lockstep_exact_zero_at_a_step_point():
+    # a crossing that is exactly zero at the first point of its bracket is
+    # rooted there; the kinds after it in the batch step on without it
+    first = _itp_point(0.25, 0.5, 0.25 - 0.3, 0.5 - 0.3, 0.2 / 0.25, halvings(0.25) + 1)
+    functions = {
+        "s": lambda x: 0.0 if x == first else x - 0.3,
+        "w": lambda x: x - 0.31,
+        "E": lambda x: x - 0.7,
+    }
+    roots, batches, points = run_lockstep(GRID, functions)
+    assert roots["s"] == first and points["s"] == [first]
+    assert batches[0] == ["s", "w", "E"]
+    assert all(b == ["w", "E"] or b == ["w"] or b == ["E"] for b in batches[1:])
 
 
 def test_lockstep_missing_root_and_zero_on_the_grid():
     # a zero reached from above on the grid is a root without a bracket
-    roots, batches = lockstep_against_serial(
+    roots, batches, _ = run_lockstep(
         GRID,
         {"s": lambda x: x + 1.0, "w": lambda x: 0.5 - x, "E": lambda x: x - 0.9},
     )
     assert roots["s"] is None and roots["w"] == 0.5
-    assert all(b == ["E"] for b in batches)
+    assert roots["E"] == pytest.approx(0.9, abs=BISECTION_WIDTH)
+    assert batches and all(b == ["E"] for b in batches)
 
 
-def test_lockstep_reports_the_first_failing_halving():
-    # serially s would fail first, at its 30th halving; in lockstep w fails at its 5th
-    def failing_at(halving, error):
+def test_lockstep_reports_the_first_failing_step():
+    # alone, s would fail first, at its 3rd call; in lockstep w fails at its
+    # 2nd, the step before; on a shared step the first kind in the batch wins
+    def failing_at(call, error):
         calls = []
 
         def f(x):
             calls.append(x)
-            if len(calls) == halving:
-                raise error(f"failed at halving {halving}")
+            if len(calls) == call:
+                raise error(f"failed at call {call}")
             return x - 0.3
 
         return f
 
-    functions = {"s": failing_at(30, DegenerateLowStates), "w": failing_at(5, ConvergenceFailure)}
-    values = {k: GRID - 0.3 for k in functions}
-
-    def crossings(kinds, gammas):
-        return [functions[k](x) for k, x in zip(kinds, gammas)]
-
-    with pytest.raises(ConvergenceFailure, match="halving 5"):
+    def run(functions):
+        values = {k: GRID - 0.3 for k in functions}
+        crossings = lambda kinds, gammas: [functions[k](x) for k, x in zip(kinds, gammas)]  # noqa: E731
         _lockstep_roots(GRID, values, crossings)
+
+    with pytest.raises(ConvergenceFailure, match="call 2"):
+        run({"s": failing_at(3, DegenerateLowStates), "w": failing_at(2, ConvergenceFailure)})
+    with pytest.raises(DegenerateLowStates, match="call 2"):
+        run({"s": failing_at(2, DegenerateLowStates), "w": failing_at(2, ConvergenceFailure)})
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.91])
@@ -354,9 +442,26 @@ def test_scan_roots_match_serial_bisection_on_a_lattice(p):
     solver = SecularSolver(lap, 0)
     grid = np.linspace(0.05, 3.0, 60)
     crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver)
+    functions = {which: solver.crossing_function(which) for which in ("s", "w", "E")}
+    roots, _, _ = run_lockstep(grid, functions)
     for which, root in (("s", crit.gamma_s), ("w", crit.gamma_w), ("E", crit.gamma_E)):
-        f = solver.crossing_function(which)
-        assert root == serial_first_root(grid, np.array([f(x) for x in grid]), f), which
+        f = functions[which]
+        assert root == roots[which], which
+        reference = serial_first_root(grid, np.array([f(x) for x in grid]), f)
+        assert (root is None) == (reference is None), which
+        assert root is None or abs(root - reference) <= BISECTION_WIDTH, which
+
+
+def test_itp_takes_few_calls_on_the_d4_lattice():
+    # the benchmark's tables row: bisection takes 36 calls per root
+    g, lap, _ = cartesian_power(path_graph(0.91), 4)
+    solver = SecularSolver(lap, 0)
+    grid = np.linspace(0.05, 3.0, 60)
+    functions = {which: solver.crossing_function(which) for which in ("s", "w", "E")}
+    roots, batches, points = run_lockstep(grid, functions)
+    assert all(roots.values())
+    assert max(len(x) for x in points.values()) <= 12
+    assert halvings(grid[1] - grid[0]) == 36
 
 
 def test_search_rejects_a_solver_for_another_target():
@@ -428,3 +533,121 @@ def test_peak_objective_rows_match_the_lone_success_probability(p, d):
     one_row = np.array([f(np.array([r]), np.array([t]))[0] for r, t in zip(rows, times)])
     assert np.array_equal(got, one_row)
     assert (np.abs(got - lone) <= 2.0 * np.spacing(np.maximum(got, lone))).all()
+
+
+def unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling="auto"):
+    """optimize_search as it was before pruning: every coupling gets a curve and a refined peak."""
+    volume = solver.volume
+
+    def eval_grid(gammas):
+        spectra = solver.solve_many(gammas)
+        rows, peaks, brackets = [], [], []
+        for spec in spectra:
+            e0, e1 = float(spec.levels[0]), float(spec.levels[1])
+            ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
+            times, curve = _grid_curve(spec.energies, spec.amplitudes, ceiling, t_points)
+            idx = int(np.nonzero(curve >= curve.max() - TIE_TOL)[0][0])
+            dt = times[1] - times[0]
+            rows.append((spec.gamma, e0, e1, ceiling < volume))
+            peaks.append((float(times[idx]), float(curve[idx])))
+            brackets.append(
+                (max(0.0, times[idx] - dt), min(ceiling, times[idx] + dt), 1e-10 * max(1.0, ceiling))
+            )
+        lo_t, hi_t, tol = np.array(brackets).T
+        t_ref, pi_ref = _golden_lockstep(
+            _peak_objective(
+                np.stack([s.energies for s in spectra]), np.stack([s.amplitudes for s in spectra])
+            ),
+            lo_t,
+            hi_t,
+            tol,
+        )
+        return [
+            (t_grid, pi_grid, *row) if pi_r < pi_grid else (float(t_r), float(pi_r), *row)
+            for t_r, pi_r, (t_grid, pi_grid), row in zip(t_ref, pi_ref, peaks, rows)
+        ]
+
+    lo, hi = gamma_range
+    pool = eval_grid(np.linspace(lo, hi, gamma_points))
+    step = (hi - lo) / (gamma_points - 1) if gamma_points > 1 else hi - lo
+    for _ in range(REFINE_DECADES):
+        center = _select_optimum(pool)[2]
+        pool.extend(eval_grid(np.linspace(max(lo, center - step), min(hi, center + step), 21)))
+        step /= 10.0
+    best = _select_optimum(pool)
+    return SearchOptimum(
+        t_opt=best[0],
+        gamma_opt=best[2],
+        pi_max=best[1],
+        e0=best[3],
+        e1=best[4],
+        gamma_range=(lo, hi),
+        gamma_points=gamma_points,
+        t_points=t_points,
+        t_ceiling=t_ceiling,
+        truncated=any(r[5] for r in pool),
+        refined_gamma_step=step,
+    )
+
+
+def assert_pruning_keeps_the_optimum(graph, lap, w, gamma_range, gamma_points, t_points, t_ceiling):
+    solver = SecularSolver(lap, w)
+    pruned = optimize_search(
+        graph, w, gamma_range, gamma_points=gamma_points, t_points=t_points,
+        t_ceiling=t_ceiling, solver=solver,
+    )
+    assert pruned == unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling)
+
+
+st_window = st.tuples(
+    st.floats(min_value=0.2, max_value=2.0), st.floats(min_value=0.01, max_value=1.0)
+).map(lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.floats(min_value=0.02, max_value=0.98),
+    d=st.integers(min_value=1, max_value=4),
+    window=st_window,
+    gamma_points=st.integers(min_value=2, max_value=40),
+    t_points=st.integers(min_value=20, max_value=600),
+    t_ceiling=st.sampled_from(["auto", "volume", 50.0]),
+    data=st.data(),
+)
+def test_pruned_optimum_equals_the_unpruned_one_on_lattices(
+    p, d, window, gamma_points, t_points, t_ceiling, data
+):
+    g, lap, _ = cartesian_power(path_graph(p), d)
+    w = data.draw(st.sampled_from([0, g.n - 1, g.n // 3]), label="target")
+    try:
+        assert_pruning_keeps_the_optimum(g, lap, w, window, gamma_points, t_points, t_ceiling)
+    except DegenerateLowStates:
+        # both refuse such a window alike; the lone solves say which coupling
+        with pytest.raises(DegenerateLowStates):
+            unpruned_optimum(SecularSolver(lap, w), window, gamma_points, t_points, t_ceiling)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    window=st_window,
+    gamma_points=st.integers(min_value=2, max_value=40),
+    t_points=st.integers(min_value=20, max_value=600),
+)
+def test_pruned_optimum_equals_the_unpruned_one_on_complete_graphs(n, window, gamma_points, t_points):
+    g = complete_graph(n)
+    assert_pruning_keeps_the_optimum(g, probabilistic_laplacian(g), 0, window, gamma_points, t_points, "auto")
+
+
+def test_pruning_draws_few_curves_on_the_d4_tables_row(monkeypatch):
+    # the benchmark's tables-d4 seed-0 row: 200 + 2 x 21 couplings
+    g, lap, _ = cartesian_power(path_graph(0.91), 4)
+    solver = SecularSolver(lap, 0)
+    gamma_e = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver).gamma_E
+    window = (0.8 * gamma_e, 1.2 * gamma_e)
+    curves = []
+    monkeypatch.setattr(search, "_grid_curve", lambda *args: curves.append(args) or _grid_curve(*args))
+    pruned = optimize_search(g, 0, window, gamma_points=200, t_points=500, solver=solver)
+    assert 1 <= len(curves) <= 10
+    monkeypatch.undo()
+    assert pruned == unpruned_optimum(solver, window, 200, 500)
