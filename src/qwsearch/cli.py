@@ -36,6 +36,7 @@ from .search import (
     GammaCriticalPoints,
     SearchOptimum,
     _grid_curve,
+    _optimum_window,
     _time_ceiling,
     gamma_critical_points,
     optimize_search,
@@ -331,7 +332,7 @@ class TableRow:
 def _critical_and_optimum(
     cfg: ExperimentConfig, p: float, g: TransitionGraph, solver: SecularSolver, w: int
 ) -> tuple[GammaCriticalPoints, SearchOptimum]:
-    """Critical couplings, then the optimum within +-20% of gamma_E (else the scan range)."""
+    """Critical couplings, then the optimum in the ``_optimum_window`` of gamma_E and the scan range."""
     scan = _scan_range(cfg)
     crit = gamma_critical_points(
         g, w, scan,
@@ -341,9 +342,8 @@ def _critical_and_optimum(
     for name, value in (("gamma_s", crit.gamma_s), ("gamma_w", crit.gamma_w), ("gamma_E", crit.gamma_E)):
         if value is None:
             print(f"note: p={p}: no {name} root in [{scan[0]}, {scan[1]}]", file=sys.stderr)
-    opt_range = (0.8 * crit.gamma_E, 1.2 * crit.gamma_E) if crit.gamma_E is not None else scan
     opt = optimize_search(
-        g, w, opt_range,
+        g, w, _optimum_window(crit.gamma_E, scan),
         gamma_points=OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
         solver=solver,

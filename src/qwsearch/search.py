@@ -11,6 +11,7 @@ E0 = -E1 (gamma_E).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .spectral import (
     SpectralData,
     _crossing,
     _ground_sym,
-    _require_simple_low_states,
+    _require_visible_low_pair,
     decompose,
 )
 
@@ -226,6 +227,7 @@ def _scan(
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
+    _require_count("grid_points", grid_points, 2)
     crossing = {which: _crossing(which) for which in kinds}
 
     def crossings(batch_kinds, gammas):
@@ -236,6 +238,11 @@ def _scan(
     reports = [spec.low_pair() for spec in solver.solve_many(grid)]
     values = {which: np.array([f(r) for r in reports]) for which, f in crossing.items()}
     return _lockstep_roots(grid, values, crossings)
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
 
 
 def _solver_for(
@@ -310,6 +317,17 @@ class SearchOptimum:
     t_ceiling: str | float
     truncated: bool
     refined_gamma_step: float
+
+
+def _require_ceiling(policy) -> None:
+    number = isinstance(policy, numbers.Real) and not isinstance(policy, bool)
+    if policy not in ("auto", "volume") and not (number and math.isfinite(policy) and policy > 0.0):
+        raise ValueError(f"t_ceiling={policy!r} must be 'auto', 'volume' or a positive finite number")
+
+
+def _optimum_window(gamma_e: float | None, fallback: tuple[float, float]) -> tuple[float, float]:
+    """The optimizer's coupling window: +-20% around gamma_E, or fallback when there is no gamma_E."""
+    return (0.8 * gamma_e, 1.2 * gamma_e) if gamma_e is not None else fallback
 
 
 def _time_ceiling(policy, volume: float, gap: float) -> float:
@@ -400,14 +418,17 @@ def optimize_search(
     than 1e-9, plus rounding, below the best pi already reached (the
     pool's, or the grid maximum of the grid's coupling with the largest
     bound) can win no tie, and gets no curve.  A ``solver`` for (lap, w)
-    saves its set-up.
+    saves its set-up.  Raises ValueError for an invalid t_ceiling or count.
     """
+    _require_ceiling(t_ceiling)
+    _require_count("gamma_points", gamma_points, 1)
+    _require_count("t_points", t_points, 2)
     solver = _solver_for(graph, w, lap, solver)
     volume = solver.volume
 
     if gamma_range is None:
         g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT)["E"]
-        gamma_range = (0.8 * g_e, 1.2 * g_e) if g_e is not None else GAMMA_RANGE_DEFAULT
+        gamma_range = _optimum_window(g_e, GAMMA_RANGE_DEFAULT)
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
@@ -525,25 +546,28 @@ def decompose_at_gamma_E(
     """Decompose pi(t) into its two-level part and higher-state residual.
 
     Requires |E0 + E1| < 1e-8 at the supplied coupling.  The coupling is then
-    refined by secant steps until E0 + E1 sits at the eigensolver noise floor,
+    refined by secant steps until E0 + E1 sits at the solver's noise floor,
     which is what makes the pointwise reconstruction identity hold to full
-    precision.
+    precision.  Everything else is read off one secular solve there, whose
+    two low states must both overlap e_w.
     """
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    f_e = SecularSolver(lap, w).crossing_function("E")
+    solver = _solver_for(graph, w, lap, None)
+
+    def f_e(g: float) -> float:
+        return _crossing("E")(solver.solve(g).low_pair())
+
     gamma = float(gamma_E)
     f0 = f_e(gamma)
     if abs(f0) >= 1e-8:
         raise NotAtGammaE(f"E0 + E1 = {f0:.3e} at gamma={gamma}; not a symmetric point")
     gamma, f0 = _polish_root(f_e, gamma, f0)
 
-    sd = decompose(SearchHamiltonian(gamma, w, lap))
-    _require_simple_low_states(sd.eigenvalues, sd.spectral_range)
-    coeff = sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu)
-    wv = sd.sym_vectors[w, :]
-    alpha = wv * coeff
-    s0_sq, s1_sq = coeff[0] ** 2, coeff[1] ** 2
-    w0_sq, w1_sq = wv[0] ** 2, wv[1] ** 2
+    spec = solver.solve(gamma)
+    _require_visible_low_pair(spec)
+    pair = spec.low_pair()
+    alpha = spec.amplitudes
+    s0_sq, s1_sq = pair.s_psi0, pair.s_psi1
+    w0_sq, w1_sq = pair.w_psi0, pair.w_psi1
 
     ratio0 = w0_sq / s0_sq
     ratio1 = w1_sq / s1_sq
@@ -554,15 +578,16 @@ def decompose_at_gamma_E(
             "coupling is not at the symmetric point"
         )
 
-    phase = -(coeff[1] * wv[0]) / (coeff[0] * wv[1])
+    # -(<s,psi_1><e_w,psi_0>) / (<s,psi_0><e_w,psi_1>), free of the states' signs
+    phase = -(alpha[1] * w0_sq) / (alpha[0] * w1_sq)
     theta = 0.5 * np.angle(complex(phase))
     if theta < 0.0:
         theta += np.pi
 
-    e0, e1 = float(sd.eigenvalues[0]), float(sd.eigenvalues[1])
+    e0, e1 = pair.e0, pair.e1
     times = np.asarray(t_samples, dtype=float)
     two_level = alpha[0] * np.exp(-1j * e0 * times) + alpha[1] * np.exp(-1j * e1 * times)
-    higher = _exp_sum(sd.eigenvalues[2:], alpha[2:], times)
+    higher = _exp_sum(spec.energies[2:], alpha[2:], times)
     residual = 2.0 * (two_level * np.conj(higher)).real + np.abs(higher) ** 2
     success = np.abs(two_level + higher) ** 2
     amplitude = 4.0 * s0_sq * w1_sq

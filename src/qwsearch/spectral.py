@@ -462,6 +462,15 @@ class SecularSpectrum:
         )
 
 
+def _require_visible_low_pair(spec: SecularSpectrum) -> None:
+    """Raise ConvergenceFailure unless both low states overlap e_w, i.e. solve G(E) = 1."""
+    for a, i in enumerate(spec.level_index[:2]):
+        if i < 0:
+            raise ConvergenceFailure(
+                f"level {a} (E = {spec.levels[a]:.6e}) at gamma={spec.gamma} is orthogonal to e_w"
+            )
+
+
 @dataclass(frozen=True)
 class LowPairCertificate:
     """The two lowest states of gamma * Delta - |e_w><e_w|, bounded around a secular solve.
@@ -697,11 +706,7 @@ class SecularSolver:
             raise ValueError("the low-pair certificate needs a Cartesian power")
         spectra = self.solve_many(gammas)
         for spec in spectra:
-            if list(spec.level_index[:2]) != [0, 1]:
-                raise ConvergenceFailure(
-                    f"a low state at gamma={spec.gamma} is orthogonal to e_w; "
-                    "the certificate needs both visible"
-                )
+            _require_visible_low_pair(spec)
         gam = np.array([spec.gamma for spec in spectra])
         energies = np.array([spec.levels[:2] for spec in spectra])
         u, axis_lams = self.axis.sym_vectors, self.axis.eigenvalues
@@ -762,14 +767,6 @@ class SecularSolver:
             for c in range(gam.size)
         ]
 
-    def low_pair(self, gamma: float) -> OverlapReport:
-        """Energies and squared overlaps of the two lowest states, guarding degeneracy."""
-        return self.solve(gamma).low_pair()
-
-    def crossing_function(self, which: str):
-        combine = _crossing(which)
-        return lambda gamma: combine(self.low_pair(gamma))
-
 
 @dataclass(frozen=True)
 class TheoremBounds:
@@ -785,18 +782,19 @@ class TheoremBounds:
     second_holds: bool
 
 
-def theorem_bound_report(
-    h: SearchHamiltonian, *, spectral: SpectralData | None = None
-) -> TheoremBounds:
-    """Check |E_a^2 - mu(w)/vol| against the overlap-gap bounds.
+def theorem_bound_report(h: SearchHamiltonian) -> TheoremBounds:
+    """Check |E_a^2 - mu(w)/vol| against the overlap-gap bounds, from one secular solve.
 
     The ground-state inequality is |E_0^2 - mu(w)/vol| <= eps0 with
     eps0 = | |<s,psi_0>|^2 - |<e_w,psi_0>|^2 |; the excited-state bound
-    carries the extra prefactor built from the two s-overlaps.
+    carries the extra prefactor built from the two s-overlaps.  Both low
+    states must overlap e_w.
     """
-    rep = overlaps_direct(h, spectral=spectral)
-    mu_w = h.laplacian.measure.mu[h.target]
-    ratio = mu_w / h.laplacian.measure.volume
+    solver = SecularSolver(h.laplacian, h.target)
+    spec = solver.solve(h.gamma)
+    _require_visible_low_pair(spec)
+    rep = spec.low_pair()
+    ratio = solver.s_w2
     eps0 = abs(rep.s_psi0 - rep.w_psi0)
     eps1 = abs(rep.s_psi1 - rep.w_psi1)
     lhs0 = abs(rep.e0**2 - ratio)

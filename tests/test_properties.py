@@ -21,10 +21,19 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.search import _curve, _exp_sum, _grid_curve, evolve, success_curve
+from qwsearch.search import (
+    _curve,
+    _exp_sum,
+    _grid_curve,
+    decompose_at_gamma_E,
+    evolve,
+    find_gamma_critical,
+    success_curve,
+)
 from qwsearch.spectral import (
     SearchHamiltonian,
     SecularSolver,
+    TheoremBounds,
     decompose,
     overlaps_direct,
     overlaps_via_green,
@@ -329,7 +338,7 @@ def test_solve_many_names_first_failing_coupling(p, d, gammas, bad):
 @given(eps=st.sampled_from([1e-12, 1e-14]), w=st.sampled_from([0, 1]), gammas=st_gammas)
 def test_batched_low_pairs_name_first_degenerate_coupling(eps, w, gammas):
     solver = SecularSolver(probabilistic_laplacian(linked_cliques(eps)), w)
-    lone = first_error([lambda g=g: solver.low_pair(g) for g in gammas])
+    lone = first_error([lambda g=g: solver.solve(g).low_pair() for g in gammas])
     assert lone is not None and lone[0] is DegenerateLowStates
     batch = solver.solve_many(gammas)
     assert first_error([spec.low_pair for spec in batch]) == lone
@@ -407,3 +416,114 @@ def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
     stray[0, g.n - 1] = -1e-300
     with pytest.raises(NonSymmetrizable):
         SecularSolver(Laplacian(stray, g, lap.measure), 0)
+
+
+def dense_decomposition(lap, w, gamma, times):
+    """decompose_at_gamma_E's fields from dense eigh at a coupling it has already refined.
+
+    The function's former body, kept as the oracle of the secular route.
+    """
+    sd = decompose(SearchHamiltonian(gamma, w, lap))
+    coeff = sd.sym_vectors.T @ (sd.sqrt_mu / np.sqrt((sd.sqrt_mu**2).sum()))
+    wv = sd.sym_vectors[w, :]
+    alpha = wv * coeff
+    s0_sq, s1_sq = coeff[0] ** 2, coeff[1] ** 2
+    w0_sq, w1_sq = wv[0] ** 2, wv[1] ** 2
+    ratio0, ratio1 = w0_sq / s0_sq, w1_sq / s1_sq
+    theta = 0.5 * np.angle(complex(-(coeff[1] * wv[0]) / (coeff[0] * wv[1])))
+    if theta < 0.0:
+        theta += np.pi
+    e0, e1 = float(sd.eigenvalues[0]), float(sd.eigenvalues[1])
+    two_level = alpha[0] * np.exp(-1j * e0 * times) + alpha[1] * np.exp(-1j * e1 * times)
+    higher = _exp_sum(sd.eigenvalues[2:], alpha[2:], times)
+    residual = 2.0 * (two_level * np.conj(higher)).real + np.abs(higher) ** 2
+    success = np.abs(two_level + higher) ** 2
+    amplitude = 4.0 * s0_sq * w1_sq
+    constant = w0_sq * s0_sq + w1_sq * s1_sq - 2.0 * s0_sq * w1_sq
+    reconstruction = amplitude * np.sin(e1 * times + theta) ** 2 + constant + residual
+    return {
+        "theta": float(theta),
+        "constant": float(constant),
+        "amplitude": float(amplitude),
+        "e0": e0,
+        "e1": e1,
+        "two_level": two_level,
+        "higher_order": higher,
+        "residual": residual,
+        "success": success,
+        "reconstruction": reconstruction,
+        "ratio_residual": float(abs(ratio1 - ratio0) / max(ratio0, ratio1)),
+        "max_reconstruction_error": float(np.abs(reconstruction - success).max()),
+    }
+
+
+def assert_decomposition_matches_dense(graph, lap, gamma_e):
+    """Every field of the secular decomposition at the limits: E 1e-12, the rest 1e-10, theta equal."""
+    times = np.linspace(0.0, 200.0, 300)
+    report = decompose_at_gamma_E(graph, 0, gamma_e, times, lap=lap)
+    dense = dense_decomposition(lap, 0, report.gamma, times)
+    assert report.theta == dense["theta"]
+    for name, expected in dense.items():
+        limit = 1e-12 if name in ("e0", "e1") else 1e-10
+        assert np.abs(getattr(report, name) - expected).max() <= limit, name
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=3))
+def test_decomposition_matches_dense_on_lattices(p, d):
+    g, lap, _ = cartesian_power(path_graph(p), d)
+    # gamma_E grows as p falls: about 25 at p=0.02 on the path
+    gamma_e = find_gamma_critical(g, 0, "E", (0.05, 60.0), grid_points=1200, lap=lap)
+    assert_decomposition_matches_dense(g, lap, gamma_e)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40))
+def test_decomposition_matches_dense_on_complete_graphs(n):
+    g = complete_graph(n)
+    assert_decomposition_matches_dense(g, probabilistic_laplacian(g), (n - 1) / n)
+
+
+def dense_theorem_bounds(h):
+    """theorem_bound_report from dense eigh: the function's former body, kept as its oracle."""
+    rep = overlaps_direct(h)
+    ratio = h.laplacian.measure.mu[h.target] / h.laplacian.measure.volume
+    eps0, eps1 = abs(rep.s_psi0 - rep.w_psi0), abs(rep.s_psi1 - rep.w_psi1)
+    lhs0, lhs1 = abs(rep.e0**2 - ratio), abs(rep.e1**2 - ratio)
+    prefactor = 1.0 + ratio * abs(rep.s_psi1 - rep.s_psi0) / (rep.s_psi1 * rep.s_psi0)
+    rhs1 = prefactor * eps1
+    return TheoremBounds(
+        eps0=eps0,
+        eps1=eps1,
+        lhs0=lhs0,
+        lhs1=lhs1,
+        rhs0=eps0,
+        rhs1=rhs1,
+        first_holds=lhs0 <= eps0 + 1e-12,
+        second_holds=lhs1 <= rhs1 + 1e-12,
+    )
+
+
+def assert_theorem_bounds_match_dense(lap, w, gamma):
+    """Every bound field within 1e-10 (the energy ones within 1e-12), and the same verdicts."""
+    h = SearchHamiltonian(gamma, w, lap)
+    bounds, dense = theorem_bound_report(h), dense_theorem_bounds(h)
+    for name in ("eps0", "eps1", "lhs0", "lhs1", "rhs0", "rhs1"):
+        limit = 1e-12 if name.startswith("lhs") else 1e-10
+        assert abs(getattr(bounds, name) - getattr(dense, name)) <= limit, name
+    assert (bounds.first_holds, bounds.second_holds) == (dense.first_holds, dense.second_holds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=3), gamma=st_gamma)
+def test_theorem_bounds_match_dense_on_lattices(p, d, gamma):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    assert_theorem_bounds_match_dense(lap, 0, gamma)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gamma=st_gamma)
+def test_theorem_bounds_match_dense_on_complete_graphs(n, gamma):
+    lap = probabilistic_laplacian(complete_graph(n))
+    assert_theorem_bounds_match_dense(lap, 0, gamma)
+    assert_theorem_bounds_match_dense(lap, 0, (n - 1) / n)

@@ -13,6 +13,7 @@ from qwsearch.errors import (
     NotAtGammaE,
 )
 from qwsearch.graphs import (
+    TransitionGraph,
     cartesian_power,
     complete_graph,
     path_graph,
@@ -44,6 +45,7 @@ from qwsearch.spectral import (
     decompose,
     overlaps_direct,
     symmetrize,
+    theorem_bound_report,
 )
 
 
@@ -216,6 +218,81 @@ def test_decomposition_rejects_wrong_coupling():
         decompose_at_gamma_E(g, 0, 0.9, np.linspace(0.0, 5.0, 10))
 
 
+def test_analysis_makes_only_the_axis_eigh(monkeypatch):
+    # decompose_at_gamma_E and theorem_bound_report read one secular solve:
+    # the only eigendecomposition is the set-up's 4 x 4 one of the axis
+    g, lap, _ = cartesian_power(path_graph(0.6), 3)
+    gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
+    decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 50.0, 20), lap=lap)
+    assert sizes == [4]
+    sizes.clear()
+    theorem_bound_report(SearchHamiltonian(gamma_e, 0, lap))
+    assert sizes == [4]
+
+
+def twin_cliques(k=4, bridge=0.1):
+    """Two k-cliques joined only through vertex 0, each by one edge of weight bridge.
+
+    The eigenvector of Delta that is antisymmetric under swapping the
+    cliques vanishes at 0, and gamma times its eigenvalue is the first
+    excited energy for the target 0 at the couplings used here (0.1 to 5).
+    """
+    weights = {(0, 1): 0.5, (0, k + 1): 0.5}
+    for c in range(2):
+        door = 1 + c * k
+        members = range(door, door + k)
+        for x in members:
+            share = (1.0 - (bridge if x == door else 0.0)) / (k - 1)
+            weights.update({(x, y): share for y in members if y != x})
+        weights[(door, 0)] = bridge
+    return TransitionGraph(2 * k + 1, weights, "custom")
+
+
+def test_analysis_rejects_an_invisible_first_excited_state():
+    g = twin_cliques()
+    lap = probabilistic_laplacian(g)
+    # the dense oracle agrees that the first excited state misses e_w
+    assert overlaps_direct(SearchHamiltonian(1.0, 0, lap)).w_psi1 < 1e-20
+    with pytest.raises(ConvergenceFailure, match=r"level 1 .* gamma=1\.0 is orthogonal to e_w"):
+        theorem_bound_report(SearchHamiltonian(1.0, 0, lap))
+    # E0 + E1 still has a root, where E1 is the invisible level
+    gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
+    with pytest.raises(ConvergenceFailure, match=r"level 1 .* is orthogonal to e_w"):
+        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10), lap=lap)
+
+
+@pytest.mark.parametrize("t_ceiling", [-5.0, 0.0, float("nan"), float("inf"), "bogus", True, None])
+def test_optimize_rejects_a_bad_time_ceiling(t_ceiling):
+    with pytest.raises(ValueError, match="t_ceiling"):
+        optimize_search(complete_graph(4), 0, (0.7, 0.8), gamma_points=3, t_points=50, t_ceiling=t_ceiling)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("gamma_points", 0), ("gamma_points", 2.0), ("t_points", 1), ("t_points", 0)]
+)
+def test_optimize_rejects_too_few_points(name, value):
+    with pytest.raises(ValueError, match=name):
+        optimize_search(complete_graph(4), 0, (0.7, 0.8), **{"gamma_points": 3, "t_points": 50, name: value})
+
+
+def test_optimize_takes_the_fewest_points():
+    opt = optimize_search(complete_graph(4), 0, (0.7, 0.8), gamma_points=1, t_points=2, t_ceiling=3)
+    assert opt.gamma_points == 1 and opt.t_points == 2
+    assert 0.0 <= opt.t_opt <= 3.0
+
+
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_scans_reject_too_few_grid_points(grid_points):
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="grid_points"):
+        gamma_critical_points(g, 0, grid_points=grid_points)
+    with pytest.raises(ValueError, match="grid_points"):
+        find_gamma_critical(g, 0, "E", grid_points=grid_points)
+
+
 def test_energy_levels_lipschitz_in_gamma():
     # dE/dgamma is a Laplacian expectation value, hence inside [0, 2]
     _, lap, _ = cartesian_power(path_graph(0.3), 2)
@@ -280,6 +357,14 @@ def first_bracket(grid, values):
         if (values[i] < 0.0) != (values[i + 1] < 0.0):
             return float(grid[i]), float(grid[i + 1])
     return None
+
+
+def crossing_functions(solver):
+    """gamma -> crossing value of each kind at one lone solve, as the scan's refinement sees it."""
+    return {
+        which: lambda gamma, f=_CROSSINGS[which]: f(solver.solve(gamma).low_pair())
+        for which in ("s", "w", "E")
+    }
 
 
 def run_lockstep(grid, functions):
@@ -442,7 +527,7 @@ def test_scan_roots_match_serial_bisection_on_a_lattice(p):
     solver = SecularSolver(lap, 0)
     grid = np.linspace(0.05, 3.0, 60)
     crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver)
-    functions = {which: solver.crossing_function(which) for which in ("s", "w", "E")}
+    functions = crossing_functions(solver)
     roots, _, _ = run_lockstep(grid, functions)
     for which, root in (("s", crit.gamma_s), ("w", crit.gamma_w), ("E", crit.gamma_E)):
         f = functions[which]
@@ -457,7 +542,7 @@ def test_itp_takes_few_calls_on_the_d4_lattice():
     g, lap, _ = cartesian_power(path_graph(0.91), 4)
     solver = SecularSolver(lap, 0)
     grid = np.linspace(0.05, 3.0, 60)
-    functions = {which: solver.crossing_function(which) for which in ("s", "w", "E")}
+    functions = crossing_functions(solver)
     roots, batches, points = run_lockstep(grid, functions)
     assert all(roots.values())
     assert max(len(x) for x in points.values()) <= 12
