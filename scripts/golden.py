@@ -8,9 +8,11 @@
 Runs each subcommand (spectrum, tables, optimize and the four figure kinds)
 on small d=2 path powers with p in {0.4, 0.91}, plus the complete graph on 8
 vertices where the command accepts it, one spectrum of the d=3 product (64
-vertices) at p=0.91, and one ``tables`` run of the d=4 product (256 vertices)
+vertices) at p=0.91, one ``tables`` run of the d=4 product (256 vertices)
 with p in {0.91, 0.4} on the benchmark's tables-d4 grid (60 scan points, 500
-time points), through ``qwsearch.cli.main`` from the
+time points), and one ``tables`` run of the d=3 product at the interior
+target 21, axis coordinates (1, 1, 1), where every other run targets the
+corner (0, 0, ...).  Each run goes through ``qwsearch.cli.main`` from the
 ``src/`` next to this script.  It prints one ``sha256  file`` line per output,
 sorted by file name.  Two source trees produce the same outputs when their
 listings are identical on the same machine.  BLAS runs on one thread, because
@@ -55,6 +57,9 @@ RUNS = [
     ("tables-defaults", ["tables"], PATH | {"graph.p": 0.91, "output.format": "json"}),
     ("tables-d4", ["tables"],
      PATH | {"graph.d": 4, "graph.p": [0.91, 0.4], "sweep.gamma_points": 60, "sweep.t_points": 500}),
+    ("tables-target", ["tables"],
+     PATH | {"graph.d": 3, "graph.p": [0.4, 0.91], "target.vertex": 21,
+             "sweep.gamma_points": 60, "sweep.t_points": 300}),
     ("tables-missing-roots", ["tables"],
      PATH | {"graph.p": 0.4, "sweep.gamma_min": 0.05, "sweep.gamma_max": 0.1,
              "sweep.gamma_points": 20, "sweep.t_points": 200}),

@@ -200,12 +200,50 @@ def _check_self_adjoint(delta: np.ndarray, mu: np.ndarray) -> None:
         )
 
 
+def _power_form(g: TransitionGraph) -> tuple[TransitionGraph, int]:
+    """g as a Cartesian power (axis, d); a graph that is not a product is its own 1-fold power."""
+    if g.family == "product" and g.axis is not None:
+        return g.axis, g.params["d"]
+    return g, 1
+
+
+def _power_outer(op: np.ufunc, identity, factors) -> np.ndarray:
+    """Combine one value per axis at every vertex of a Cartesian power, in axis order.
+
+    ``factors[k]`` holds a value for each vertex of axis k.  Vertex v, with
+    coordinates (x_1, ..., x_d), gets op(... op(identity, factors[0][x_1]) ...,
+    factors[d-1][x_d]); vertices are indexed lexicographically with the first
+    axis most significant.
+    """
+    out = np.full(1, identity)
+    for f in factors:
+        out = op.outer(out, f).ravel()
+    return out
+
+
+def _power_steps(axis: TransitionGraph, d: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Every one-axis step of the d-fold Cartesian power of axis, as (sources, targets, p/d) runs.
+
+    One run per axis k and edge (a, b) of weight p, axis by axis from the
+    first (most significant), then in ``axis.weights`` order: the vertices
+    whose coordinate on axis k is a, ascending, and the vertices that the
+    step to coordinate b reaches from them.
+    """
+    m = axis.n
+    vertices = np.arange(m**d)
+    runs = []
+    for k in range(d):
+        stride = m ** (d - 1 - k)
+        digit = vertices // stride % m
+        for (a, b), p in axis.weights.items():
+            v = vertices[digit == a]
+            runs.append((v, v + (b - a) * stride, p / d))
+    return runs
+
+
 def _product_measure(g: TransitionGraph, d: int) -> VertexMeasure:
-    """Measure of the d-fold Cartesian power of g: the Kronecker power of g's measure."""
-    axis_mu = kolmogorov_measure(g).mu
-    mu = np.array([1.0])
-    for _ in range(d):
-        mu = np.kron(mu, axis_mu)
+    """Measure of the d-fold Cartesian power of g: the product of g's measure over the axes."""
+    mu = _power_outer(np.multiply, 1.0, [kolmogorov_measure(g).mu] * d)
     return VertexMeasure(mu, float(mu.sum()))
 
 
@@ -222,27 +260,19 @@ def cartesian_power(
     """
     if d < 1:
         raise ValueError(f"product dimension d={d} must be at least 1")
-    n_axis = g.n
-    n = n_axis**d
+    n = g.n**d
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")
 
-    weights = {}
-    stride = [n_axis ** (d - 1 - k) for k in range(d)]
-    coords = np.array(
-        np.unravel_index(np.arange(n), (n_axis,) * d)
-    ).T  # row v = lattice coordinates of vertex v
-    for v in range(n):
-        for k in range(d):
-            xk = coords[v, k]
-            for (a, b), p in g.weights.items():
-                if a == b == xk:
-                    # a self-loop of the axis is one of every axis: they add up
-                    weights[(v, v)] = weights.get((v, v), 0.0) + p / d
-                elif a == xk:
-                    weights[(v, v + (b - a) * stride[k])] = p / d
+    vertex = list(range(n))  # one int per vertex, shared by every key that names it
+    weights: dict[tuple[int, int], float] = {}
+    for sources, targets, p in _power_steps(g, d):
+        for x, y in zip(sources.tolist(), targets.tolist()):
+            step = (vertex[x], vertex[y])
+            # a self-loop of the axis is one of every axis: they add up, in axis order
+            weights[step] = weights[step] + p if step in weights else p
 
-    params = {"d": d, "axis_n": n_axis, "base": g.family, **g.params}
+    params = {"d": d, "axis_n": g.n, "base": g.family, **g.params}
     gd = TransitionGraph(n, weights, "product", params, axis=g)
     _validate_graph(gd)
     measure = _product_measure(g, d)
@@ -269,21 +299,14 @@ class InteriorMeasureProfile:
 
 def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
     """Profile the reversibility measure of g over its interior vertices."""
-    if g.family == "product" and g.axis is not None:
-        # the measure cartesian_power gives the power, behind its volume
-        axis, d = g.axis, g.params["d"]
-        mu = _product_measure(axis, d).mu
-    else:
-        axis, d = g, 1
-        mu = kolmogorov_measure(g).mu
+    axis, d = _power_form(g)
+    # the measure behind the volume; for a product, the one cartesian_power gives it
+    mu = _product_measure(axis, d).mu
 
     out_degree = np.zeros(axis.n, dtype=int)
     for x, _ in axis.weights:
         out_degree[x] += 1
-    interior_axis = np.nonzero(out_degree > 1)[0]
-
-    coords = np.array(np.unravel_index(np.arange(g.n), (axis.n,) * d))
-    interior_mask = np.isin(coords, interior_axis).all(axis=0)
+    interior_mask = _power_outer(np.logical_and, True, [out_degree > 1] * d)
     interior = mu[interior_mask]
     if interior.size == 0:
         i_min = i_max = float("nan")

@@ -223,11 +223,11 @@ def _scan(
     gamma_range: tuple[float, float],
     grid_points: int,
 ) -> dict[str, float | None]:
-    """First root of each requested crossing kind, or None, from one shared grid."""
+    """First root of each requested crossing kind, or None, from one shared grid.
+
+    The callers check gamma_range and grid_points before they build the solver.
+    """
     lo, hi = gamma_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
-    _require_count("grid_points", grid_points, 2)
     crossing = {which: _crossing(which) for which in kinds}
 
     def crossings(batch_kinds, gammas):
@@ -243,6 +243,12 @@ def _scan(
 def _require_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name}={value!r} must be an integer >= {least}")
+
+
+def _require_range(gamma_range: tuple[float, float]) -> None:
+    lo, hi = gamma_range
+    if not (0.0 < lo < hi):
+        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
 
 def _solver_for(
@@ -271,8 +277,10 @@ def find_gamma_critical(
     down to a bracket at most 1e-12 wide.  Raises NoRootInRange if the
     scanned values never change sign.
     """
-    lap = lap if lap is not None else probabilistic_laplacian(graph)
-    root = _scan(SecularSolver(lap, w), (which,), gamma_range, grid_points)[which]
+    _crossing(which)  # an unknown kind raises here, before the set-up
+    _require_range(gamma_range)
+    _require_count("grid_points", grid_points, 2)
+    root = _scan(_solver_for(graph, w, lap, None), (which,), gamma_range, grid_points)[which]
     if root is None:
         lo, hi = gamma_range
         raise NoRootInRange(
@@ -291,6 +299,8 @@ def gamma_critical_points(
     solver: SecularSolver | None = None,
 ) -> GammaCriticalPoints:
     """All three critical couplings from a single shared grid scan."""
+    _require_range(gamma_range)
+    _require_count("grid_points", grid_points, 2)
     solver = _solver_for(graph, w, lap, solver)
     roots = _scan(solver, ("s", "w", "E"), gamma_range, grid_points)
     return GammaCriticalPoints(
@@ -423,6 +433,8 @@ def optimize_search(
     _require_ceiling(t_ceiling)
     _require_count("gamma_points", gamma_points, 1)
     _require_count("t_points", t_points, 2)
+    if gamma_range is not None:
+        _require_range(gamma_range)
     solver = _solver_for(graph, w, lap, solver)
     volume = solver.volume
 
@@ -430,8 +442,6 @@ def optimize_search(
         g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT)["E"]
         gamma_range = _optimum_window(g_e, GAMMA_RANGE_DEFAULT)
     lo, hi = gamma_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
     def draw(spec, ceiling: float):
         """The grid peak of one coupling's curve, and the bracket that refines it."""

@@ -19,7 +19,14 @@ from .errors import (
     NonSymmetrizable,
     PoleProximity,
 )
-from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
+from .graphs import (
+    Laplacian,
+    TransitionGraph,
+    _power_form,
+    _power_outer,
+    _power_steps,
+    probabilistic_laplacian,
+)
 
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -349,48 +356,19 @@ _SECULAR_MAX_ITER = 200
 _BATCH_ELEMENTS = 1 << 16
 
 
-def _dense_poles(
-    lap: Laplacian, w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, SpectralData | None]:
-    """Eigenvalues of Delta with the target weight of each eigenvector, from one dense solve.
+def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
+    """The validated decomposition of the axis of lap's graph, as a d-fold Cartesian power, and d.
 
-    Also returns the row sums of |S| and S[w, w], for S the symmetrized Delta,
-    and None in place of ``_axis_poles``'s axis decomposition.
+    A graph that is not a product is its own 1-fold power, decomposed from
+    lap itself.  A product's axis Laplacian is rebuilt and decomposed alone,
+    with no n x n array, once ``_check_kronecker_form`` has certified that
+    lap.matrix is the Laplacian of its power.
     """
-    sd = decompose(lap)
-    rows = np.abs(sd.sym_matrix).sum(axis=1)
-    return sd.eigenvalues, sd.sym_vectors[w, :] ** 2, rows, float(sd.sym_matrix[w, w]), None
-
-
-def _axis_poles(
-    lap: Laplacian, w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, SpectralData | None]:
-    """What ``_dense_poles`` returns, for a Cartesian power, from its axis alone.
-
-    The d-fold power's Laplacian is the 1/d-scaled Kronecker sum of the axis
-    Laplacian, so in symmetric coordinates its eigenvectors are tensor
-    products of the axis ones (Horn & Johnson, Topics in Matrix Analysis,
-    4.4): index tuple k has eigenvalue sum_i lambda_{k_i} / d and target
-    weight prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The row sums come
-    from the same stencil.  One eigendecomposition of the axis, and no n x n
-    array; ``_check_kronecker_form`` first certifies that lap.matrix is the
-    Laplacian these poles stand for.  The axis decomposition itself comes
-    last, for the solver to keep.
-    """
-    g = lap.graph
-    d = g.params["d"]
-    _check_kronecker_form(lap.matrix, g.axis, d)
-    axis = decompose(probabilistic_laplacian(g.axis))
-    diag = np.diagonal(axis.sym_matrix)
-    off = np.abs(axis.sym_matrix).sum(axis=1) - np.abs(diag)
-    evals, a2, diags, offs = np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1)
-    for x in np.unravel_index(w, (g.axis.n,) * d):
-        evals = np.add.outer(evals, axis.eigenvalues).ravel()
-        a2 = np.multiply.outer(a2, axis.sym_vectors[x, :] ** 2).ravel()
-        diags = np.add.outer(diags, diag).ravel()
-        offs = np.add.outer(offs, off).ravel()
-    order = np.argsort(evals, kind="stable")
-    return evals[order] / d, a2[order], (np.abs(diags) + offs) / d, float(diags[w]) / d, axis
+    axis, d = _power_form(lap.graph)
+    if axis is lap.graph:
+        return decompose(lap), 1
+    _check_kronecker_form(lap.matrix, axis, d)
+    return decompose(probabilistic_laplacian(axis)), d
 
 
 def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
@@ -407,17 +385,11 @@ def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> N
             f"axis vertex {loops[0]} has a self-loop; the Kronecker-form certificate "
             "expects a unit diagonal"
         )
-    n, m = delta.shape[0], axis.n
-    vertices = np.arange(n)
-    exact = bool((np.diagonal(delta) == 1.0).all())
-    size = n
-    for k in range(d):
-        stride = m ** (d - 1 - k)
-        digit = vertices // stride % m
-        for (a, b), p in axis.weights.items():
-            v = vertices[digit == a]
-            exact = exact and bool((delta[v, v + (b - a) * stride] == 0.0 - p / d).all())
-            size += v.size
+    exact = (np.diagonal(delta) == 1.0).all()
+    size = delta.shape[0]
+    for sources, targets, p in _power_steps(axis, d):
+        exact = exact and (delta[sources, targets] == 0.0 - p).all()
+        size += sources.size
     if not exact or np.count_nonzero(delta) != size:
         raise NonSymmetrizable(
             f"Laplacian of the {d}-fold product differs from the Kronecker sum of its axis"
@@ -504,20 +476,30 @@ class SecularSolver:
     solved in its offset from the nearer pole (Bunch, Nielsen & Sorensen
     1978; LAPACK dlaed4), all intervals at once, by Newton steps on
     -tau (G - 1) safeguarded by bisection.  The eigenvalues and weights of
-    Delta come from the axis when lap is a Cartesian power (``_axis_poles``),
-    and from one dense decomposition of Delta otherwise (``_dense_poles``).
-    A Cartesian power keeps its validated axis decomposition as ``axis``
-    (None otherwise), which ``certify_low_pairs`` builds its vectors from.
+    Delta come from its axis: every graph is a d-fold Cartesian power of an
+    axis, and a graph that is not a product is its own 1-fold power.  The
+    power's Laplacian is the 1/d-scaled Kronecker sum of the axis Laplacian,
+    so in symmetric coordinates its eigenvectors are tensor products of the
+    axis ones (Horn & Johnson, Topics in Matrix Analysis, 4.4): index tuple k
+    has eigenvalue sum_i lambda_{k_i} / d and target weight
+    prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The solver keeps the
+    validated axis decomposition as ``axis``, which ``certify_low_pairs``
+    builds its vectors from.
     """
 
     def __init__(self, lap: Laplacian, w: int):
-        g = lap.graph
-        poles = _axis_poles if g.family == "product" and g.axis is not None else _dense_poles
-        evals, a2, rows, diag_w, self.axis = poles(lap, w)
-        # the target's coordinate on each axis of a Cartesian power
-        self._axis_target = (
-            np.unravel_index(w, (g.axis.n,) * g.params["d"]) if self.axis is not None else None
-        )
+        self.axis, d = _decomposed_axis(lap)
+        # the target's coordinate on each axis
+        self._axis_target = np.unravel_index(w, (self.axis.n,) * d)
+        u, s = self.axis.sym_vectors, self.axis.sym_matrix
+        evals = _power_outer(np.add, 0.0, [self.axis.eigenvalues] * d)
+        a2 = _power_outer(np.multiply, 1.0, [u[x, :] ** 2 for x in self._axis_target])
+        # the diagonal of I - P is 1 - p(x, x) >= 0, so each axis adds its own
+        # row sum of |S|, for S the symmetrized Delta, to the power's
+        rows = _power_outer(np.add, 0.0, [np.abs(s).sum(axis=1)] * d) / d
+        diag_w = sum(float(s[x, x]) for x in self._axis_target) / d
+        order = np.argsort(evals, kind="stable")
+        evals, a2 = evals[order] / d, a2[order]
         # every eigenvalue of Delta, ascending with multiplicity
         self.laplacian_spectrum = evals
         lams, weights, counts = _target_weights(evals, a2)
@@ -684,7 +666,7 @@ class SecularSolver:
     def certify_low_pairs(self, lap: Laplacian, gammas) -> list[LowPairCertificate]:
         """Bounds on the two lowest states at each coupling, from one ``solve_many``.
 
-        Needs a Cartesian power, the lap this solver was built from.  E_a is
+        Takes the lap this solver was built from, of any graph.  E_a is
         the a-th level of the solve, which must be visible.  The vector
         psi_a, proportional to (gamma S - E_a)^{-1} e_w for S the symmetrized
         Delta, has coefficients prod_i u(x_i) / (gamma lambda - E_a) in the
@@ -702,21 +684,17 @@ class SecularSolver:
         ConvergenceFailure when a low state is invisible or the ordering
         cannot be certified.
         """
-        if self.axis is None:
-            raise ValueError("the low-pair certificate needs a Cartesian power")
         spectra = self.solve_many(gammas)
         for spec in spectra:
             _require_visible_low_pair(spec)
         gam = np.array([spec.gamma for spec in spectra])
         energies = np.array([spec.levels[:2] for spec in spectra])
         u, axis_lams = self.axis.sym_vectors, self.axis.eigenvalues
-        d = len(self._axis_target)
-        num, lams = np.ones(1), np.zeros(1)
-        for x in self._axis_target:
-            num = np.multiply.outer(num, u[x, :]).ravel()
-            lams = np.add.outer(lams, axis_lams).ravel()
+        m, d = u.shape[0], len(self._axis_target)
+        num = _power_outer(np.multiply, 1.0, [u[x, :] for x in self._axis_target])
+        lams = _power_outer(np.add, 0.0, [axis_lams] * d)
         psi = num / (gam[:, None, None] * (lams / d) - energies[..., None])
-        psi = psi.reshape(-1, *(u.shape[0],) * d)
+        psi = psi.reshape(-1, *(m,) * d)
         for _ in range(d):
             psi = np.tensordot(psi, u, axes=([1], [1]))
         psi = psi.reshape(gam.size, 2, -1)
@@ -734,9 +712,9 @@ class SecularSolver:
         eps = np.finfo(float).eps
         residuals += 2.0 * (nonzeros + 3) * eps * (scale[:, None] + np.abs(energies))
 
-        # lambda_2 of the axis is within the 2-norm of its 4 x 4 residual, at
-        # most twice the largest column norm, of the computed one (Weyl)
-        gap_2 = gam * (axis_lams[1] - 2.0 * self.axis.residual_norm) / d
+        # lambda_2 of the axis is within the 2-norm of its m x m residual, at
+        # most sqrt(m) times the largest column norm, of the computed one (Weyl)
+        gap_2 = gam * (axis_lams[1] - np.sqrt(m) * self.axis.residual_norm) / d
         (e0, e1), (r0, r1) = energies.T, residuals.T
         certified = (e0 + r0 < 0.0) & (e1 - r1 >= 0.0) & (e1 + r1 < gap_2)
         if not certified.all():

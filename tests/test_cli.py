@@ -13,7 +13,7 @@ import qwsearch
 from qwsearch import cli, search
 from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
-from qwsearch.graphs import cartesian_power, path_graph
+from qwsearch.graphs import cartesian_power, complete_graph, path_graph, probabilistic_laplacian
 from qwsearch.search import optimize_search
 from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
 
@@ -640,18 +640,22 @@ def test_certificate_rejects_what_the_dense_oracle_rejects(monkeypatch, mutation
 
 
 def test_certificate_bounds_hold_against_dense_eigh():
-    # the certified intervals contain the dense energies and crossings
-    g, lap, _ = cartesian_power(path_graph(0.5), 3)
-    solver = cli.SecularSolver(lap, 0)
-    gammas = [0.4, 1.0, 1.2, 2.5]
-    for cert in solver.certify_low_pairs(lap, gammas):
-        dense = overlaps_direct(SearchHamiltonian(cert.gamma, 0, lap))
-        assert abs(dense.e0 - cert.report.e0) <= cert.residuals[0]
-        assert abs(dense.e1 - cert.report.e1) <= cert.residuals[1]
-        assert max(cert.residuals) < 1e-13
-        for which in ("s", "w", "E"):
-            value, bound = cert.crossing(which)
-            assert abs(_CROSSINGS[which](dense) - value) <= bound + 1e-15, which
+    # the certified intervals contain the dense energies and crossings, on a
+    # lattice and on a graph that is not a product, its own 1-fold power
+    inputs = [
+        (cartesian_power(path_graph(0.5), 3)[1], [0.4, 1.0, 1.2, 2.5]),
+        (probabilistic_laplacian(complete_graph(16)), [0.5, 0.9375, 2.0]),
+    ]
+    for lap, gammas in inputs:
+        solver = cli.SecularSolver(lap, 0)
+        for cert in solver.certify_low_pairs(lap, gammas):
+            dense = overlaps_direct(SearchHamiltonian(cert.gamma, 0, lap))
+            assert abs(dense.e0 - cert.report.e0) <= cert.residuals[0]
+            assert abs(dense.e1 - cert.report.e1) <= cert.residuals[1]
+            assert max(cert.residuals) < 1e-13
+            for which in ("s", "w", "E"):
+                value, bound = cert.crossing(which)
+                assert abs(_CROSSINGS[which](dense) - value) <= bound + 1e-15, which
 
 
 def test_certificate_sees_a_laplacian_it_does_not_stand_for():

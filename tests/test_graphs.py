@@ -260,6 +260,11 @@ def test_cartesian_power_matches_kronecker_sum(p, d):
     assert lap.matrix.tobytes() == kronecker_sum_laplacian(g, d).tobytes()
     assert gd.weights == product_weights_by_vertex(g, d)
     assert lap.graph is gd and lap.measure is measure
+    # the Kronecker power of the axis measure, bit for bit
+    mu = np.array([1.0])
+    for _ in range(d):
+        mu = np.kron(mu, kolmogorov_measure(g).mu)
+    assert measure.mu.tobytes() == mu.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

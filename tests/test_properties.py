@@ -403,6 +403,14 @@ def test_hamiltonian_spectra_match_eigvalsh_on_linked_cliques():
         assert_hamiltonian_spectra_match_eigvalsh(lap, w, gammas)
 
 
+def test_hamiltonian_spectra_match_eigvalsh_on_a_lazy_graph():
+    # a graph that is not a product is its own 1-fold power, self-loop and all
+    lazy = TransitionGraph(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
+    lap = probabilistic_laplacian(lazy)
+    for w in range(lazy.n):
+        assert_hamiltonian_spectra_match_eigvalsh(lap, w, np.geomspace(1e-6, 1e9, 16))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
     g, lap, _ = cartesian_power(path_graph(0.4), d)

@@ -293,6 +293,29 @@ def test_scans_reject_too_few_grid_points(grid_points):
         find_gamma_critical(g, 0, "E", grid_points=grid_points)
 
 
+@pytest.mark.parametrize(
+    "search_call, match",
+    [
+        (lambda g: find_gamma_critical(g, 0, "E", (3.0, 1.0)), "gamma_range"),
+        (lambda g: find_gamma_critical(g, 0, "E", grid_points=1), "grid_points"),
+        (lambda g: find_gamma_critical(g, 0, "x"), "unknown crossing kind"),
+        (lambda g: gamma_critical_points(g, 0, (0.0, 1.0)), "gamma_range"),
+        (lambda g: gamma_critical_points(g, 0, grid_points=1), "grid_points"),
+        (lambda g: optimize_search(g, 0, (3.0, 1.0)), "gamma_range"),
+    ],
+    ids=["find-range", "find-grid", "find-kind", "points-range", "points-grid", "optimize-range"],
+)
+def test_searches_reject_bad_arguments_before_the_setup(monkeypatch, search_call, match):
+    # a graph that is not a product is set up by a dense n x n eigh, which a
+    # bad argument must not wait for
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
+    with pytest.raises(ValueError, match=match):
+        search_call(complete_graph(6))
+    assert sizes == []
+
+
 def test_energy_levels_lipschitz_in_gamma():
     # dE/dgamma is a Laplacian expectation value, hence inside [0, 2]
     _, lap, _ = cartesian_power(path_graph(0.3), 2)
