@@ -8,9 +8,10 @@
 Runs each subcommand (spectrum, tables, optimize and the four figure kinds)
 on small d=2 path powers with p in {0.4, 0.91}, plus the complete graph on 8
 vertices where the command accepts it, one spectrum of the d=3 product (64
-vertices) at p=0.91, one ``tables`` run of the d=4 product (256 vertices)
-with p in {0.91, 0.4} on the benchmark's tables-d4 grid (60 scan points, 500
-time points), and one ``tables`` run of the d=3 product at the interior
+vertices) at p=0.91, one of the d=5 product (1024 vertices, a 1M-cell
+``laplacian.csv``) at p=0.5 as in the benchmark's spectrum-d5 workload, one
+``tables`` run of the d=4 product (256 vertices) with p in {0.91, 0.4} on the
+benchmark's tables-d4 grid (60 scan points, 500 time points), and one ``tables`` run of the d=3 product at the interior
 target 21, axis coordinates (1, 1, 1), where every other run targets the
 corner (0, 0, ...).  Each run goes through ``qwsearch.cli.main`` from the
 ``src/`` next to this script.  It prints one ``sha256  file`` line per output,
@@ -51,6 +52,7 @@ RUNS = [
     ("spectrum-p0.91", ["spectrum"], PATH | {"graph.p": 0.91}),
     ("spectrum-complete", ["spectrum"], COMPLETE | {"spectrum.gamma_values": [0.875, 2.0]}),
     ("spectrum-d3", ["spectrum"], PATH | {"graph.d": 3, "graph.p": 0.91}),
+    ("spectrum-d5", ["spectrum"], PATH | {"graph.d": 5, "graph.p": 0.5, "spectrum.gamma_values": [1.0]}),
     ("tables", ["tables"], PATH | BOTH_P | {"sweep.gamma_points": 120, "sweep.t_points": 400}),
     ("tables-threads2", ["tables", "--threads", "2"],
      PATH | BOTH_P | {"sweep.gamma_points": 120, "sweep.t_points": 400}),

@@ -146,7 +146,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if 4**cfg.d > PRODUCT_SIZE_CAP:
             raise ConfigError(f"graph.d: 4^{cfg.d} vertices exceeds the cap {PRODUCT_SIZE_CAP}")
     else:
-        cfg.n_complete = _want(raw, "graph.N", int, None, lambda v: v >= 2, "an integer >= 2")
+        describe = f"an integer from 2 to the cap {PRODUCT_SIZE_CAP}"
+        cfg.n_complete = _want(raw, "graph.N", int, None, lambda v: 2 <= v <= PRODUCT_SIZE_CAP, describe)
         if cfg.n_complete is None:
             raise ConfigError("graph.N: required for family 'complete'")
 
@@ -155,8 +156,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"target.vertex: expected 'corner' or a vertex index, got {target!r}")
     cfg.target = target
 
-    cfg.gamma_min = _want(raw, "sweep.gamma_min", float, None, lambda v: v > 0, "a positive real")
-    cfg.gamma_max = _want(raw, "sweep.gamma_max", float, None, lambda v: v > 0, "a positive real")
+    # 0 < v < inf is False for NaN as well
+    cfg.gamma_min = _want(raw, "sweep.gamma_min", float, None, lambda v: 0 < v < np.inf, "a positive finite real")
+    cfg.gamma_max = _want(raw, "sweep.gamma_max", float, None, lambda v: 0 < v < np.inf, "a positive finite real")
     lo, hi = _scan_range(cfg)
     if lo >= hi:
         raise ConfigError(f"sweep.gamma_min: must be below sweep.gamma_max, got the range ({lo}, {hi})")
@@ -171,8 +173,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(gv, list) or not gv:
         raise ConfigError(f"spectrum.gamma_values: expected a non-empty list, got {gv!r}")
     for v in gv:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"spectrum.gamma_values: entries must be positive reals, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+            raise ConfigError(f"spectrum.gamma_values: entries must be positive finite reals, got {v!r}")
     cfg.spectrum_gammas = [float(v) for v in gv]
 
     cfg.volume_p_min = _want(raw, "volume.p_min", float, 0.05, lambda v: 0 < v < 1, "a real in (0, 1)")
@@ -247,28 +249,31 @@ def _write_schema(out: Path, kind: str, columns: list[tuple[str, str]]) -> None:
 def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     """Row-major headerless CSV dump with 17 significant digits.
 
-    Written a row at a time.  A row starts as +0.0 cells, and only its
-    nonzero bit patterns are formatted, each distinct one once across the
-    matrix, so -0.0 keeps its own text.  Each row reaches _write_csv as one
-    pre-joined cell, which skips its per-cell type check.
+    Written a row at a time.  Only the nonzero bit patterns are formatted,
+    each distinct one once across the matrix, so -0.0 keeps its own text, and
+    the +0.0 cells between them are written as runs.  Each row reaches
+    _write_csv as one pre-joined cell, which skips its per-cell type check.
     """
-    zero = _fmt(0.0)
+    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
+    rows, cols = np.nonzero(bits)
+    keys = bits[rows, cols]
+    ends = np.searchsorted(rows, np.arange(bits.shape[0] + 1)).tolist()
+    zero = _fmt(0.0) + ","
     text: dict[int, str] = {}
 
-    def rows():
-        for row in matrix:
-            row = np.ascontiguousarray(row, dtype=float)
-            bits = row.view(np.int64)
-            nonzero = np.flatnonzero(bits)
-            cells = [zero] * row.size
-            for j, key, value in zip(nonzero.tolist(), bits[nonzero].tolist(), row[nonzero].tolist()):
+    def lines():
+        for lo, hi in zip(ends, ends[1:]):
+            cells, before = [], -1
+            for j, key in zip(cols[lo:hi].tolist(), keys[lo:hi].tolist()):
                 cell = text.get(key)
                 if cell is None:
-                    cell = text[key] = _fmt(value)
-                cells[j] = cell
-            yield [",".join(cells)]
+                    cell = text[key] = _fmt(np.int64(key).view(float)) + ","
+                cells.append(zero * (j - before - 1) + cell)
+                before = j
+            # every cell ends in a comma, and the last one's is dropped
+            yield [("".join(cells) + zero * (bits.shape[1] - before - 1))[:-1]]
 
-    _write_csv(path, None, rows())
+    _write_csv(path, None, lines())
 
 
 # ---------------------------------------------------------------------------

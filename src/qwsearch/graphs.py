@@ -9,8 +9,9 @@ in the mu-weighted inner product; its total mass is the graph volume.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -27,6 +28,9 @@ class TransitionGraph:
 
     ``weights`` maps ordered pairs (x, y) to p(x, y); pairs without an edge
     are absent.  Stored weights lie in (0, 1] and every row sums to one.
+    Every check and assembly reads ``weights`` through ``_edges``, and the
+    check runs once (``_tree``), so ``weights`` must not change after the
+    graph is made.
     """
 
     n: int
@@ -36,10 +40,43 @@ class TransitionGraph:
     axis: "TransitionGraph | None" = None
 
     def transition_matrix(self) -> np.ndarray:
+        sources, targets, p = self._edges
         P = np.zeros((self.n, self.n))
-        for (x, y), p in self.weights.items():
-            P[x, y] = p
+        P[sources, targets] = p
         return P
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sources, targets and weights of the edges, in ``weights`` order, as read-only arrays."""
+        m = len(self.weights)
+        ends = np.fromiter(chain.from_iterable(self.weights), dtype=np.intp, count=2 * m).reshape(m, 2)
+        p = np.fromiter(self.weights.values(), dtype=float, count=m)
+        ends.flags.writeable = p.flags.writeable = False
+        return ends[:, 0], ends[:, 1], p
+
+    @cached_property
+    def _tree(self) -> list[np.ndarray]:
+        """Breadth-first tree from vertex 0 (see ``_bfs_tree``) of a graph checked to be a walk.
+
+        Raises ValueError unless every weight lies in (0, 1], every row sums to
+        one and the graph is strongly connected.  Each graph is checked once.
+        """
+        sources, targets, p = self._edges
+        bad = np.flatnonzero(~((0.0 < p) & (p <= 1.0)))
+        if bad.size:
+            x, y = int(sources[bad[0]]), int(targets[bad[0]])
+            raise ValueError(f"edge weight p({x},{y})={self.weights[(x, y)]} outside (0, 1]")
+        # bincount adds in input order, so each sum has the bits of a loop over the
+        # edges; with no edges at all it gives integer zeros
+        row_sums = np.bincount(sources, weights=p, minlength=self.n).astype(float)
+        if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
+            bad = int(np.abs(row_sums - 1.0).argmax())
+            raise ValueError(f"row {bad} of the transition matrix sums to {row_sums[bad]}")
+        # every vertex is reached from 0, and reaches it
+        tree, back_tree = (_bfs_tree(self.n, a, b) for a, b in ((sources, targets), (targets, sources)))
+        if min(sum(map(len, tree)), sum(map(len, back_tree))) < self.n - 1:
+            raise ValueError("graph is not strongly connected")
+        return tree
 
 
 @dataclass(frozen=True)
@@ -59,38 +96,32 @@ class Laplacian:
     measure: VertexMeasure
 
 
-def _validate_graph(g: TransitionGraph) -> None:
-    row_sums = np.zeros(g.n)
-    for (x, y), p in g.weights.items():
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"edge weight p({x},{y})={p} outside (0, 1]")
-        row_sums[x] += p
-    if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
-        bad = int(np.abs(row_sums - 1.0).argmax())
-        raise ValueError(f"row {bad} of the transition matrix sums to {row_sums[bad]}")
-    if not _strongly_connected(g):
-        raise ValueError("graph is not strongly connected")
+def _bfs_tree(n: int, sources: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
+    """Breadth-first tree from vertex 0: per level, the edges that first reach its vertices.
 
-
-def _strongly_connected(g: TransitionGraph) -> bool:
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    bwd: list[list[int]] = [[] for _ in range(g.n)]
-    for x, y in g.weights:
-        fwd[x].append(y)
-        bwd[y].append(x)
-
-    def reaches_all(adj):
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            u = todo.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return len(seen) == g.n
-
-    return reaches_all(fwd) and reaches_all(bwd)
+    Each vertex's edges are taken by ascending target and the vertices of a
+    level in the order they were reached, so a queue over sorted adjacency
+    lists reaches the same vertices by the same edges in the same order.
+    """
+    # stable sorts run in near-linear time on the sorted keys most graphs store
+    order = np.argsort(sources * n + targets, kind="stable")
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(sources, minlength=n), out=start[1:])
+    seen = np.arange(n) == 0
+    frontier = np.zeros(1, dtype=np.intp)
+    levels = []
+    while frontier.size:
+        count = start[frontier + 1] - start[frontier]
+        # positions in order of the frontier's edges, one vertex after another
+        at = np.arange(count.sum()) + np.repeat(start[frontier] - np.cumsum(count) + count, count)
+        edges = order[at]
+        edges = edges[~seen[targets[edges]]]
+        _, first = np.unique(targets[edges], return_index=True)
+        edges = edges[np.sort(first)]
+        seen[targets[edges]] = True
+        levels.append(edges)
+        frontier = targets[edges]
+    return levels
 
 
 def path_graph(p: float) -> TransitionGraph:
@@ -110,7 +141,7 @@ def path_graph(p: float) -> TransitionGraph:
         (3, 2): 1.0,
     }
     g = TransitionGraph(4, weights, "path", {"p": p})
-    _validate_graph(g)
+    g._tree  # checks the walk
     return g
 
 
@@ -118,10 +149,9 @@ def complete_graph(n: int) -> TransitionGraph:
     """Complete graph on n >= 2 vertices with uniform transition weights."""
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
-    w = 1.0 / (n - 1)
-    weights = {(x, y): w for x in range(n) for y in range(n) if x != y}
+    weights = dict.fromkeys(permutations(range(n), 2), 1.0 / (n - 1))
     g = TransitionGraph(n, weights, "complete", {"N": n})
-    _validate_graph(g)
+    g._tree  # checks the walk
     return g
 
 
@@ -132,40 +162,36 @@ def kolmogorov_measure(g: TransitionGraph) -> VertexMeasure:
     tree from vertex 0, then verifies detailed balance on every edge.  Raises
     CycleInconsistency when the walk is not reversible.
     """
-    _validate_graph(g)
+    tree = g._tree
+    sources, targets, p = g._edges
+    # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
+    key, back_key = sources * g.n + targets, targets * g.n + sources
+    order = np.argsort(key, kind="stable")
+    back = order[np.minimum(np.searchsorted(key[order], back_key), key.size - 1)]
+    reversible = key[back] == back_key
     mu = np.full(g.n, np.nan)
     mu[0] = 1.0
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for x, y in g.weights:
-        adj[x].append(y)
-    for nbrs in adj:
-        nbrs.sort()
-    todo = deque([0])
-    while todo:
-        x = todo.popleft()
-        for y in adj[x]:
-            if not np.isnan(mu[y]):
-                continue
-            mu[y] = mu[x] * g.weights[(x, y)] / _reverse_weight(g, x, y)
-            todo.append(y)
-    for (x, y), p in g.weights.items():
-        flow = mu[x] * p
-        back_flow = mu[y] * _reverse_weight(g, x, y)
-        if abs(flow - back_flow) > BALANCE_TOL * max(abs(flow), abs(back_flow)):
-            raise CycleInconsistency(
-                f"detailed balance fails on edge ({x},{y}): "
-                f"{flow} vs {back_flow}"
-            )
+    for level in tree:
+        one_way = level[~reversible[level]]
+        if one_way.size:
+            raise _one_way(sources[one_way[0]], targets[one_way[0]])
+        mu[targets[level]] = mu[sources[level]] * p[level] / p[back[level]]
+    flow, back_flow = mu[sources] * p, mu[targets] * p[back]
+    unbalanced = np.abs(flow - back_flow) > BALANCE_TOL * np.maximum(np.abs(flow), np.abs(back_flow))
+    bad = np.flatnonzero(~reversible | unbalanced)
+    if bad.size:
+        i = bad[0]
+        if not reversible[i]:
+            raise _one_way(sources[i], targets[i])
+        raise CycleInconsistency(
+            f"detailed balance fails on edge ({sources[i]},{targets[i]}): "
+            f"{flow[i]} vs {back_flow[i]}"
+        )
     return VertexMeasure(mu, float(mu.sum()))
 
 
-def _reverse_weight(g: TransitionGraph, x: int, y: int) -> float:
-    back = g.weights.get((y, x))
-    if back is None:
-        raise CycleInconsistency(
-            f"edge ({x},{y}) has no reverse edge; walk is not reversible"
-        )
-    return back
+def _one_way(x, y) -> CycleInconsistency:
+    return CycleInconsistency(f"edge ({x},{y}) has no reverse edge; walk is not reversible")
 
 
 def probabilistic_laplacian(
@@ -174,26 +200,24 @@ def probabilistic_laplacian(
     """Assemble I - P for g, validating self-adjointness under the measure."""
     if measure is None:
         measure = kolmogorov_measure(g)
-    # I - P in the one dense array: 0.0 - p keeps +0.0 where -p would give -0.0
-    delta = g.transition_matrix()
-    np.subtract(0.0, delta, out=delta)
+    sources, targets, p = g._edges
+    # 0.0 - p, not -p, so a zero weight would give +0.0 like every cell off the edges
+    delta = np.zeros((g.n, g.n))
+    delta[sources, targets] = 0.0 - p
     delta.flat[:: g.n + 1] += 1.0
-    _check_self_adjoint(delta, measure.mu)
+    _check_self_adjoint(delta, measure.mu, sources, targets)
     return Laplacian(delta, g, measure)
 
 
-_CHECK_ROWS = 128
-
-
-def _check_self_adjoint(delta: np.ndarray, mu: np.ndarray) -> None:
-    # M Delta is compared with its transpose a block of rows at a time, so no
-    # second n x n array is allocated
-    skew = scale = 0.0
-    for i in range(0, delta.shape[0], _CHECK_ROWS):
-        rows = mu[i : i + _CHECK_ROWS, None] * delta[i : i + _CHECK_ROWS]
-        cols = (mu[:, None] * delta[:, i : i + _CHECK_ROWS]).T
-        skew = max(skew, float(np.abs(rows - cols).max()))
-        scale = max(scale, float(np.abs(rows).max()))
+def _check_self_adjoint(
+    delta: np.ndarray, mu: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> None:
+    # M Delta is compared with its transpose at the edges alone: every other
+    # entry of both is an exact zero, and the diagonal is symmetric as it stands
+    rows = mu[sources] * delta[sources, targets]
+    cols = mu[targets] * delta[targets, sources]
+    skew = float(np.abs(rows - cols).max(initial=0.0))
+    scale = float(max(np.abs(rows).max(initial=0.0), np.abs(mu * np.diagonal(delta)).max()))
     if skew > 1e-12 * max(scale, 1.0):
         raise CycleInconsistency(
             f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent"
@@ -274,7 +298,7 @@ def cartesian_power(
 
     params = {"d": d, "axis_n": g.n, "base": g.family, **g.params}
     gd = TransitionGraph(n, weights, "product", params, axis=g)
-    _validate_graph(gd)
+    gd._tree  # checks the walk
     measure = _product_measure(g, d)
     return gd, probabilistic_laplacian(gd, measure), measure
 
@@ -303,9 +327,8 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
     # the measure behind the volume; for a product, the one cartesian_power gives it
     mu = _product_measure(axis, d).mu
 
-    out_degree = np.zeros(axis.n, dtype=int)
-    for x, _ in axis.weights:
-        out_degree[x] += 1
+    sources, _, p = axis._edges
+    out_degree = np.bincount(sources, minlength=axis.n)
     interior_mask = _power_outer(np.logical_and, True, [out_degree > 1] * d)
     interior = mu[interior_mask]
     if interior.size == 0:
@@ -315,7 +338,7 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
         i_min, i_max = float(interior.min()), float(interior.max())
         constant = (i_max - i_min) <= 1e-12 * max(i_max, 1.0)
 
-    homogeneous = _rows_uniform(axis)
+    homogeneous = not (np.abs(p - 1.0 / out_degree[sources]) > 1e-12).any()
     return InteriorMeasureProfile(
         interior_min=i_min,
         interior_max=i_max,
@@ -325,13 +348,3 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
         graph_max=float(mu.max()),
     )
 
-
-def _rows_uniform(g: TransitionGraph) -> bool:
-    by_row: dict[int, list[float]] = {}
-    for (x, _), p in g.weights.items():
-        by_row.setdefault(x, []).append(p)
-    for ps in by_row.values():
-        target = 1.0 / len(ps)
-        if any(abs(p - target) > 1e-12 for p in ps):
-            return False
-    return True

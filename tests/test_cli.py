@@ -13,7 +13,7 @@ import qwsearch
 from qwsearch import cli, search
 from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
-from qwsearch.graphs import cartesian_power, complete_graph, path_graph, probabilistic_laplacian
+from qwsearch.graphs import PRODUCT_SIZE_CAP, cartesian_power, complete_graph, path_graph, probabilistic_laplacian
 from qwsearch.search import optimize_search
 from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
 
@@ -98,6 +98,37 @@ def test_graph_d_above_cap_exits_2(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", cfg]) == 2
     assert "graph.d" in capsys.readouterr().err
     assert parse_config(base_path_config(tmp_path / "out") | {"graph.d": 6}).d == 6
+
+
+@pytest.mark.parametrize(
+    "command,extra,flags,key",
+    [
+        ("spectrum", {"spectrum.gamma_values": [float("nan")]}, [], "spectrum.gamma_values"),
+        ("spectrum", {"spectrum.gamma_values": [1.0, float("inf")]}, [], "spectrum.gamma_values"),
+        ("tables", {"sweep.gamma_max": float("inf")}, [], "sweep.gamma_max"),
+        ("tables", {"sweep.gamma_min": float("nan")}, [], "sweep.gamma_min"),
+        ("optimize", {}, ["--gamma-max", "inf"], "sweep.gamma_max"),
+        ("optimize", {}, ["--gamma-min", "nan"], "sweep.gamma_min"),
+    ],
+)
+def test_non_finite_floats_exit_2_with_one_line(tmp_path, capsys, command, extra, flags, key):
+    # json reads the literals NaN and Infinity, and argparse's float reads "inf" and "nan"
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | extra)
+    if extra:
+        assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text()
+    assert cli.main([command, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize("n", [PRODUCT_SIZE_CAP + 1, 100000])
+def test_graph_n_above_cap_exits_2_before_any_build(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "complete_graph", lambda *args: pytest.fail("a graph was built"))
+    cfg = write_config(tmp_path, {"graph.family": "complete", "graph.N": n, "output.path": str(tmp_path / "out")})
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: graph.N: ")
+    assert parse_config({"graph.family": "complete", "graph.N": PRODUCT_SIZE_CAP}).n_complete == PRODUCT_SIZE_CAP
 
 
 @pytest.mark.parametrize("command", ["spectrum", "optimize"])
@@ -712,11 +743,13 @@ def per_row_matrix_csv(path, matrix):
             fh.write(",".join(cells[inverse].tolist()) + "\n")
 
 
-@pytest.mark.parametrize("kind", ["lattice", "signed zeros", "dense"])
+@pytest.mark.parametrize("kind", ["lattice", "lattice d5", "signed zeros", "dense"])
 def test_export_matrix_csv_matches_the_per_row_formatter(tmp_path, kind):
     rng = np.random.default_rng(3)
     if kind == "lattice":
         matrix = cartesian_power(path_graph(0.91), 3)[1].matrix
+    elif kind == "lattice d5":
+        matrix = cartesian_power(path_graph(0.5), 5)[1].matrix
     elif kind == "signed zeros":
         matrix = np.array([[0.0, -0.0, 0.0, -0.0, 2.5, -0.0], [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0]])
     else:

@@ -1,12 +1,18 @@
 import itertools
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsearch.errors import CycleInconsistency, NonSymmetrizable
 from qwsearch.graphs import (
+    BALANCE_TOL,
+    STOCHASTIC_TOL,
     TransitionGraph,
+    _check_self_adjoint,
     cartesian_power,
     complete_graph,
     interior_measure_profile,
@@ -332,3 +338,256 @@ def test_corner_targets_equivalent_spectra():
     e_first = decompose(SearchHamiltonian(0.9, 0, lap)).eigenvalues
     e_last = decompose(SearchHamiltonian(0.9, g.n - 1, lap)).eigenvalues
     np.testing.assert_allclose(e_first, e_last, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the per-edge loops the edge arrays replaced, kept as oracles
+
+
+def loop_transition_matrix(g):
+    P = np.zeros((g.n, g.n))
+    for (x, y), p in g.weights.items():
+        P[x, y] = p
+    return P
+
+
+def loop_laplacian(g):
+    delta = loop_transition_matrix(g)
+    np.subtract(0.0, delta, out=delta)
+    delta.flat[:: g.n + 1] += 1.0
+    return delta
+
+
+def loop_validate_graph(g):
+    row_sums = np.zeros(g.n)
+    for (x, y), p in g.weights.items():
+        if not (0.0 < p <= 1.0):
+            raise ValueError(f"edge weight p({x},{y})={p} outside (0, 1]")
+        row_sums[x] += p
+    if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
+        bad = int(np.abs(row_sums - 1.0).argmax())
+        raise ValueError(f"row {bad} of the transition matrix sums to {row_sums[bad]}")
+    if not loop_strongly_connected(g):
+        raise ValueError("graph is not strongly connected")
+
+
+def loop_strongly_connected(g):
+    fwd = [[] for _ in range(g.n)]
+    bwd = [[] for _ in range(g.n)]
+    for x, y in g.weights:
+        fwd[x].append(y)
+        bwd[y].append(x)
+
+    def reaches_all(adj):
+        seen = {0}
+        todo = deque([0])
+        while todo:
+            u = todo.popleft()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return len(seen) == g.n
+
+    return reaches_all(fwd) and reaches_all(bwd)
+
+
+def loop_reverse_weight(g, x, y):
+    back = g.weights.get((y, x))
+    if back is None:
+        raise CycleInconsistency(f"edge ({x},{y}) has no reverse edge; walk is not reversible")
+    return back
+
+
+def loop_kolmogorov_measure(g):
+    loop_validate_graph(g)
+    mu = np.full(g.n, np.nan)
+    mu[0] = 1.0
+    adj = [[] for _ in range(g.n)]
+    for x, y in g.weights:
+        adj[x].append(y)
+    for nbrs in adj:
+        nbrs.sort()
+    todo = deque([0])
+    while todo:
+        x = todo.popleft()
+        for y in adj[x]:
+            if not np.isnan(mu[y]):
+                continue
+            mu[y] = mu[x] * g.weights[(x, y)] / loop_reverse_weight(g, x, y)
+            todo.append(y)
+    for (x, y), p in g.weights.items():
+        flow = mu[x] * p
+        back_flow = mu[y] * loop_reverse_weight(g, x, y)
+        if abs(flow - back_flow) > BALANCE_TOL * max(abs(flow), abs(back_flow)):
+            raise CycleInconsistency(f"detailed balance fails on edge ({x},{y}): {flow} vs {back_flow}")
+    return mu
+
+
+def blockwise_check_self_adjoint(delta, mu, block=128):
+    skew = scale = 0.0
+    for i in range(0, delta.shape[0], block):
+        rows = mu[i : i + block, None] * delta[i : i + block]
+        cols = (mu[:, None] * delta[:, i : i + block]).T
+        skew = max(skew, float(np.abs(rows - cols).max()))
+        scale = max(scale, float(np.abs(rows).max()))
+    if skew > 1e-12 * max(scale, 1.0):
+        raise CycleInconsistency(f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent")
+
+
+def outcome(f, *args):
+    """What f returns, with arrays as their bytes, or the type and text of what it raises."""
+    try:
+        result = f(*args)
+    except (ValueError, CycleInconsistency) as exc:
+        return type(exc), str(exc)
+    return result.tobytes() if isinstance(result, np.ndarray) else "ok"
+
+
+GRAPH_KINDS = ["reversible", "not reversible", "not strongly connected", "row sum off", "missing reverse edge"]
+
+
+@st.composite
+def weighted_digraphs(draw, kind):
+    """A random weighted digraph of one kind, its edges stored in a shuffled order.
+
+    Reversible walks come from symmetric conductances c(x, y) = c(y, x) > 0,
+    with p(x, y) = c(x, y) / sum_z c(x, z); the others break that on purpose.
+    """
+    split = kind == "not strongly connected"
+    n = draw(st.integers(min_value=4 if split else 2, max_value=12))
+    # vertices below cut and from cut on: two parts, each spanned by a tree
+    cut = n // 2 if split else n
+    conductance = st.floats(min_value=0.01, max_value=10.0)
+    pairs = {(draw(st.integers(0 if y < cut else cut, y - 1)), y) for y in range(1, n) if y != cut}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs |= {(min(x, y), max(x, y)) for x, y in extra if (x < cut) == (y < cut)}
+    c = {pair: draw(conductance) for pair in sorted(pairs)}
+    edges = {}
+    for (x, y), w in c.items():
+        edges[(x, y)] = w
+        edges[(y, x)] = w if kind != "not reversible" else draw(conductance)
+    if split:
+        edges[(0, cut)] = draw(conductance)  # one way from the first part to the second
+    if kind == "missing reverse edge":
+        one_way = [e for e in sorted(edges) if e[0] != e[1]]
+        for e in draw(st.lists(st.sampled_from(one_way), min_size=1, max_size=3, unique=True)):
+            edges.pop(e)
+    totals = np.zeros(n)
+    for (x, _), w in edges.items():
+        totals[x] += w
+    weights = {(x, y): w / totals[x] for (x, y), w in edges.items()}
+    if kind == "row sum off":
+        x, y = draw(st.sampled_from(sorted(weights)))
+        # a weight of 1 raised past 1 is out of range before its row sum is off
+        weights[(x, y)] *= 1.0 + draw(st.sampled_from([-1e-3, -1e-9, -2e-12, 2e-12, 1e-9]))
+    order = draw(st.permutations(sorted(weights)))
+    return TransitionGraph(n, {e: weights[e] for e in order}, "custom")
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_array_checks_match_the_loop_oracles(kind, data):
+    g = data.draw(weighted_digraphs(kind))
+    assert g.transition_matrix().tobytes() == loop_transition_matrix(g).tobytes()
+    assert outcome(lambda: g._tree and None) == outcome(loop_validate_graph, g)
+    # the verdict, the exception type and message, or mu to the bit
+    assert outcome(lambda: kolmogorov_measure(g).mu) == outcome(loop_kolmogorov_measure, g)
+    if kind == "reversible":
+        assert isinstance(outcome(lambda: kolmogorov_measure(g).mu), bytes)
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_self_adjoint_check_matches_the_blockwise_oracle(kind, data):
+    g = data.draw(weighted_digraphs(kind))
+    delta = loop_laplacian(g)
+    mu = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=g.n, max_size=g.n)))
+    if data.draw(st.booleans()):
+        # the measure, scaled up and nudged near the 1e-12 relative limit at one vertex
+        try:
+            mu = loop_kolmogorov_measure(g) * data.draw(st.sampled_from([1.0, 30.0, 1e4]))
+        except (ValueError, CycleInconsistency):
+            pass
+        mu[data.draw(st.integers(0, g.n - 1))] *= 1.0 + data.draw(st.floats(0.0, 2e-11))
+    sources, targets, _ = g._edges
+    assert outcome(_check_self_adjoint, delta, mu, sources, targets) == outcome(
+        blockwise_check_self_adjoint, delta, mu
+    )
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_measure_follows_the_queue_order_of_the_bfs(reversible):
+    # a walk round the ring 0-1-5-4-3-2: the queue reaches 5 before 3 (from 1,
+    # then from 2), so 4 takes its measure from 5, where a level taken in
+    # vertex order would take it from 3
+    ring = [0, 1, 5, 4, 3, 2]
+    ahead = [0.3, 0.7, 0.4, 0.6, 0.2, 0.8 if reversible else 0.9]
+    weights = {}
+    for k, x in enumerate(ring):
+        weights[(x, ring[(k + 1) % 6])] = ahead[k]
+        weights[(x, ring[k - 1])] = 1.0 - ahead[k]
+    g = TransitionGraph(6, weights, "custom")
+    expected = outcome(loop_kolmogorov_measure, g)
+    assert isinstance(expected, bytes) == reversible
+    assert outcome(lambda: kolmogorov_measure(g).mu) == expected
+
+
+def test_measure_names_the_first_one_way_edge_of_the_tree():
+    # both tree edges (0, 2) and (0, 3) lack a reverse; the queue meets (0, 2)
+    # first, while the detailed-balance pass, in weights order, would meet (0, 3)
+    third = 1.0 / 3.0
+    weights = {
+        (0, 1): third, (0, 3): third, (0, 2): third,
+        (1, 0): third, (1, 2): third, (1, 3): third,
+        (2, 1): 1.0, (3, 1): 1.0,
+    }
+    g = TransitionGraph(4, weights, "custom")
+    message = "edge (0,2) has no reverse edge; walk is not reversible"
+    assert outcome(loop_kolmogorov_measure, g) == (CycleInconsistency, message)
+    assert outcome(lambda: kolmogorov_measure(g).mu) == outcome(loop_kolmogorov_measure, g)
+
+
+def test_self_adjoint_scale_includes_the_diagonal():
+    # the largest |mu Delta| entry is mu(1) Delta(1, 1) = 2000, twice any edge
+    # entry; a skew of 1.5e-9 passes against it and would fail against 1000
+    g = path_graph(0.5)
+    mu = np.array([1000.0 + 1.5e-9, 2000.0, 2000.0, 1000.0])
+    delta = loop_laplacian(g)
+    sources, targets, _ = g._edges
+    assert outcome(blockwise_check_self_adjoint, delta, mu) == "ok"
+    assert outcome(_check_self_adjoint, delta, mu, sources, targets) == "ok"
+
+
+def test_self_adjoint_check_crosses_blocks_like_the_oracle():
+    # 256 vertices: the oracle's 128-row blocks both see the defect of edge (0, 255)
+    g = complete_graph(256)
+    delta = loop_laplacian(g)
+    mu = np.ones(g.n)
+    mu[255] = 1.0 + 1e-9
+    sources, targets, _ = g._edges
+    expected = outcome(blockwise_check_self_adjoint, delta, mu)
+    assert expected[0] is CycleInconsistency
+    assert outcome(_check_self_adjoint, delta, mu, sources, targets) == expected
+
+
+def lazy_axis():
+    return TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda d=d: cartesian_power(path_graph(0.91), d) for d in range(1, 6)]
+    + [lambda d=d: cartesian_power(lazy_axis(), d) for d in range(1, 4)]
+    + [lambda n=n: (complete_graph(n),) for n in (2, 5, 64)],
+    ids=[f"lattice-d{d}" for d in range(1, 6)] + [f"lazy-d{d}" for d in range(1, 4)] + ["K2", "K5", "K64"],
+)
+def test_laplacian_bits_match_the_loop_assembly(build):
+    g = build()[0]
+    lap = probabilistic_laplacian(g)
+    assert lap.matrix.tobytes() == loop_laplacian(g).tobytes()
+    assert lap.measure.mu.tobytes() == loop_kolmogorov_measure(g).tobytes()
+    if g.family == "product":
+        assert build()[1].matrix.tobytes() == lap.matrix.tobytes()
