@@ -4,21 +4,33 @@ Configs are flat JSON objects with dotted keys (graph.family, graph.p,
 sweep.gamma_points, ...).  All numeric fields are validated before any
 computation starts, outputs are deterministic, and CSV floats carry 17
 significant digits so they round-trip exactly.
+
+A command loads only the layers it calls: the module imports the graph
+layer, and each command imports ``spectral`` and ``search`` when it needs
+them.  ``main`` also has the process skip the collector's sweep at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .graphs import (
+    GAMMA_RANGE_DEFAULT,
+    OPT_GAMMA_POINTS_DEFAULT,
+    OPT_T_POINTS_DEFAULT,
     PRODUCT_SIZE_CAP,
+    SCAN_POINTS_DEFAULT,
     Laplacian,
     TransitionGraph,
     _product_measure,
@@ -28,20 +40,10 @@ from .graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from .search import (
-    GAMMA_RANGE_DEFAULT,
-    OPT_GAMMA_POINTS_DEFAULT,
-    OPT_T_POINTS_DEFAULT,
-    SCAN_POINTS_DEFAULT,
-    GammaCriticalPoints,
-    SearchOptimum,
-    _grid_curve,
-    _optimum_window,
-    _time_ceiling,
-    gamma_critical_points,
-    optimize_search,
-)
-from .spectral import SecularSolver, SecularSpectrum
+
+if TYPE_CHECKING:
+    from .search import GammaCriticalPoints, SearchOptimum
+    from .spectral import SecularSolver, SecularSpectrum
 
 TABLE_COLUMNS = [
     "p",
@@ -281,6 +283,8 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
+    from .spectral import SecularSolver
+
     g, lap, measure, w = _build_graph(cfg, _single_p(cfg, "spectrum"))
 
     solver = SecularSolver(lap, w)
@@ -338,6 +342,8 @@ def _critical_and_optimum(
     cfg: ExperimentConfig, p: float, g: TransitionGraph, solver: SecularSolver, w: int
 ) -> tuple[GammaCriticalPoints, SearchOptimum]:
     """Critical couplings, then the optimum in the ``_optimum_window`` of gamma_E and the scan range."""
+    from .search import _optimum_window, gamma_critical_points, optimize_search
+
     scan = _scan_range(cfg)
     crit = gamma_critical_points(
         g, w, scan,
@@ -357,6 +363,8 @@ def _critical_and_optimum(
 
 
 def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
+    from .spectral import SecularSolver
+
     g, lap, measure, w = _build_graph(cfg, p)
     solver = SecularSolver(lap, w)
     crit, opt = _critical_and_optimum(cfg, p, g, solver, w)
@@ -446,6 +454,8 @@ def _secular_grid(
     cfg: ExperimentConfig, lap: Laplacian, w: int
 ) -> tuple[np.ndarray, list[SecularSpectrum]]:
     """The figure coupling grid and the secular spectrum at each point."""
+    from .spectral import SecularSolver
+
     lo, hi = _scan_range(cfg)
     grid = np.linspace(lo, hi, cfg.gamma_points or SCAN_POINTS_DEFAULT)
     return grid, SecularSolver(lap, w).solve_many(grid)
@@ -471,6 +481,8 @@ def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 
 def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
+    from .search import _grid_curve, _time_ceiling
+
     _, lap, measure, w = _build_graph(cfg, p)
     grid, spectra = _secular_grid(cfg, lap, w)
     reports = [spec.low_pair() for spec in spectra]
@@ -490,6 +502,9 @@ def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
 
 
 def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
+    from .search import _grid_curve
+    from .spectral import SecularSolver
+
     g, lap, _, w = _build_graph(cfg, p)
     solver = SecularSolver(lap, w)
     _, opt = _critical_and_optimum(cfg, p, g, solver, w)
@@ -530,6 +545,8 @@ def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
+    from .search import optimize_search
+
     g, lap, _, w = _build_graph(cfg, _single_p(cfg, "optimize"))
     # either configured end fixes the window (a missing end takes its default);
     # with neither, optimize_search centres the window on gamma_E
@@ -607,7 +624,19 @@ def _with_flags(raw, args: argparse.Namespace):
     return raw | {k: v for k, v in vars(args).items() if "." in k and v is not None}
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Freeze the collector at exit, once per process.
+
+    The interpreter's collections at shutdown would traverse every object the
+    imports left behind; frozen, those objects are skipped.  Until exit the
+    collector runs as usual.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

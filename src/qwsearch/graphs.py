@@ -9,9 +9,11 @@ in the mu-weighted inner product; its total mass is the graph volume.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,6 +23,13 @@ STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
 PRODUCT_SIZE_CAP = 4**6  # 4,096 vertices: 128 MiB per dense n x n matrix
 
+# The search layer's default coupling range and grid sizes.  They sit in this
+# layer, which every command loads, so a config is checked without the engine.
+GAMMA_RANGE_DEFAULT = (0.05, 3.0)
+SCAN_POINTS_DEFAULT = 600
+OPT_GAMMA_POINTS_DEFAULT = 200
+OPT_T_POINTS_DEFAULT = 4000
+
 
 @dataclass(frozen=True)
 class TransitionGraph:
@@ -29,15 +38,20 @@ class TransitionGraph:
     ``weights`` maps ordered pairs (x, y) to p(x, y); pairs without an edge
     are absent.  Stored weights lie in (0, 1] and every row sums to one.
     Every check and assembly reads ``weights`` through ``_edges``, and the
-    check runs once (``_tree``), so ``weights`` must not change after the
-    graph is made.
+    check runs once (``_tree``), so the graph keeps ``weights`` behind a
+    read-only view: the dict it is given becomes the graph's own, and must
+    not change afterwards.
     """
 
     n: int
-    weights: dict[tuple[int, int], float]
+    weights: Mapping[tuple[int, int], float]
     family: str
     params: dict = field(default_factory=dict)
     axis: "TransitionGraph | None" = None
+
+    def __post_init__(self):
+        if not isinstance(self.weights, MappingProxyType):
+            object.__setattr__(self, "weights", MappingProxyType(self.weights))
 
     def transition_matrix(self) -> np.ndarray:
         sources, targets, p = self._edges

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRootInRange, NotAtGammaE
-from .graphs import Laplacian, TransitionGraph, probabilistic_laplacian
+from .graphs import (
+    GAMMA_RANGE_DEFAULT,
+    OPT_GAMMA_POINTS_DEFAULT,
+    OPT_T_POINTS_DEFAULT,
+    SCAN_POINTS_DEFAULT,
+    Laplacian,
+    TransitionGraph,
+    probabilistic_laplacian,
+)
 from .spectral import (
     SearchHamiltonian,
     SecularSolver,
@@ -28,10 +36,6 @@ from .spectral import (
     decompose,
 )
 
-GAMMA_RANGE_DEFAULT = (0.05, 3.0)
-SCAN_POINTS_DEFAULT = 600
-OPT_GAMMA_POINTS_DEFAULT = 200
-OPT_T_POINTS_DEFAULT = 4000
 BISECTION_WIDTH = 1e-12
 TIE_TOL = 1e-9
 REFINE_DECADES = 2

@@ -354,6 +354,9 @@ _SECULAR_MAX_ITER = 200
 # Cells of one (couplings x roots x poles) array in a batched secular solve;
 # bounds the solve's working memory to a few such arrays of 8 bytes a cell.
 _BATCH_ELEMENTS = 1 << 16
+# A secular batch drops its settled cells only while its arrays hold this many
+# elements: below it, numpy's per-call cost outweighs the work a drop saves.
+_COMPACT_ELEMENTS = 1 << 12
 
 
 def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
@@ -570,7 +573,6 @@ class SecularSolver:
         origin = np.concatenate([first.astype(int), np.where(left, k - 1, k)], axis=1)
         lo = np.concatenate([first - 2.0, np.where(left, 0.0, -half)], axis=1)
         hi = np.concatenate([first, np.where(left, half, 0.0)], axis=1)
-        rows = np.arange(m)
         rel = gaps[batch, origin]  # rel[c, i, j] = pole j minus the origin pole of root i
         a_o = a[origin]
         # Each root starts at the root of a quadratic q2 tau^2 + q1 tau + q0 = 0
@@ -592,29 +594,49 @@ class SecularSolver:
             r1, r2 = big / q2, q0 / big
             tau = np.where(
                 (r1 > lo) & (r1 < hi), r1, np.where((r2 > lo) & (r2 < hi), r2, 0.5 * (lo + hi))
-            )
-            done = np.zeros((nb, m), dtype=bool)
+            ).reshape(-1)
+            # The iteration runs on one row of poles per (coupling, root) cell,
+            # over the cells in `live`.  Once at least half of them have
+            # settled, in arrays of _COMPACT_ELEMENTS or more, the settled ones
+            # are written back to tau and dropped.  A cell's arithmetic does
+            # not depend on the rows beside it, so its bits do not change.
+            live = np.arange(nb * m)
+            rel_l, orig_l, a_l = rel.reshape(-1, m), origin.reshape(-1), a_o.reshape(-1)
+            tau_l, lo_l, hi_l = tau, lo.reshape(-1), hi.reshape(-1)
+            done_l = np.zeros(live.size, dtype=bool)
+            cells = np.arange(live.size)
             for _ in range(_SECULAR_MAX_ITER):
-                diff = rel - tau[..., None]
+                diff = rel_l - tau_l[:, None]
                 q = a / diff
-                q[batch, rows, origin] = 0.0
+                q[cells, orig_l] = 0.0
                 r = q.sum(axis=-1) - 1.0
                 # f = -tau (G - 1) drops the origin pole: smooth across the root
-                f = a_o - tau * r
+                f = a_l - tau_l * r
                 # settled once f is within its own rounding error
-                settled = np.abs(f) <= 8.0 * eps * (a_o + np.abs(tau) * (np.abs(q).sum(axis=-1) + 1.0))
-                below = f * tau > 0.0  # G < 1: the root lies above tau
-                lo = np.where(below, tau, lo)
-                hi = np.where(below, hi, tau)
-                step = tau + f / (r + tau * (q / diff).sum(axis=-1))
+                settled = np.abs(f) <= 8.0 * eps * (a_l + np.abs(tau_l) * (np.abs(q).sum(axis=-1) + 1.0))
+                below = f * tau_l > 0.0  # G < 1: the root lies above tau
+                lo_l = np.where(below, tau_l, lo_l)
+                hi_l = np.where(below, hi_l, tau_l)
+                step = tau_l + f / (r + tau_l * (q / diff).sum(axis=-1))
                 new = np.where(
-                    settled, tau, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+                    settled, tau_l, np.where((step > lo_l) & (step < hi_l), step, 0.5 * (lo_l + hi_l))
                 )
-                converged = settled | (np.abs(new - tau) <= 4.0 * eps * np.abs(new))
-                tau = np.where(done, tau, new)
-                done |= converged
-                if done.all():
+                converged = settled | (np.abs(new - tau_l) <= 4.0 * eps * np.abs(new))
+                tau_l = np.where(done_l, tau_l, new)
+                done_l |= converged
+                n_done = np.count_nonzero(done_l)
+                if n_done == live.size:
                     break
+                if 2 * n_done >= live.size and live.size * m >= _COMPACT_ELEMENTS:
+                    tau[live] = tau_l
+                    pending = np.flatnonzero(~done_l)
+                    cells = cells[: pending.size]
+                    live, rel_l, orig_l, a_l = live[pending], rel_l[pending], orig_l[pending], a_l[pending]
+                    tau_l, lo_l, hi_l, done_l = tau_l[pending], lo_l[pending], hi_l[pending], done_l[pending]
+            tau[live] = tau_l
+            done = np.ones(nb * m, dtype=bool)
+            done[live] = done_l
+            tau, done = tau.reshape(nb, m), done.reshape(nb, m)
             gprime = (a / (rel - tau[..., None]) ** 2).sum(axis=-1)
             energies = gammas[:, None] * self.lams[origin] + tau
             w_sq = 1.0 / gprime

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qwsearch
-from qwsearch import cli, search
+from qwsearch import cli, search, spectral
 from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
 from qwsearch.graphs import PRODUCT_SIZE_CAP, cartesian_power, complete_graph, path_graph, probabilistic_laplacian
@@ -165,7 +165,7 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise DegenerateLowStates("forced")
 
-    monkeypatch.setattr(cli, "SecularSolver", boom)
+    monkeypatch.setattr(spectral, "SecularSolver", boom)
     cfg = write_config(tmp_path, base_path_config(tmp_path / "out"))
     assert cli.main(["spectrum", "--config", cfg]) == 3
 
@@ -489,16 +489,83 @@ def test_determinism_across_thread_counts(tmp_path):
     assert results["one"] == results["three"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency: the package must run without it
+def run_python(code: str) -> str:
+    """Stdout of a fresh interpreter that runs code against this package."""
     src = str(Path(qwsearch.__file__).resolve().parents[1])
-    code = "import sys, qwsearch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, timeout=60,
         env=os.environ | {"PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the package must run without it
+    code = "import sys, qwsearch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        (None, []),  # the import alone
+        (["figures", "--figure", "volume"], []),
+        (["spectrum"], ["qwsearch.spectral"]),
+        (["tables"], ["qwsearch.search", "qwsearch.spectral"]),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_calls(tmp_path, command, loaded):
+    code = "import sys\nfrom qwsearch import cli\n"
+    if command is not None:
+        cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"volume.p_points": 3})
+        code += f"assert cli.main({command + ['--config', cfg]!r}) == 0\n"
+    code += "print(sorted(m for m in sys.modules if m in ('qwsearch.search', 'qwsearch.spectral')))"
+    assert run_python(code).strip() == repr(loaded)
+
+
+def test_public_names_resolve_on_first_access():
+    code = (
+        "import sys, qwsearch\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qwsearch.')))\n"
+        "missing = [n for n in qwsearch.__all__ if n not in dir(qwsearch)]\n"
+        "print(missing, len(qwsearch.__all__) == len(set(qwsearch.__all__)))\n"
+        "print(all(getattr(qwsearch, n) is getattr(sys.modules[getattr(qwsearch, n).__module__], n)"
+        " for n in qwsearch.__all__))\n"
+    )
+    assert run_python(code).splitlines() == ["[]", "[] True", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        qwsearch.not_a_name
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    import atexit
+    import gc
+
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"volume.p_points": 3})
+    argv = ["figures", "--config", cfg, "--figure", "volume"]
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    handlers = atexit._ncallbacks()
+    assert cli.main(argv) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert atexit._ncallbacks() == handlers  # one exit freeze per process
+
+
+def test_cli_process_freezes_the_collector_at_exit(tmp_path):
+    # atexit runs its handlers last in, first out: this probe runs after the freeze
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"volume.p_points": 3})
+    argv = ["figures", "--config", cfg, "--figure", "volume"]
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "from qwsearch import cli\n"
+        "print('running', gc.get_freeze_count())\n"
+        f"assert cli.main({argv!r}) == 0\n"
+    )
+    (running, at_start), (frozen, at_exit) = (line.split() for line in run_python(code).splitlines())
+    assert (running, int(at_start)) == ("running", 0)
+    assert frozen == "frozen" and int(at_exit) > 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -542,7 +609,7 @@ def test_tables_d4_row_work_counts(tmp_path, monkeypatch):
     # curves for few of the optimizer's 242 couplings
     eighs = count_eigh(monkeypatch)
     solves, curves = [], []
-    solve_many, grid_curve = cli.SecularSolver.solve_many, search._grid_curve
+    solve_many, grid_curve = spectral.SecularSolver.solve_many, search._grid_curve
 
     def counted_solves(self, gammas):
         solves.append(len(gammas))
@@ -552,7 +619,7 @@ def test_tables_d4_row_work_counts(tmp_path, monkeypatch):
         curves.append(args[3])
         return grid_curve(*args)
 
-    monkeypatch.setattr(cli.SecularSolver, "solve_many", counted_solves)
+    monkeypatch.setattr(spectral.SecularSolver, "solve_many", counted_solves)
     monkeypatch.setattr(search, "_grid_curve", counted_curve)
     out = tmp_path / "out"
     cfg = write_config(
@@ -620,15 +687,15 @@ def test_certificate_agrees_with_the_dense_oracle(monkeypatch, config):
 def mutate_engine(monkeypatch, mutation):
     """Break the secular engine as a scratch check of the engine once did."""
     if mutation == "invisible levels dropped":
-        init = cli.SecularSolver.__init__
+        init = spectral.SecularSolver.__init__
 
         def dropped(self, lap, w):
             init(self, lap, w)
             self._invisible = self._invisible[:0]
 
-        monkeypatch.setattr(cli.SecularSolver, "__init__", dropped)
+        monkeypatch.setattr(spectral.SecularSolver, "__init__", dropped)
         return
-    solve_batch = cli.SecularSolver._solve_batch
+    solve_batch = spectral.SecularSolver._solve_batch
 
     def mutated(self, gammas):
         spectra = []
@@ -646,7 +713,7 @@ def mutate_engine(monkeypatch, mutation):
             spectra.append(spec)
         return spectra
 
-    monkeypatch.setattr(cli.SecularSolver, "_solve_batch", mutated)
+    monkeypatch.setattr(spectral.SecularSolver, "_solve_batch", mutated)
 
 
 @pytest.mark.parametrize(
@@ -678,7 +745,7 @@ def test_certificate_bounds_hold_against_dense_eigh():
         (probabilistic_laplacian(complete_graph(16)), [0.5, 0.9375, 2.0]),
     ]
     for lap, gammas in inputs:
-        solver = cli.SecularSolver(lap, 0)
+        solver = spectral.SecularSolver(lap, 0)
         for cert in solver.certify_low_pairs(lap, gammas):
             dense = overlaps_direct(SearchHamiltonian(cert.gamma, 0, lap))
             assert abs(dense.e0 - cert.report.e0) <= cert.residuals[0]
@@ -694,11 +761,11 @@ def test_certificate_sees_a_laplacian_it_does_not_stand_for():
     # shows in the residuals, and far enough off in the ordering
     _, lap, _ = cartesian_power(path_graph(0.5), 2)
     _, near, _ = cartesian_power(path_graph(0.5 + 1e-6), 2)
-    cert = cli.SecularSolver(near, 0).certify_low_pairs(lap, [1.0])[0]
+    cert = spectral.SecularSolver(near, 0).certify_low_pairs(lap, [1.0])[0]
     assert min(cert.residuals) > 1e-7
     _, far, _ = cartesian_power(path_graph(0.6), 2)
     with pytest.raises(ConvergenceFailure, match="cannot certify"):
-        cli.SecularSolver(far, 0).certify_low_pairs(lap, [1.0])
+        spectral.SecularSolver(far, 0).certify_low_pairs(lap, [1.0])
 
 
 @pytest.mark.parametrize(

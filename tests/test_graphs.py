@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from collections import deque
@@ -300,6 +301,19 @@ def test_row_not_summing_to_one_rejected():
     g = TransitionGraph(2, weights, "custom")
     with pytest.raises(ValueError, match="sums to"):
         probabilistic_laplacian(g)
+
+
+def test_weights_are_read_only():
+    # the edge arrays and the check are cached, so a stored weight must not change
+    g = TransitionGraph(2, {(0, 1): 1.0, (1, 0): 1.0}, "custom")
+    before = g.transition_matrix()
+    with pytest.raises(TypeError):
+        g.weights[(0, 1)] = 0.5
+    np.testing.assert_array_equal(g.transition_matrix(), before)
+    same = TransitionGraph(2, {(0, 1): 1.0, (1, 0): 1.0}, "custom")
+    assert g == same and g.weights == {(0, 1): 1.0, (1, 0): 1.0}
+    copy = dataclasses.replace(g, family="copy")
+    assert copy.weights is g.weights and copy.family == "copy"
 
 
 def test_interior_profile_homogeneous():

@@ -301,6 +301,27 @@ def test_solve_many_matches_solve_across_batch_chunks(monkeypatch):
     assert_batch_matches_lone_solves(solver, list(np.linspace(0.1, 2.5, 10)))
 
 
+@pytest.mark.parametrize(
+    "graph, w",
+    [
+        (lambda: cartesian_power(path_graph(0.91), 4)[1], 0),
+        (lambda: cartesian_power(path_graph(0.3), 3)[1], 21),
+        (lambda: probabilistic_laplacian(complete_graph(12)), 5),
+    ],
+)
+def test_dropping_settled_cells_keeps_every_bit(monkeypatch, graph, w):
+    # the iteration that never drops a cell is the reference for one that drops at every halving
+    solver = SecularSolver(graph(), w)
+    gammas = np.linspace(0.05, 3.0, 40)
+    monkeypatch.setattr(spectral, "_COMPACT_ELEMENTS", np.inf)
+    kept = solver.solve_many(gammas)
+    monkeypatch.setattr(spectral, "_COMPACT_ELEMENTS", 0)
+    dropped = solver.solve_many(gammas)
+    for a, b in zip(kept, dropped):
+        for name in SPECTRUM_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def first_error(calls):
     """Type and message of the first exception the calls raise in order, or None."""
     try:
