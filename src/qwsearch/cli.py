@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .graphs import (
+    COMPLETE_SIZE_CAP,
     GAMMA_RANGE_DEFAULT,
     OPT_GAMMA_POINTS_DEFAULT,
     OPT_T_POINTS_DEFAULT,
@@ -148,8 +149,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if 4**cfg.d > PRODUCT_SIZE_CAP:
             raise ConfigError(f"graph.d: 4^{cfg.d} vertices exceeds the cap {PRODUCT_SIZE_CAP}")
     else:
-        describe = f"an integer from 2 to the cap {PRODUCT_SIZE_CAP}"
-        cfg.n_complete = _want(raw, "graph.N", int, None, lambda v: 2 <= v <= PRODUCT_SIZE_CAP, describe)
+        describe = f"an integer from 2 to the cap {COMPLETE_SIZE_CAP}"
+        cfg.n_complete = _want(raw, "graph.N", int, None, lambda v: 2 <= v <= COMPLETE_SIZE_CAP, describe)
         if cfg.n_complete is None:
             raise ConfigError("graph.N: required for family 'complete'")
 

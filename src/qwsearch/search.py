@@ -258,7 +258,12 @@ def _require_range(gamma_range: tuple[float, float]) -> None:
 def _solver_for(
     graph: TransitionGraph, w: int, lap: Laplacian | None, solver: SecularSolver | None
 ) -> SecularSolver:
-    """The given solver, which must be for target w, or a new one for lap (or graph)."""
+    """The given solver, which must be for target w, or a new one for lap (or graph).
+
+    Raises ValueError, before any set-up, when lap is the Laplacian of another graph.
+    """
+    if lap is not None and lap.graph is not graph:
+        raise ValueError("lap is the Laplacian of another graph than the one given")
     if solver is None:
         return SecularSolver(lap if lap is not None else probabilistic_laplacian(graph), w)
     if solver.target != w:

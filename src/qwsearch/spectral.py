@@ -217,29 +217,23 @@ def _target_weights(
     return np.array(lams), np.array(weights), np.array(counts)
 
 
-def green(
-    gamma: float,
-    lap: Laplacian,
-    w: int,
-    z: float,
-    *,
-    delta_spectral: SpectralData | None = None,
-) -> GreenEvaluation:
+def green(gamma: float, lap: Laplacian, w: int, z: float) -> GreenEvaluation:
     """Green function G(z) = <e_w, (gamma Delta - z)^{-1} e_w> and its z-derivative.
 
-    Both are evaluated through the spectral sums over the Laplacian
-    eigenspaces.  Raises PoleProximity when z is closer to the scaled spectrum
-    than 1e-12 times its width.
+    Both are sums over the pole table of ``SecularSolver(lap, w)``, the
+    distinct eigenvalues of Delta with their target weights.  Raises
+    PoleProximity when z is closer to gamma times any eigenvalue of Delta,
+    visible or not, than 1e-12 times the width of that scaled spectrum.
     """
-    sd = delta_spectral if delta_spectral is not None else decompose(lap)
-    lams, a2, _ = _target_weights(sd.eigenvalues, sd.sym_vectors[w, :] ** 2)
-    poles = gamma * lams
-    span = max(gamma * sd.spectral_range, 1e-300)
-    gap = np.abs(poles - z).min()
+    solver = SecularSolver(lap, w)
+    spectrum = gamma * solver.laplacian_spectrum
+    span = max(float(spectrum[-1] - spectrum[0]), 1e-300)
+    gap = np.abs(spectrum - z).min()
     if gap < POLE_TOL * span:
         raise PoleProximity(f"z={z} is within {gap:.3e} of the spectrum of gamma*Delta")
-    value = float((a2 / (poles - z)).sum())
-    derivative = float((a2 / (poles - z) ** 2).sum())
+    diff = gamma * solver.lams - z
+    value = float((solver.weights / diff).sum())
+    derivative = float((solver.weights / diff**2).sum())
     return GreenEvaluation(z=z, value=value, derivative=derivative)
 
 
@@ -308,39 +302,17 @@ def overlaps_direct(
     return _overlap_report(sd.eigenvalues, sd.sym_vectors, _ground_sym(sd.sqrt_mu), h.target)
 
 
-def overlaps_via_green(
-    h: SearchHamiltonian,
-    *,
-    delta_spectral: SpectralData | None = None,
-    hamiltonian_spectral: SpectralData | None = None,
-) -> OverlapReport:
-    """Overlap probabilities through the Green-function derivative.
+def overlaps_via_green(h: SearchHamiltonian) -> OverlapReport:
+    """Overlap probabilities through the Green-function derivative, from one secular solve.
 
     Uses |<e_w, psi_a>|^2 = 1 / G'(E_a) and
-    |<s, psi_a>|^2 = mu(w) / (vol * E_a^2 * G'(E_a)), valid whenever E_a lies
-    off the spectrum of gamma * Delta.
+    |<s, psi_a>|^2 = mu(w) / (vol * E_a^2 * G'(E_a)) at the roots E_a of
+    G(E) = 1.  Raises EigenvalueOnSpectrum when a low state is orthogonal to
+    e_w, so its energy is gamma times an eigenvalue of Delta and no root.
     """
-    lap = h.laplacian
-    dsd = delta_spectral if delta_spectral is not None else decompose(lap)
-    hsd = hamiltonian_spectral if hamiltonian_spectral is not None else decompose(h)
-    _require_simple_low_states(hsd.eigenvalues, hsd.spectral_range)
-    poles = h.gamma * dsd.eigenvalues
-    span = max(h.gamma * dsd.spectral_range, 1e-300)
-    mu_w = lap.measure.mu[h.target]
-    vol = lap.measure.volume
-    values = []
-    for a in (0, 1):
-        e_a = float(hsd.eigenvalues[a])
-        if np.abs(poles - e_a).min() <= DEGENERACY_TOL * span:
-            raise EigenvalueOnSpectrum(
-                f"E_{a}={e_a} lies on the spectrum of gamma*Delta"
-            )
-        gprime = green(h.gamma, lap, h.target, e_a, delta_spectral=dsd).derivative
-        w_sq = 1.0 / gprime
-        s_sq = float(mu_w) / (vol * e_a**2 * gprime)
-        values.append((e_a, float(s_sq), float(w_sq)))
-    (e0, s0, w0), (e1, s1, w1) = values
-    return OverlapReport(e0=e0, e1=e1, s_psi0=s0, w_psi0=w0, s_psi1=s1, w_psi1=w1)
+    spec = SecularSolver(h.laplacian, h.target).solve(h.gamma)
+    _require_visible_low_pair(spec, EigenvalueOnSpectrum)
+    return spec.low_pair()
 
 
 # Target weight at or below which an eigenspace of Delta counts as orthogonal
@@ -377,23 +349,23 @@ def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
 def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
     """Raise NonSymmetrizable unless delta is I - P of the d-fold Cartesian power of axis.
 
-    Every stencil entry must equal what ``cartesian_power`` assembles, 1 on
-    the diagonal and 0.0 - p/d for a step along one axis, and the nonzero
-    count must equal the stencil's size, so no other entry is nonzero: O(n d)
-    gathers and one count, with no n x n temporary.
+    Every stencil entry must equal what ``cartesian_power`` assembles:
+    0.0 - p/d for a step along one axis, and (0.0 - loops) + 1.0 on the
+    diagonal, for loops the axes' self-loop weights p/d summed in axis order.
+    The nonzero count must equal the stencil's size, so no other entry is
+    nonzero: O(n d) gathers and one count, with no n x n temporary.
     """
-    loops = sorted(a for a, b in axis.weights if a == b)
-    if loops:
-        raise NonSymmetrizable(
-            f"axis vertex {loops[0]} has a self-loop; the Kronecker-form certificate "
-            "expects a unit diagonal"
-        )
-    exact = (np.diagonal(delta) == 1.0).all()
-    size = delta.shape[0]
+    loops = np.zeros(delta.shape[0])
+    exact, size = True, 0
     for sources, targets, p in _power_steps(axis, d):
-        exact = exact and (delta[sources, targets] == 0.0 - p).all()
-        size += sources.size
-    if not exact or np.count_nonzero(delta) != size:
+        if sources[0] == targets[0]:  # every step of a run moves by the same offset
+            loops[sources] += p
+        else:
+            exact = exact and (delta[sources, targets] == 0.0 - p).all()
+            size += sources.size
+    diagonal = (0.0 - loops) + 1.0
+    exact = exact and (np.diagonal(delta) == diagonal).all()
+    if not exact or np.count_nonzero(delta) != size + np.count_nonzero(diagonal):
         raise NonSymmetrizable(
             f"Laplacian of the {d}-fold product differs from the Kronecker sum of its axis"
         )
@@ -437,11 +409,11 @@ class SecularSpectrum:
         )
 
 
-def _require_visible_low_pair(spec: SecularSpectrum) -> None:
-    """Raise ConvergenceFailure unless both low states overlap e_w, i.e. solve G(E) = 1."""
+def _require_visible_low_pair(spec: SecularSpectrum, error: type = ConvergenceFailure) -> None:
+    """Raise error unless both low states overlap e_w, i.e. solve G(E) = 1."""
     for a, i in enumerate(spec.level_index[:2]):
         if i < 0:
-            raise ConvergenceFailure(
+            raise error(
                 f"level {a} (E = {spec.levels[a]:.6e}) at gamma={spec.gamma} is orthogonal to e_w"
             )
 

@@ -152,14 +152,13 @@ def test_criterion_2_green_direct_equivalence():
             if abs(getattr(direct, name) - getattr(via, name)) > 1e-8:
                 failures.append(f"{label}: {name} mismatch")
         hsd = decompose(h)
-        dsd = decompose(lap)
         sym = symmetrize(lap)
         for a in (0, 1):
             e_a = float(hsd.eigenvalues[a])
             v_a = hsd.sym_vectors[:, a]
             if abs(v_a[h.target]) <= 1e-12:
                 failures.append(f"{label}: <e_w, psi_{a}> vanishes")
-            g_val = green(h.gamma, lap, h.target, e_a, delta_spectral=dsd).value
+            g_val = green(h.gamma, lap, h.target, e_a).value
             if abs(g_val - 1.0) > 1e-8:
                 failures.append(f"{label}: G(E_{a}) = {g_val}")
             x = np.linalg.solve(

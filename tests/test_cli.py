@@ -13,7 +13,7 @@ import qwsearch
 from qwsearch import cli, search, spectral
 from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
-from qwsearch.graphs import PRODUCT_SIZE_CAP, cartesian_power, complete_graph, path_graph, probabilistic_laplacian
+from qwsearch.graphs import COMPLETE_SIZE_CAP, TransitionGraph, cartesian_power, complete_graph, path_graph, probabilistic_laplacian
 from qwsearch.search import optimize_search
 from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
 
@@ -121,14 +121,15 @@ def test_non_finite_floats_exit_2_with_one_line(tmp_path, capsys, command, extra
     assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
 
 
-@pytest.mark.parametrize("n", [PRODUCT_SIZE_CAP + 1, 100000])
+@pytest.mark.parametrize("n", [COMPLETE_SIZE_CAP + 1, 100000])
 def test_graph_n_above_cap_exits_2_before_any_build(tmp_path, capsys, monkeypatch, n):
     monkeypatch.setattr(cli, "complete_graph", lambda *args: pytest.fail("a graph was built"))
     cfg = write_config(tmp_path, {"graph.family": "complete", "graph.N": n, "output.path": str(tmp_path / "out")})
     assert cli.main(["spectrum", "--config", cfg]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: graph.N: ")
-    assert parse_config({"graph.family": "complete", "graph.N": PRODUCT_SIZE_CAP}).n_complete == PRODUCT_SIZE_CAP
+    assert err[0].endswith(f"from 2 to the cap {COMPLETE_SIZE_CAP}, got {n}")
+    assert parse_config({"graph.family": "complete", "graph.N": COMPLETE_SIZE_CAP}).n_complete == COMPLETE_SIZE_CAP
 
 
 @pytest.mark.parametrize("command", ["spectrum", "optimize"])
@@ -739,9 +740,12 @@ def test_certificate_rejects_what_the_dense_oracle_rejects(monkeypatch, mutation
 
 def test_certificate_bounds_hold_against_dense_eigh():
     # the certified intervals contain the dense energies and crossings, on a
-    # lattice and on a graph that is not a product, its own 1-fold power
+    # lattice, on a product of a lazy axis (one with a self-loop) and on a
+    # graph that is not a product, its own 1-fold power
+    lazy = TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
     inputs = [
         (cartesian_power(path_graph(0.5), 3)[1], [0.4, 1.0, 1.2, 2.5]),
+        (cartesian_power(lazy, 3)[1], [0.4, 1.0, 1.2, 2.5]),
         (probabilistic_laplacian(complete_graph(16)), [0.5, 0.9375, 2.0]),
     ]
     for lap, gammas in inputs:

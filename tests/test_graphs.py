@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsearch.errors import CycleInconsistency, NonSymmetrizable
+from qwsearch.errors import CycleInconsistency
 from qwsearch.graphs import (
     BALANCE_TOL,
+    COMPLETE_SIZE_CAP,
     STOCHASTIC_TOL,
     TransitionGraph,
     _check_self_adjoint,
@@ -21,7 +22,7 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.spectral import SecularSolver
+from qwsearch.spectral import SearchHamiltonian, SecularSolver, symmetrize
 
 
 def measure_by_recursion(g):
@@ -123,6 +124,12 @@ def test_complete_graph_matches_combinatorial_laplacian():
 def test_complete_graph_rejects_small_n():
     with pytest.raises(ValueError):
         complete_graph(1)
+
+
+def test_complete_graph_rejects_n_above_its_cap():
+    # the check comes before the N (N - 1) weights are stored
+    with pytest.raises(ValueError, match=f"above the cap {COMPLETE_SIZE_CAP}"):
+        complete_graph(COMPLETE_SIZE_CAP + 1)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.4, 0.5, 0.91])
@@ -283,9 +290,12 @@ def test_cartesian_power_sums_an_axis_self_loop(d):
     assert gd.weights[(0, 0)] == pytest.approx(0.5, abs=1e-15)
     assert gd.weights.get((1, 1), 0.0) == pytest.approx(0.5 * (d - 1) / d, abs=1e-15)
     np.testing.assert_allclose(lap.matrix, kronecker_sum_laplacian(axis, d), rtol=0.0, atol=1e-15)
-    # the secular set-up still takes no self-loop, and says so
-    with pytest.raises(NonSymmetrizable, match="self-loop"):
-        SecularSolver(lap, 0)
+    # the secular set-up takes the summed loops: its spectra match dense eigvalsh
+    gammas = np.geomspace(1e-3, 1e3, 7)
+    for w in (0, gd.n // 2, gd.n - 1):
+        for gamma, energies in zip(gammas, SecularSolver(lap, w).hamiltonian_spectra(gammas)):
+            dense = np.linalg.eigvalsh(symmetrize(SearchHamiltonian(gamma, w, lap)).matrix)
+            assert np.abs(energies - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max()), (w, gamma)
 
 
 def test_not_strongly_connected_rejected():

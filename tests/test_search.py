@@ -43,7 +43,9 @@ from qwsearch.spectral import (
     SearchHamiltonian,
     SecularSolver,
     decompose,
+    green,
     overlaps_direct,
+    overlaps_via_green,
     symmetrize,
     theorem_bound_report,
 )
@@ -219,8 +221,8 @@ def test_decomposition_rejects_wrong_coupling():
 
 
 def test_analysis_makes_only_the_axis_eigh(monkeypatch):
-    # decompose_at_gamma_E and theorem_bound_report read one secular solve:
-    # the only eigendecomposition is the set-up's 4 x 4 one of the axis
+    # decompose_at_gamma_E, theorem_bound_report, green and overlaps_via_green
+    # read one secular set-up: the only eigendecomposition is its 4 x 4 one of the axis
     g, lap, _ = cartesian_power(path_graph(0.6), 3)
     gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
     sizes = []
@@ -230,6 +232,12 @@ def test_analysis_makes_only_the_axis_eigh(monkeypatch):
     assert sizes == [4]
     sizes.clear()
     theorem_bound_report(SearchHamiltonian(gamma_e, 0, lap))
+    assert sizes == [4]
+    sizes.clear()
+    green(gamma_e, lap, 0, -0.5)
+    assert sizes == [4]
+    sizes.clear()
+    overlaps_via_green(SearchHamiltonian(gamma_e, 0, lap))
     assert sizes == [4]
 
 
@@ -570,6 +578,13 @@ def test_itp_takes_few_calls_on_the_d4_lattice():
     assert all(roots.values())
     assert max(len(x) for x in points.values()) <= 12
     assert halvings(grid[1] - grid[0]) == 36
+
+
+def test_search_rejects_a_laplacian_of_another_graph(monkeypatch):
+    # before any set-up: the p=0.6 Laplacian would give the p=0.6 roots
+    monkeypatch.setattr(search, "SecularSolver", lambda *args: pytest.fail("a solver was set up"))
+    with pytest.raises(ValueError, match="another graph"):
+        gamma_critical_points(path_graph(0.4), 0, lap=probabilistic_laplacian(path_graph(0.6)))
 
 
 def test_search_rejects_a_solver_for_another_target():

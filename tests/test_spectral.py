@@ -10,6 +10,7 @@ from qwsearch.errors import (
 )
 from qwsearch.graphs import (
     Laplacian,
+    TransitionGraph,
     VertexMeasure,
     cartesian_power,
     complete_graph,
@@ -158,10 +159,18 @@ def test_green_vanishes_far_below_spectrum():
     assert abs(green(1.0, lap, 0, -1e9).value) < 1e-8
 
 
+def three_path():
+    """Laplacian of the 3-vertex path, whose eigenvalue 1 has the eigenvector (1, 0, -1): invisible from 1."""
+    return probabilistic_laplacian(TransitionGraph(3, {(0, 1): 1.0, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom"))
+
+
 def test_green_pole_rejected():
     lap = probabilistic_laplacian(complete_graph(4))
     with pytest.raises(PoleProximity):
         green(0.75, lap, 0, 0.0)
+    # a pole that carries no weight at the target is a pole all the same
+    with pytest.raises(PoleProximity):
+        green(0.3, three_path(), 1, 0.3)
 
 
 def test_green_derivative_positive_below_spectrum():
@@ -182,11 +191,8 @@ def test_green_equals_one_at_hamiltonian_eigenvalues(graph, gamma):
     lap = probabilistic_laplacian(graph)
     h = SearchHamiltonian(gamma, 0, lap)
     hsd = decompose(h)
-    dsd = decompose(lap)
     for a in (0, 1):
-        value = green(
-            gamma, lap, 0, float(hsd.eigenvalues[a]), delta_spectral=dsd
-        ).value
+        value = green(gamma, lap, 0, float(hsd.eigenvalues[a])).value
         assert value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -257,18 +263,11 @@ def test_degenerate_low_states_rejected():
 
 
 def test_eigenvalue_on_spectrum_rejected():
-    lap = probabilistic_laplacian(complete_graph(4))
-    h = SearchHamiltonian(0.75, 0, lap)
-    sd = decompose(h)
-    doctored = SpectralData(
-        eigenvalues=np.array([0.0, 0.5, 1.0, 1.0]),  # E_0 sits on sigma(gamma*Delta)
-        eigenvectors=sd.eigenvectors,
-        sym_vectors=sd.sym_vectors,
-        sqrt_mu=sd.sqrt_mu,
-        sym_matrix=sd.sym_matrix,
-    )
-    with pytest.raises(EigenvalueOnSpectrum):
-        overlaps_via_green(h, hamiltonian_spectral=doctored)
+    # E_1 is gamma times the eigenvalue 1 of Delta, whose eigenvector vanishes at 1
+    h = SearchHamiltonian(0.3, 1, three_path())
+    assert overlaps_direct(h).e1 == pytest.approx(0.3, abs=1e-15)
+    with pytest.raises(EigenvalueOnSpectrum, match="level 1"):
+        overlaps_via_green(h)
 
 
 def test_ground_energy_negative():
