@@ -4,7 +4,8 @@
 Writes results/tables/tables.csv in about 1 second on a 2-core machine.  No
 dense 1024-vertex eigendecomposition runs: each p builds the lattice, takes
 its poles from the 4 x 4 axis, runs the secular scan, ITP root refinement
-and optimizer, and certifies the row by residuals on the dense Laplacian.
+and optimizer, and certifies the row by residuals taken in product form
+from the symmetrized 4 x 4 axis Laplacian, with no n x n array.
 """
 
 import argparse

@@ -381,12 +381,12 @@ def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
         t_opt=opt.t_opt,
         half_pi_sqrt_vol=float(np.pi / 2.0 * np.sqrt(measure.volume / measure.mu[w])),
     )
-    _certify_row(row, solver, lap, w)
+    _certify_row(row, solver)
     return row
 
 
-def _certify_row(row: TableRow, solver: SecularSolver, lap: Laplacian, w: int) -> None:
-    """Certify every derived cell by residual bounds on the dense Laplacian; reject on any miss.
+def _certify_row(row: TableRow, solver: SecularSolver) -> None:
+    """Certify every derived cell by residual bounds from the solver's axis; reject on any miss.
 
     One ``certify_low_pairs`` call covers the roots and gamma_opt.  At each
     root the certified crossing value plus its bound must stay within 1e-9,
@@ -398,7 +398,7 @@ def _certify_row(row: TableRow, solver: SecularSolver, lap: Laplacian, w: int) -
         for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E))
         if root is not None
     ]
-    *at_roots, at_opt = solver.certify_low_pairs(lap, [root for _, root in roots] + [row.gamma_opt])
+    *at_roots, at_opt = solver.certify_low_pairs([root for _, root in roots] + [row.gamma_opt])
     for (which, root), cert in zip(roots, at_roots):
         value, bound = cert.crossing(which)
         if abs(value) + bound > 1e-9:
@@ -407,8 +407,7 @@ def _certify_row(row: TableRow, solver: SecularSolver, lap: Laplacian, w: int) -
     for e, cell, r in zip(energies, (row.e0, row.e1), at_opt.residuals):
         if abs(e - cell) + r > 1e-12:
             raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
-    mu_w, vol = lap.measure.mu[w], lap.measure.volume
-    if abs(row.sqrt_mu_over_vol - np.sqrt(mu_w / vol)) > 1e-15:
+    if abs(row.sqrt_mu_over_vol - np.sqrt(solver.s_w2)) > 1e-15:
         raise NumericalFailure("sqrt(mu/vol) cell does not reproduce")
     present = [v for v in (row.gamma_s, row.gamma_E, row.gamma_w) if v is not None]
     if len(present) == 3 and not (

@@ -334,16 +334,22 @@ _COMPACT_ELEMENTS = 1 << 12
 def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
     """The validated decomposition of the axis of lap's graph, as a d-fold Cartesian power, and d.
 
-    A graph that is not a product is its own 1-fold power, decomposed from
-    lap itself.  A product's axis Laplacian is rebuilt and decomposed alone,
-    with no n x n array, once ``_check_kronecker_form`` has certified that
-    lap.matrix is the Laplacian of its power.
+    A graph that is not a product is its own 1-fold power.  A product's axis
+    is decomposed alone, with no n x n array, once ``_check_kronecker_form``
+    has certified lap.matrix.  Either way mu / vol must be the d-fold product
+    of the axis's normalized measure within SYMMETRY_TOL relative (so Delta is
+    self-adjoint in mu and vol is mu's sum), else it raises NonSymmetrizable.
     """
     axis, d = _power_form(lap.graph)
-    if axis is lap.graph:
-        return decompose(lap), 1
-    _check_kronecker_form(lap.matrix, axis, d)
-    return decompose(probabilistic_laplacian(axis)), d
+    if axis is not lap.graph:
+        _check_kronecker_form(lap.matrix, axis, d)
+    spec = decompose(lap if axis is lap.graph else probabilistic_laplacian(axis))
+    axis_mu = spec.sqrt_mu**2
+    ratio = lap.measure.mu / lap.measure.volume / _power_outer(np.multiply, 1.0, [axis_mu / axis_mu.sum()] * d)
+    defect = float(np.abs(ratio - 1.0).max())
+    if not defect <= SYMMETRY_TOL:
+        raise NonSymmetrizable(f"measure over volume differs from the walk's by {defect:.3e} relative")
+    return spec, d
 
 
 def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
@@ -459,7 +465,7 @@ class SecularSolver:
     has eigenvalue sum_i lambda_{k_i} / d and target weight
     prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The solver keeps the
     validated axis decomposition as ``axis``, which ``certify_low_pairs``
-    builds its vectors from.
+    builds its vectors and its residual from.
     """
 
     def __init__(self, lap: Laplacian, w: int):
@@ -495,6 +501,7 @@ class SecularSolver:
         self._diag_w = diag_w
         self._row_w = float(rows[w]) - abs(diag_w)
         self._row_max = float(np.delete(rows, w).max(initial=0.0))
+        self._s_norm = float(rows.max())  # ||S||_inf
 
     def _threshold(self, gamma: float) -> float:
         """DEGENERACY_TOL times the infinity norm of the symmetrized Hamiltonian."""
@@ -657,26 +664,31 @@ class SecularSolver:
             for spec in self.solve_many(gammas)
         ]
 
-    def certify_low_pairs(self, lap: Laplacian, gammas) -> list[LowPairCertificate]:
+    def certify_low_pairs(self, gammas) -> list[LowPairCertificate]:
         """Bounds on the two lowest states at each coupling, from one ``solve_many``.
 
-        Takes the lap this solver was built from, of any graph.  E_a is
-        the a-th level of the solve, which must be visible.  The vector
-        psi_a, proportional to (gamma S - E_a)^{-1} e_w for S the symmetrized
-        Delta, has coefficients prod_i u(x_i) / (gamma lambda - E_a) in the
-        product eigenbasis of the axis, mapped back by one ``tensordot`` per
-        axis.  Its residual r_a = ||H psi_a - E_a psi_a||, with H built from
-        the dense lap.matrix (symmetrized and checked by ``symmetrize``) and
-        an allowance for the rounding of the product, is the independent
-        route: by Weyl's theorem H has an eigenvalue within r_a of E_a.
+        E_a is the a-th level of the solve, which must be visible.  The vector
+        psi_a ~ (gamma S - E_a)^{-1} e_w, for S the symmetrized Delta, has
+        coefficients prod_i u(x_i) / (gamma lambda - E_a) in the axis's
+        product eigenbasis, mapped back by one ``tensordot`` per axis.  By
+        Weyl's theorem H has an eigenvalue within r_a = ||H psi_a - E_a psi_a||
+        of E_a.  S psi, the independent route, is one ``tensordot`` per axis
+        with the axis's symmetrized Laplacian S_1, summed and divided by d, as
+        the set-up certified lap's stencil and measure to be.  Each entry of
+        H psi - E_a psi rounds over at most m + d + 3 operations (m = axis.n
+        products per axis term, d - 1 sums and a division joining them, then
+        gamma, the target term and the subtraction), so r_a carries twice
+        (m + d + 3) eps times gamma ||S||_inf + 1 + |E_a|, the row-sum bound
+        on gamma |S| + e_w e_w^T + |E_a|; ||S||_inf is the largest row sum.
         Subtracting the rank-one e_w e_w^T from gamma S puts mu_2 >= 0 and
         mu_3 >= gamma lambda_2, for lambda_2 the smallest nonzero eigenvalue
         of Delta, so E0 + r0 < 0 certifies the ground state and
         0 <= E1 - r1, E1 + r1 < gamma lambda_2 the first excited one.  The
         same bounds give the gaps to the rest of the spectrum, and the angles
-        follow by Davis & Kahan (1970): sin theta_a <= r_a / gap_a.  Raises
-        ConvergenceFailure when a low state is invisible or the ordering
-        cannot be certified.
+        follow by Davis & Kahan (1970): sin theta_a <= r_a / gap_a.  As mu / vol
+        is the product of the axis's, s is the tensor power of the axis ground
+        state.  Raises ConvergenceFailure when a low state is invisible or the
+        ordering cannot be certified.
         """
         spectra = self.solve_many(gammas)
         for spec in spectra:
@@ -694,17 +706,14 @@ class SecularSolver:
         psi = psi.reshape(gam.size, 2, -1)
         psi /= np.linalg.norm(psi, axis=-1)[..., None]
 
-        sym = symmetrize(lap)
-        s, w = sym.matrix, self.target
-        h_psi = gam[:, None, None] * (psi @ s)
+        s, w = self.axis.sym_matrix, self.target
+        cube = psi.reshape(-1, *(m,) * d)
+        s_psi = sum(np.moveaxis(np.tensordot(cube, s, axes=([k], [1])), -1, k) for k in range(1, d + 1)) / d
+        h_psi = gam[:, None, None] * s_psi.reshape(psi.shape)
         h_psi[..., w] -= psi[..., w]
         residuals = np.linalg.norm(h_psi - energies[..., None] * psi, axis=-1)
-        # each entry of S psi rounds over at most `nonzeros` products, and the
-        # rest of H psi - E psi over three more operations
-        nonzeros = int(np.count_nonzero(s, axis=1).max())
-        scale = gam * float(np.abs(s).sum(axis=1).max()) + 1.0
-        eps = np.finfo(float).eps
-        residuals += 2.0 * (nonzeros + 3) * eps * (scale[:, None] + np.abs(energies))
+        scale = gam * self._s_norm + 1.0
+        residuals += 2.0 * (m + d + 3) * np.finfo(float).eps * (scale[:, None] + np.abs(energies))
 
         # lambda_2 of the axis is within the 2-norm of its m x m residual, at
         # most sqrt(m) times the largest column norm, of the computed one (Weyl)
@@ -720,19 +729,11 @@ class SecularSolver:
             )
         angle0 = r0 / (e1 - r1 - e0)
         angle1 = r1 / np.minimum(e1 - e0 - r0, gap_2 - e1)
-        s_overlaps = (psi @ _ground_sym(sym.sqrt_mu)) ** 2
-        w_overlaps = psi[..., w] ** 2
+        ground = _power_outer(np.multiply, 1.0, [_ground_sym(self.axis.sqrt_mu)] * d)
         return [
             LowPairCertificate(
                 gamma=float(gam[c]),
-                report=OverlapReport(
-                    e0=float(e0[c]),
-                    e1=float(e1[c]),
-                    s_psi0=float(s_overlaps[c, 0]),
-                    w_psi0=float(w_overlaps[c, 0]),
-                    s_psi1=float(s_overlaps[c, 1]),
-                    w_psi1=float(w_overlaps[c, 1]),
-                ),
+                report=_overlap_report(energies[c], psi[c].T, ground, w),
                 residuals=(float(r0[c]), float(r1[c])),
                 angles=(float(angle0[c]), float(angle1[c])),
             )

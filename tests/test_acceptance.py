@@ -146,12 +146,12 @@ def test_criterion_2_green_direct_equivalence():
     failures = []
     for label, h in random_instances(50):
         lap = h.laplacian
-        direct = overlaps_direct(h)
+        hsd = decompose(h)
+        direct = overlaps_direct(h, spectral=hsd)
         via = overlaps_via_green(h)
         for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
             if abs(getattr(direct, name) - getattr(via, name)) > 1e-8:
                 failures.append(f"{label}: {name} mismatch")
-        hsd = decompose(h)
         sym = symmetrize(lap)
         for a in (0, 1):
             e_a = float(hsd.eigenvalues[a])

@@ -633,6 +633,26 @@ def test_tables_d4_row_work_counts(tmp_path, monkeypatch):
     assert len(curves) <= 10 and set(curves) == {500}
 
 
+@pytest.mark.parametrize("target", ["corner", 21])
+def test_tables_row_symmetrizes_and_decomposes_only_the_axis(monkeypatch, target):
+    # set-up, scan, optimizer and certificate of a d=3 row (64 vertices)
+    # symmetrize and eigh the 4 x 4 axis Laplacian alone, once each
+    eighs = count_eigh(monkeypatch)
+    symmetrized = []
+    symmetrize = spectral.symmetrize
+
+    def recorded(op):
+        lap = op.laplacian if isinstance(op, SearchHamiltonian) else op
+        symmetrized.append(lap.matrix.shape)
+        return symmetrize(op)
+
+    monkeypatch.setattr(spectral, "symmetrize", recorded)
+    cfg = parse_config(path_tables(3, [0.4], **{"target.vertex": target, "sweep.gamma_points": 60, "sweep.t_points": 300}))
+    cli.compute_table_row(cfg, 0.4)
+    assert symmetrized == [(4, 4)]
+    assert eighs == [4]
+
+
 def dense_revalidate(row, lap, w):
     """The dense row check that the certificate replaced, kept as its oracle for d <= 5."""
     for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E)):
@@ -654,13 +674,19 @@ def verdict(check, *args) -> str | None:
 
 
 def uncertified_rows(monkeypatch, config):
-    """Every (row, solver, lap, w) a tables run would certify, computed without the certificate."""
+    """Every (row, solver) a tables run would certify, computed without the certificate.
+
+    Each comes with the row's Laplacian and target, for the dense oracle.
+    """
     seen = []
     monkeypatch.setattr(cli, "_certify_row", lambda *args: seen.append(args))
     cfg = parse_config(config)
+    rows = []
     for p in cfg.p_values:
         cli.compute_table_row(cfg, p)
-    return seen
+        _, lap, _, w = cli._build_graph(cfg, p)
+        rows.append((*seen[-1], lap, w))
+    return rows
 
 
 def path_tables(d, ps, **extra):
@@ -681,7 +707,7 @@ CERTIFIED_CONFIGS = [
 def test_certificate_agrees_with_the_dense_oracle(monkeypatch, config):
     rows = uncertified_rows(monkeypatch, config)
     for row, solver, lap, w in rows:
-        assert verdict(CERTIFY_ROW, row, solver, lap, w) is None, row.p
+        assert verdict(CERTIFY_ROW, row, solver) is None, row.p
         assert verdict(dense_revalidate, row, lap, w) is None, row.p
 
 
@@ -733,25 +759,30 @@ def test_certificate_rejects_what_the_dense_oracle_rejects(monkeypatch, mutation
     rows += uncertified_rows(monkeypatch, CERTIFIED_CONFIGS[0])
     for row, solver, lap, w in rows:
         dense = verdict(dense_revalidate, row, lap, w)
-        certificate = verdict(CERTIFY_ROW, row, solver, lap, w)
+        certificate = verdict(CERTIFY_ROW, row, solver)
         assert (dense is not None) == rejected, (row.p, dense)
         assert (certificate is not None) == rejected, (row.p, certificate)
 
 
 def test_certificate_bounds_hold_against_dense_eigh():
-    # the certified intervals contain the dense energies and crossings, on a
-    # lattice, on a product of a lazy axis (one with a self-loop) and on a
-    # graph that is not a product, its own 1-fold power
+    # the certified intervals contain the dense energies and crossings, on
+    # lattices (one at an interior target, vertex 102 = (1, 2, 1, 2), one at
+    # the p = 0.91 resonance), on a product of a lazy axis (one with a
+    # self-loop) and on graphs that are not products, their own 1-fold powers
     lazy = TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+    lazy3 = TransitionGraph(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
     inputs = [
-        (cartesian_power(path_graph(0.5), 3)[1], [0.4, 1.0, 1.2, 2.5]),
-        (cartesian_power(lazy, 3)[1], [0.4, 1.0, 1.2, 2.5]),
-        (probabilistic_laplacian(complete_graph(16)), [0.5, 0.9375, 2.0]),
+        (cartesian_power(path_graph(0.5), 3)[1], 0, [0.4, 1.0, 1.2, 2.5]),
+        (cartesian_power(path_graph(0.4), 4)[1], 102, [0.4, 1.0, 1.2, 2.5]),
+        (cartesian_power(path_graph(0.91), 4)[1], 0, [0.4, 1.0197, 1.2, 2.5]),
+        (cartesian_power(lazy, 3)[1], 0, [0.4, 1.0, 1.2, 2.5]),
+        (probabilistic_laplacian(lazy3), 1, [0.4, 1.0, 1.2, 2.5]),
+        (probabilistic_laplacian(complete_graph(16)), 0, [0.5, 0.9375, 2.0]),
     ]
-    for lap, gammas in inputs:
-        solver = spectral.SecularSolver(lap, 0)
-        for cert in solver.certify_low_pairs(lap, gammas):
-            dense = overlaps_direct(SearchHamiltonian(cert.gamma, 0, lap))
+    for lap, w, gammas in inputs:
+        solver = spectral.SecularSolver(lap, w)
+        for cert in solver.certify_low_pairs(gammas):
+            dense = overlaps_direct(SearchHamiltonian(cert.gamma, w, lap))
             assert abs(dense.e0 - cert.report.e0) <= cert.residuals[0]
             assert abs(dense.e1 - cert.report.e1) <= cert.residuals[1]
             assert max(cert.residuals) < 1e-13
@@ -760,16 +791,23 @@ def test_certificate_bounds_hold_against_dense_eigh():
                 assert abs(_CROSSINGS[which](dense) - value) <= bound + 1e-15, which
 
 
-def test_certificate_sees_a_laplacian_it_does_not_stand_for():
-    # the residual runs on the dense matrix, so a solver for another bias
-    # shows in the residuals, and far enough off in the ordering
+def test_certificate_sees_a_laplacian_it_does_not_stand_for(monkeypatch):
+    # the residual runs on the solver's own axis matrix, not on the spectra it
+    # is handed, so the spectra of another bias show in the residuals, and far
+    # enough off in the ordering (at gamma = 1 the p = 0.6 energies still
+    # order, with r0 near 0.05; at gamma = 0.5 they do not)
     _, lap, _ = cartesian_power(path_graph(0.5), 2)
-    _, near, _ = cartesian_power(path_graph(0.5 + 1e-6), 2)
-    cert = spectral.SecularSolver(near, 0).certify_low_pairs(lap, [1.0])[0]
-    assert min(cert.residuals) > 1e-7
-    _, far, _ = cartesian_power(path_graph(0.6), 2)
+    solver = spectral.SecularSolver(lap, 0)
+
+    def spectra_of(p):
+        other = spectral.SecularSolver(cartesian_power(path_graph(p), 2)[1], 0)
+        monkeypatch.setattr(solver, "solve_many", other.solve_many)
+
+    spectra_of(0.5 + 1e-6)
+    assert min(solver.certify_low_pairs([1.0])[0].residuals) > 1e-7
+    spectra_of(0.6)
     with pytest.raises(ConvergenceFailure, match="cannot certify"):
-        spectral.SecularSolver(far, 0).certify_low_pairs(lap, [1.0])
+        solver.certify_low_pairs([0.5])
 
 
 @pytest.mark.parametrize(

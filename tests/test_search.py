@@ -9,13 +9,17 @@ from qwsearch import search
 from qwsearch.errors import (
     ConvergenceFailure,
     DegenerateLowStates,
+    NonSymmetrizable,
     NoRootInRange,
     NotAtGammaE,
 )
 from qwsearch.graphs import (
+    Laplacian,
     TransitionGraph,
+    VertexMeasure,
     cartesian_power,
     complete_graph,
+    kolmogorov_measure,
     path_graph,
     probabilistic_laplacian,
 )
@@ -585,6 +589,41 @@ def test_search_rejects_a_laplacian_of_another_graph(monkeypatch):
     monkeypatch.setattr(search, "SecularSolver", lambda *args: pytest.fail("a solver was set up"))
     with pytest.raises(ValueError, match="another graph"):
         gamma_critical_points(path_graph(0.4), 0, lap=probabilistic_laplacian(path_graph(0.6)))
+
+
+def test_search_rejects_a_product_laplacian_with_another_measure():
+    # the uniform measure does not make the p = 0.4 lattice self-adjoint; the
+    # solver used to take it, and optimize_search reported pi_max = 1.342
+    g, lap, _ = cartesian_power(path_graph(0.4), 3)
+    uniform = Laplacian(lap.matrix, g, VertexMeasure(np.ones(64), 64.0))
+    with pytest.raises(NonSymmetrizable, match="measure"):
+        optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=uniform)
+    # the true measure over twice its volume would halve mu(w) / vol
+    doubled = Laplacian(lap.matrix, g, VertexMeasure(lap.measure.mu, 2.0 * lap.measure.volume))
+    with pytest.raises(NonSymmetrizable, match="measure"):
+        SecularSolver(doubled, 0)
+    # the same for a graph that is not a product
+    path = probabilistic_laplacian(path_graph(0.4))
+    path_doubled = Laplacian(path.matrix, path.graph, VertexMeasure(path.measure.mu, 2.0 * path.measure.volume))
+    with pytest.raises(NonSymmetrizable, match="measure"):
+        SecularSolver(path_doubled, 0)
+
+
+def test_search_takes_a_product_measure_built_another_way():
+    # without lap the search builds the measure by propagating along a tree
+    # over the whole lattice; at p = 0.7, d = 3 it differs from the product of
+    # the axis measures in its last bits, in mu and in the volume
+    g, lap, _ = cartesian_power(path_graph(0.7), 3)
+    walked = kolmogorov_measure(g)
+    assert not np.array_equal(walked.mu, lap.measure.mu) and walked.volume != lap.measure.volume
+    reference = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=lap)
+    tree = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300)
+    assert tree.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
+    assert find_gamma_critical(g, 0, "E") == pytest.approx(find_gamma_critical(g, 0, "E", lap=lap), rel=1e-12)
+    # a measure scaled by a constant, with its volume, is as good
+    scaled = Laplacian(lap.matrix, g, VertexMeasure(3.0 * lap.measure.mu, 3.0 * lap.measure.volume))
+    rescaled = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=scaled)
+    assert rescaled.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
 
 
 def test_search_rejects_a_solver_for_another_target():
