@@ -391,7 +391,8 @@ def _certify_row(row: TableRow, solver: SecularSolver) -> None:
     One ``certify_low_pairs`` call covers the roots and gamma_opt.  At each
     root the certified crossing value plus its bound must stay within 1e-9,
     and at gamma_opt |E_a - row| plus the residual bound within 1e-12, so
-    the true crossings and energies are within those limits.
+    the true crossings and energies are within those limits.  sqrt(mu/vol)
+    must be the axis measure's product over w's coordinates to 1e-15.
     """
     roots = [
         (which, root)
@@ -407,7 +408,8 @@ def _certify_row(row: TableRow, solver: SecularSolver) -> None:
     for e, cell, r in zip(energies, (row.e0, row.e1), at_opt.residuals):
         if abs(e - cell) + r > 1e-12:
             raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
-    if abs(row.sqrt_mu_over_vol - np.sqrt(solver.s_w2)) > 1e-15:
+    axis_mu = solver.axis.sqrt_mu**2 / (solver.axis.sqrt_mu**2).sum()
+    if abs(row.sqrt_mu_over_vol - np.sqrt(np.prod(axis_mu[list(solver._axis_target)]))) > 1e-15:
         raise NumericalFailure("sqrt(mu/vol) cell does not reproduce")
     present = [v for v in (row.gamma_s, row.gamma_E, row.gamma_w) if v is not None]
     if len(present) == 3 and not (
@@ -546,6 +548,7 @@ def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
 
 def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     from .search import optimize_search
+    from .spectral import SecularSolver
 
     g, lap, _, w = _build_graph(cfg, _single_p(cfg, "optimize"))
     # either configured end fixes the window (a missing end takes its default);
@@ -557,7 +560,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
         g, w, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        lap=lap,
+        solver=SecularSolver(lap, w),
     )
     payload = {
         "t_opt": opt.t_opt,

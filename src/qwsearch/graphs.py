@@ -9,6 +9,7 @@ in the mu-weighted inner product; its total mass is the graph volume.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,10 +76,15 @@ class TransitionGraph:
     def _tree(self) -> list[np.ndarray]:
         """Breadth-first tree from vertex 0 (see ``_bfs_tree``) of a graph checked to be a walk.
 
-        Raises ValueError unless every weight lies in (0, 1], every row sums to
-        one and the graph is strongly connected.  Each graph is checked once.
+        Raises ValueError unless n is an integer >= 1, every edge joins two of
+        the vertices 0..n-1, every weight lies in (0, 1], every row sums to one
+        and the graph is strongly connected.  Each graph is checked once.
         """
+        _require_count("n", self.n, 1)
         sources, targets, p = self._edges
+        bad = np.flatnonzero((np.minimum(sources, targets) < 0) | (np.maximum(sources, targets) >= self.n))
+        if bad.size:
+            raise ValueError(f"edge ({sources[bad[0]]},{targets[bad[0]]}) has an endpoint outside 0..{self.n - 1}")
         bad = np.flatnonzero(~((0.0 < p) & (p <= 1.0)))
         if bad.size:
             x, y = int(sources[bad[0]]), int(targets[bad[0]])
@@ -111,6 +117,11 @@ class Laplacian:
     matrix: np.ndarray
     graph: TransitionGraph
     measure: VertexMeasure
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
 
 
 def _bfs_tree(n: int, sources: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -164,8 +175,7 @@ def path_graph(p: float) -> TransitionGraph:
 
 def complete_graph(n: int) -> TransitionGraph:
     """Complete graph on n >= 2 vertices with uniform transition weights."""
-    if n < 2:
-        raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
+    _require_count("n", n, 2)
     if n > COMPLETE_SIZE_CAP:
         raise ValueError(f"complete graph on {n} vertices is above the cap {COMPLETE_SIZE_CAP}")
     weights = dict.fromkeys(permutations(range(n), 2), 1.0 / (n - 1))
@@ -301,8 +311,7 @@ def cartesian_power(
     The measure is the product of per-axis measures, so the volume is the
     per-axis volume raised to d.
     """
-    if d < 1:
-        raise ValueError(f"product dimension d={d} must be at least 1")
+    _require_count("d", d, 1)
     n = g.n**d
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")

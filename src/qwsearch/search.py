@@ -22,8 +22,10 @@ from .graphs import (
     OPT_GAMMA_POINTS_DEFAULT,
     OPT_T_POINTS_DEFAULT,
     SCAN_POINTS_DEFAULT,
-    Laplacian,
     TransitionGraph,
+    _power_form,
+    _product_measure,
+    _require_count,
     probabilistic_laplacian,
 )
 from .spectral import (
@@ -244,28 +246,23 @@ def _scan(
     return _lockstep_roots(grid, values, crossings)
 
 
-def _require_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
-
-
 def _require_range(gamma_range: tuple[float, float]) -> None:
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
 
-def _solver_for(
-    graph: TransitionGraph, w: int, lap: Laplacian | None, solver: SecularSolver | None
-) -> SecularSolver:
-    """The given solver, which must be for target w, or a new one for lap (or graph).
+def _solver_for(graph: TransitionGraph, w: int, solver: SecularSolver | None) -> SecularSolver:
+    """The given solver, checked to be set up for this graph object and w, or a new one.
 
-    Raises ValueError, before any set-up, when lap is the Laplacian of another graph.
+    A new one takes ``cartesian_power``'s Laplacian and product measure, which
+    for a graph that is not a product is ``kolmogorov_measure``'s bit for bit.
+    Raises ValueError, before any solve, for a solver of another graph or target.
     """
-    if lap is not None and lap.graph is not graph:
-        raise ValueError("lap is the Laplacian of another graph than the one given")
     if solver is None:
-        return SecularSolver(lap if lap is not None else probabilistic_laplacian(graph), w)
+        return SecularSolver(probabilistic_laplacian(graph, _product_measure(*_power_form(graph))), w)
+    if solver.graph is not graph:
+        raise ValueError("solver is set up for another graph than the one given")
     if solver.target != w:
         raise ValueError(f"solver is for target {solver.target}, not {w}")
     return solver
@@ -278,23 +275,20 @@ def find_gamma_critical(
     gamma_range: tuple[float, float] = GAMMA_RANGE_DEFAULT,
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
-    lap: Laplacian | None = None,
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
-    Scans a uniform grid for the first sign change, then refines it by ITP
-    down to a bracket at most 1e-12 wide.  Raises NoRootInRange if the
-    scanned values never change sign.
+    Scans a uniform grid for the first sign change, on a new ``_solver_for``
+    solver, then refines it by ITP down to a bracket at most 1e-12 wide.
+    Raises NoRootInRange if the scanned values never change sign.
     """
     _crossing(which)  # an unknown kind raises here, before the set-up
     _require_range(gamma_range)
     _require_count("grid_points", grid_points, 2)
-    root = _scan(_solver_for(graph, w, lap, None), (which,), gamma_range, grid_points)[which]
+    root = _scan(_solver_for(graph, w, None), (which,), gamma_range, grid_points)[which]
     if root is None:
         lo, hi = gamma_range
-        raise NoRootInRange(
-            f"no sign change of the '{which}' crossing in [{lo}, {hi}]"
-        )
+        raise NoRootInRange(f"no sign change of the '{which}' crossing in [{lo}, {hi}]")
     return root
 
 
@@ -304,17 +298,14 @@ def gamma_critical_points(
     gamma_range: tuple[float, float] = GAMMA_RANGE_DEFAULT,
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
-    lap: Laplacian | None = None,
     solver: SecularSolver | None = None,
 ) -> GammaCriticalPoints:
-    """All three critical couplings from a single shared grid scan."""
+    """All three critical couplings from one shared grid scan on ``_solver_for(graph, w, solver)``."""
     _require_range(gamma_range)
     _require_count("grid_points", grid_points, 2)
-    solver = _solver_for(graph, w, lap, solver)
+    solver = _solver_for(graph, w, solver)
     roots = _scan(solver, ("s", "w", "E"), gamma_range, grid_points)
-    return GammaCriticalPoints(
-        gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"]
-    )
+    return GammaCriticalPoints(gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"])
 
 
 @dataclass(frozen=True)
@@ -421,7 +412,6 @@ def optimize_search(
     gamma_points: int = OPT_GAMMA_POINTS_DEFAULT,
     t_points: int = OPT_T_POINTS_DEFAULT,
     t_ceiling: str | float = "auto",
-    lap: Laplacian | None = None,
     solver: SecularSolver | None = None,
 ) -> SearchOptimum:
     """Locate (t_opt, gamma_opt) maximizing the success probability.
@@ -436,7 +426,7 @@ def optimize_search(
     lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
     than 1e-9, plus rounding, below the best pi already reached (the
     pool's, or the grid maximum of the grid's coupling with the largest
-    bound) can win no tie, and gets no curve.  A ``solver`` for (lap, w)
+    bound) can win no tie, and gets no curve.  A ``solver`` for (graph, w)
     saves its set-up.  Raises ValueError for an invalid t_ceiling or count.
     """
     _require_ceiling(t_ceiling)
@@ -444,7 +434,7 @@ def optimize_search(
     _require_count("t_points", t_points, 2)
     if gamma_range is not None:
         _require_range(gamma_range)
-    solver = _solver_for(graph, w, lap, solver)
+    solver = _solver_for(graph, w, solver)
     volume = solver.volume
 
     if gamma_range is None:
@@ -559,18 +549,16 @@ def decompose_at_gamma_E(
     w: int,
     gamma_E: float,
     t_samples: np.ndarray,
-    *,
-    lap: Laplacian | None = None,
 ) -> DecompositionReport:
     """Decompose pi(t) into its two-level part and higher-state residual.
 
     Requires |E0 + E1| < 1e-8 at the supplied coupling.  The coupling is then
     refined by secant steps until E0 + E1 sits at the solver's noise floor,
     which is what makes the pointwise reconstruction identity hold to full
-    precision.  Everything else is read off one secular solve there, whose
-    two low states must both overlap e_w.
+    precision.  Everything else is read off one secular solve there, on a new
+    ``_solver_for`` solver, whose two low states must both overlap e_w.
     """
-    solver = _solver_for(graph, w, lap, None)
+    solver = _solver_for(graph, w, None)
 
     def f_e(g: float) -> float:
         return _crossing("E")(solver.solve(g).low_pair())

@@ -465,7 +465,7 @@ class SecularSolver:
     has eigenvalue sum_i lambda_{k_i} / d and target weight
     prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The solver keeps the
     validated axis decomposition as ``axis``, which ``certify_low_pairs``
-    builds its vectors and its residual from.
+    builds its vectors and its residual from, and lap's graph as ``graph``.
     """
 
     def __init__(self, lap: Laplacian, w: int):
@@ -493,7 +493,7 @@ class SecularSolver:
         # the eigenvalues, with multiplicity, whose eigenvectors vanish at w:
         # each eigenspace less its one visible direction
         self._invisible = np.repeat(lams, counts - visible)
-        self.target = w
+        self.graph, self.target = lap.graph, w
         self.volume = lap.measure.volume
         self.s_w2 = float(lap.measure.mu[w] / lap.measure.volume)
         self.n = evals.size

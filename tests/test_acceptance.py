@@ -67,7 +67,7 @@ def lattice_results():
     out = {}
     for p in LATTICE_P_VALUES:
         g, lap, measure = cartesian_power(path_graph(p), 5)
-        crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=600, lap=lap)
+        crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=600)
         assert crit.gamma_E is not None
         opt = optimize_search(
             g,
@@ -75,7 +75,6 @@ def lattice_results():
             (0.8 * crit.gamma_E, 1.2 * crit.gamma_E),
             gamma_points=200,
             t_points=4000,
-            lap=lap,
         )
         out[p] = SimpleNamespace(graph=g, lap=lap, measure=measure, crit=crit, opt=opt)
     return out
@@ -288,7 +287,6 @@ def test_criterion_7_two_level_decomposition(lattice_results):
         rep = decompose_at_gamma_E(
             res.graph, 0, res.crit.gamma_E,
             np.linspace(0.0, min(2.0 * np.pi / (res.opt.e1 - res.opt.e0), 400.0), 1000),
-            lap=res.lap,
         )
         if rep.max_reconstruction_error > 1e-10:
             failures.append(

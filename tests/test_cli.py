@@ -13,7 +13,16 @@ import qwsearch
 from qwsearch import cli, search, spectral
 from qwsearch.errors import ConfigError, ConvergenceFailure, NumericalFailure
 from qwsearch.cli import parse_config
-from qwsearch.graphs import COMPLETE_SIZE_CAP, TransitionGraph, cartesian_power, complete_graph, path_graph, probabilistic_laplacian
+from qwsearch.graphs import (
+    COMPLETE_SIZE_CAP,
+    Laplacian,
+    TransitionGraph,
+    VertexMeasure,
+    cartesian_power,
+    complete_graph,
+    path_graph,
+    probabilistic_laplacian,
+)
 from qwsearch.search import optimize_search
 from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
 
@@ -405,7 +414,7 @@ def test_timeseries_meta_matches_tables_row(tmp_path):
     # pi_max is not a table column: rerun the optimizer on the row's gamma_E window
     g, lap, _ = cli.cartesian_power(cli.path_graph(0.5), 2)
     gamma_e = row["gamma_E"]
-    opt = optimize_search(g, 0, (0.8 * gamma_e, 1.2 * gamma_e), t_points=300, lap=lap)
+    opt = optimize_search(g, 0, (0.8 * gamma_e, 1.2 * gamma_e), t_points=300)
     assert (opt.gamma_opt, opt.t_opt) == (row["gamma_opt"], row["t_opt"])
     assert meta["pi_max"] == opt.pi_max
 
@@ -808,6 +817,19 @@ def test_certificate_sees_a_laplacian_it_does_not_stand_for(monkeypatch):
     spectra_of(0.6)
     with pytest.raises(ConvergenceFailure, match="cannot certify"):
         solver.certify_low_pairs([0.5])
+
+
+def test_certificate_checks_sqrt_mu_over_vol_against_the_axis(monkeypatch):
+    # a measure 5e-11 relative off at the target passes the set-up, whose
+    # tolerance is 1e-10, and the row reads its sqrt(mu/vol) cell from it
+    cfg = parse_config(path_tables(2, [0.4], **{"sweep.gamma_points": 60, "sweep.t_points": 300}))
+    g, lap, measure, w = cli._build_graph(cfg, 0.4)
+    mu = measure.mu.copy()
+    mu[w] *= 1.0 + 5e-11
+    off = VertexMeasure(mu, measure.volume)
+    monkeypatch.setattr(cli, "_build_graph", lambda *args: (g, Laplacian(lap.matrix, g, off), off, w))
+    with pytest.raises(NumericalFailure, match=r"sqrt\(mu/vol\) cell"):
+        cli.compute_table_row(cfg, 0.4)
 
 
 @pytest.mark.parametrize(

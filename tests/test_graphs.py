@@ -25,6 +25,10 @@ from qwsearch.graphs import (
 from qwsearch.spectral import SearchHamiltonian, SecularSolver, symmetrize
 
 
+def cartesian_power_of_path(d):
+    return cartesian_power(path_graph(0.5), d)
+
+
 def measure_by_recursion(g):
     """Independent oracle: propagate the flow-balance recursion edge by edge."""
     mu = {0: 1.0}
@@ -311,6 +315,35 @@ def test_row_not_summing_to_one_rejected():
     g = TransitionGraph(2, weights, "custom")
     with pytest.raises(ValueError, match="sums to"):
         probabilistic_laplacian(g)
+
+
+@pytest.mark.parametrize(
+    "n, weights, message",
+    [
+        (2, {(0, 1): 1.0, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, r"edge \(1,2\) has an endpoint outside 0\.\.1"),
+        (2, {(0, 1): 1.0, (1, 0): 0.5, (1, -1): 0.5, (-1, 1): 1.0}, r"edge \(1,-1\) has an endpoint outside 0\.\.1"),
+        (0, {}, "n=0 must be an integer >= 1"),
+    ],
+    ids=["endpoint-above-n", "negative-endpoint", "no-vertices"],
+)
+def test_malformed_graph_rejected_by_name(n, weights, message):
+    # numpy used to raise first, about an accumulation or a dimension
+    g = TransitionGraph(n, weights, "custom")
+    with pytest.raises(ValueError, match=message):
+        g._tree
+    with pytest.raises(ValueError, match=message):
+        kolmogorov_measure(g)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(cartesian_power_of_path, 2.0), (cartesian_power_of_path, True), (complete_graph, 4.0), (complete_graph, True)],
+    ids=["power-float", "power-bool", "complete-float", "complete-bool"],
+)
+def test_graph_sizes_must_be_integers(build, size):
+    # as parse_config requires of graph.d and graph.N; True used to build a 1-fold power
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(size)
 
 
 def test_weights_are_read_only():

@@ -489,7 +489,7 @@ def dense_decomposition(lap, w, gamma, times):
 def assert_decomposition_matches_dense(graph, lap, gamma_e):
     """Every field of the secular decomposition at the limits: E 1e-12, the rest 1e-10, theta equal."""
     times = np.linspace(0.0, 200.0, 300)
-    report = decompose_at_gamma_E(graph, 0, gamma_e, times, lap=lap)
+    report = decompose_at_gamma_E(graph, 0, gamma_e, times)
     dense = dense_decomposition(lap, 0, report.gamma, times)
     assert report.theta == dense["theta"]
     for name, expected in dense.items():
@@ -502,7 +502,7 @@ def assert_decomposition_matches_dense(graph, lap, gamma_e):
 def test_decomposition_matches_dense_on_lattices(p, d):
     g, lap, _ = cartesian_power(path_graph(p), d)
     # gamma_E grows as p falls: about 25 at p=0.02 on the path
-    gamma_e = find_gamma_critical(g, 0, "E", (0.05, 60.0), grid_points=1200, lap=lap)
+    gamma_e = find_gamma_critical(g, 0, "E", (0.05, 60.0), grid_points=1200)
     assert_decomposition_matches_dense(g, lap, gamma_e)
 
 

@@ -132,7 +132,7 @@ def test_gamma_roots_satisfy_their_equations():
     lap = probabilistic_laplacian(g)
     # the target-overlap crossing of the single axis sits just above 3
     for which in ("s", "w", "E"):
-        root = find_gamma_critical(g, 0, which, (0.05, 5.0), lap=lap)
+        root = find_gamma_critical(g, 0, which, (0.05, 5.0))
         dense = overlaps_direct(SearchHamiltonian(root, 0, lap))
         assert abs(_CROSSINGS[which](dense)) < 1e-9
 
@@ -210,8 +210,8 @@ def test_decomposition_complete_graph_exact():
 
 def test_decomposition_biased_lattice():
     g, lap, _ = cartesian_power(path_graph(0.7), 2)
-    gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
-    report = decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 200.0, 800), lap=lap)
+    gamma_e = find_gamma_critical(g, 0, "E")
+    report = decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 200.0, 800))
     assert abs(report.e0 + report.e1) < 1e-12
     assert report.ratio_residual < 1e-8
     assert report.theta in (0.0, pytest.approx(np.pi / 2.0))
@@ -228,11 +228,11 @@ def test_analysis_makes_only_the_axis_eigh(monkeypatch):
     # decompose_at_gamma_E, theorem_bound_report, green and overlaps_via_green
     # read one secular set-up: the only eigendecomposition is its 4 x 4 one of the axis
     g, lap, _ = cartesian_power(path_graph(0.6), 3)
-    gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
+    gamma_e = find_gamma_critical(g, 0, "E")
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
-    decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 50.0, 20), lap=lap)
+    decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 50.0, 20))
     assert sizes == [4]
     sizes.clear()
     theorem_bound_report(SearchHamiltonian(gamma_e, 0, lap))
@@ -271,9 +271,9 @@ def test_analysis_rejects_an_invisible_first_excited_state():
     with pytest.raises(ConvergenceFailure, match=r"level 1 .* gamma=1\.0 is orthogonal to e_w"):
         theorem_bound_report(SearchHamiltonian(1.0, 0, lap))
     # E0 + E1 still has a root, where E1 is the invisible level
-    gamma_e = find_gamma_critical(g, 0, "E", lap=lap)
+    gamma_e = find_gamma_critical(g, 0, "E")
     with pytest.raises(ConvergenceFailure, match=r"level 1 .* is orthogonal to e_w"):
-        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10), lap=lap)
+        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10))
 
 
 @pytest.mark.parametrize("t_ceiling", [-5.0, 0.0, float("nan"), float("inf"), "bogus", True, None])
@@ -585,10 +585,13 @@ def test_itp_takes_few_calls_on_the_d4_lattice():
 
 
 def test_search_rejects_a_laplacian_of_another_graph(monkeypatch):
-    # before any set-up: the p=0.6 Laplacian would give the p=0.6 roots
-    monkeypatch.setattr(search, "SecularSolver", lambda *args: pytest.fail("a solver was set up"))
+    # before any solve: the solver set up for p=0.6 would give the p=0.6 roots
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.6)), 0)
+    monkeypatch.setattr(solver, "solve_many", lambda *args: pytest.fail("the solver was used"))
     with pytest.raises(ValueError, match="another graph"):
-        gamma_critical_points(path_graph(0.4), 0, lap=probabilistic_laplacian(path_graph(0.6)))
+        gamma_critical_points(path_graph(0.4), 0, solver=solver)
+    with pytest.raises(ValueError, match="another graph"):
+        optimize_search(path_graph(0.4), 0, solver=solver)
 
 
 def test_search_rejects_a_product_laplacian_with_another_measure():
@@ -597,7 +600,7 @@ def test_search_rejects_a_product_laplacian_with_another_measure():
     g, lap, _ = cartesian_power(path_graph(0.4), 3)
     uniform = Laplacian(lap.matrix, g, VertexMeasure(np.ones(64), 64.0))
     with pytest.raises(NonSymmetrizable, match="measure"):
-        optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=uniform)
+        SecularSolver(uniform, 0)
     # the true measure over twice its volume would halve mu(w) / vol
     doubled = Laplacian(lap.matrix, g, VertexMeasure(lap.measure.mu, 2.0 * lap.measure.volume))
     with pytest.raises(NonSymmetrizable, match="measure"):
@@ -610,26 +613,48 @@ def test_search_rejects_a_product_laplacian_with_another_measure():
 
 
 def test_search_takes_a_product_measure_built_another_way():
-    # without lap the search builds the measure by propagating along a tree
-    # over the whole lattice; at p = 0.7, d = 3 it differs from the product of
-    # the axis measures in its last bits, in mu and in the volume
+    # kolmogorov_measure over the whole lattice propagates along a tree; at
+    # p = 0.7, d = 3 it differs from the product of the axis measures in its
+    # last bits, in mu and in the volume, within the set-up's tolerance
     g, lap, _ = cartesian_power(path_graph(0.7), 3)
     walked = kolmogorov_measure(g)
     assert not np.array_equal(walked.mu, lap.measure.mu) and walked.volume != lap.measure.volume
-    reference = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=lap)
-    tree = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300)
-    assert tree.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
-    assert find_gamma_critical(g, 0, "E") == pytest.approx(find_gamma_critical(g, 0, "E", lap=lap), rel=1e-12)
+    reference = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300)
+    gamma_e = find_gamma_critical(g, 0, "E")
     # a measure scaled by a constant, with its volume, is as good
-    scaled = Laplacian(lap.matrix, g, VertexMeasure(3.0 * lap.measure.mu, 3.0 * lap.measure.volume))
-    rescaled = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, lap=scaled)
-    assert rescaled.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
+    scaled = VertexMeasure(3.0 * lap.measure.mu, 3.0 * lap.measure.volume)
+    for measure in (walked, scaled):
+        solver = SecularSolver(Laplacian(lap.matrix, g, measure), 0)
+        other = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, solver=solver)
+        assert other.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
+        assert gamma_critical_points(g, 0, solver=solver).gamma_E == pytest.approx(gamma_e, rel=1e-12)
 
 
-def test_search_rejects_a_solver_for_another_target():
+def test_search_rejects_a_solver_for_another_target(monkeypatch):
     g, lap, _ = cartesian_power(path_graph(0.5), 2)
+    solver = SecularSolver(lap, 0)
+    monkeypatch.setattr(solver, "solve_many", lambda *args: pytest.fail("the solver was used"))
     with pytest.raises(ValueError, match="target 0, not 3"):
-        gamma_critical_points(g, 3, solver=SecularSolver(lap, 0))
+        gamma_critical_points(g, 3, solver=solver)
+    with pytest.raises(ValueError, match="target 0, not 3"):
+        optimize_search(g, 3, solver=solver)
+
+
+@pytest.mark.parametrize(
+    "p, d, search_call",
+    [
+        (0.7, 3, lambda g, **kw: optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, **kw)),
+        (0.91, 2, lambda g, **kw: gamma_critical_points(g, 0, grid_points=120, **kw)),
+        (0.91, 4, lambda g, **kw: optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, **kw)),
+    ],
+    ids=["optimum-p0.7-d3", "critical-p0.91-d2", "optimum-p0.91-d4"],
+)
+def test_search_default_is_the_cli_laplacian(p, d, search_call):
+    # the default set-up takes the Laplacian and measure of cartesian_power, as
+    # the CLI does; a tree-walked measure of the whole lattice moves the last
+    # bits of these answers
+    g, lap, _ = cartesian_power(path_graph(p), d)
+    assert search_call(g) == search_call(g, solver=SecularSolver(lap, 0))
 
 
 def serial_golden_max(f, a, b, tol):
