@@ -13,7 +13,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -65,9 +65,23 @@ class TransitionGraph:
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sources, targets and weights of the edges, in ``weights`` order, as read-only arrays."""
+        """Sources, targets and weights of the edges, in ``weights`` order, as read-only arrays.
+
+        Raises ValueError naming the first edge with an endpoint that is not an integer in 0..n-1.
+        """
         m = len(self.weights)
-        ends = np.fromiter(chain.from_iterable(self.weights), dtype=np.intp, count=2 * m).reshape(m, 2)
+        # one pass over the keys, as floats: they hold every vertex exactly,
+        # where an integer read would truncate 1.5 to a vertex
+        try:
+            ends = np.fromiter(chain.from_iterable(self.weights), dtype=float, count=2 * m).reshape(m, 2)
+        except OverflowError:
+            raise ValueError("an edge endpoint is too large to be a vertex") from None
+        # NaN, which fromiter makes of None, fails every comparison
+        vertex = (ends >= 0) & (ends < self.n) & (ends == np.floor(ends))
+        if not vertex.all():
+            x, y = next(islice(self.weights, int(vertex.all(axis=1).argmin()), None))
+            raise ValueError(f"edge ({x},{y}) has an endpoint outside 0..{self.n - 1}")
+        ends = ends.astype(np.intp)
         p = np.fromiter(self.weights.values(), dtype=float, count=m)
         ends.flags.writeable = p.flags.writeable = False
         return ends[:, 0], ends[:, 1], p
@@ -82,13 +96,10 @@ class TransitionGraph:
         """
         _require_count("n", self.n, 1)
         sources, targets, p = self._edges
-        bad = np.flatnonzero((np.minimum(sources, targets) < 0) | (np.maximum(sources, targets) >= self.n))
-        if bad.size:
-            raise ValueError(f"edge ({sources[bad[0]]},{targets[bad[0]]}) has an endpoint outside 0..{self.n - 1}")
         bad = np.flatnonzero(~((0.0 < p) & (p <= 1.0)))
         if bad.size:
-            x, y = int(sources[bad[0]]), int(targets[bad[0]])
-            raise ValueError(f"edge weight p({x},{y})={self.weights[(x, y)]} outside (0, 1]")
+            i = bad[0]
+            raise ValueError(f"edge weight p({sources[i]},{targets[i]})={p[i]} outside (0, 1]")
         # bincount adds in input order, so each sum has the bits of a loop over the
         # edges; with no edges at all it gives integer zeros
         row_sums = np.bincount(sources, weights=p, minlength=self.n).astype(float)
@@ -278,17 +289,18 @@ def _power_steps(axis: TransitionGraph, d: int) -> list[tuple[np.ndarray, np.nda
     """Every one-axis step of the d-fold Cartesian power of axis, as (sources, targets, p/d) runs.
 
     One run per axis k and edge (a, b) of weight p, axis by axis from the
-    first (most significant), then in ``axis.weights`` order: the vertices
+    first (most significant), then in ``axis._edges`` order: the vertices
     whose coordinate on axis k is a, ascending, and the vertices that the
     step to coordinate b reaches from them.
     """
     m = axis.n
     vertices = np.arange(m**d)
+    edges = list(zip(*(column.tolist() for column in axis._edges)))
     runs = []
     for k in range(d):
         stride = m ** (d - 1 - k)
         digit = vertices // stride % m
-        for (a, b), p in axis.weights.items():
+        for a, b, p in edges:
             v = vertices[digit == a]
             runs.append((v, v + (b - a) * stride, p / d))
     return runs

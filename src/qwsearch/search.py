@@ -329,9 +329,13 @@ class SearchOptimum:
     refined_gamma_step: float
 
 
+def _positive_number(x) -> bool:
+    """Whether x is a finite real number above 0, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0.0
+
+
 def _require_ceiling(policy) -> None:
-    number = isinstance(policy, numbers.Real) and not isinstance(policy, bool)
-    if policy not in ("auto", "volume") and not (number and math.isfinite(policy) and policy > 0.0):
+    if policy not in ("auto", "volume") and not _positive_number(policy):
         raise ValueError(f"t_ceiling={policy!r} must be 'auto', 'volume' or a positive finite number")
 
 
@@ -519,6 +523,10 @@ def _select_optimum(pool):
     return min(near, key=lambda r: (r[0], r[2]))
 
 
+# from |E0 + E1| < 1e-8, two or three Newton steps reach the solver's noise floor
+_NEWTON_STEPS = 8
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Two-level reduction of the success probability at the symmetric coupling.
@@ -552,26 +560,35 @@ def decompose_at_gamma_E(
 ) -> DecompositionReport:
     """Decompose pi(t) into its two-level part and higher-state residual.
 
-    Requires |E0 + E1| < 1e-8 at the supplied coupling.  The coupling is then
-    refined by secant steps until E0 + E1 sits at the solver's noise floor,
-    which is what makes the pointwise reconstruction identity hold to full
-    precision.  Everything else is read off one secular solve there, on a new
-    ``_solver_for`` solver, whose two low states must both overlap e_w.
+    Requires a positive finite gamma_E with |E0 + E1| < 1e-8 there, on a new
+    ``_solver_for`` solver whose two low states must both overlap e_w.  The
+    coupling is then refined by Newton steps on f = E0 + E1, until f is 0 or
+    a step no longer lowers |f|, which makes the pointwise reconstruction
+    identity hold to full precision.  By Hellmann-Feynman, dE_a/dgamma =
+    <psi_a|Delta|psi_a> = (E_a + |<e_w, psi_a>|^2) / gamma, so each solve's
+    low pair holds its own slope f'.  Everything is read off the last step.
     """
+    if not _positive_number(gamma_E):
+        raise ValueError(f"gamma_E={gamma_E!r} must be a positive finite number")
     solver = _solver_for(graph, w, None)
-
-    def f_e(g: float) -> float:
-        return _crossing("E")(solver.solve(g).low_pair())
-
     gamma = float(gamma_E)
-    f0 = f_e(gamma)
-    if abs(f0) >= 1e-8:
-        raise NotAtGammaE(f"E0 + E1 = {f0:.3e} at gamma={gamma}; not a symmetric point")
-    gamma, f0 = _polish_root(f_e, gamma, f0)
-
     spec = solver.solve(gamma)
-    _require_visible_low_pair(spec)
     pair = spec.low_pair()
+    f = pair.e0 + pair.e1
+    if abs(f) >= 1e-8:
+        raise NotAtGammaE(f"E0 + E1 = {f:.3e} at gamma={gamma}; not a symmetric point")
+    _require_visible_low_pair(spec)
+    for _ in range(_NEWTON_STEPS):
+        if f == 0.0:
+            break
+        slope = (f + pair.w_psi0 + pair.w_psi1) / gamma
+        step = solver.solve(gamma - f / slope)
+        step_pair = step.low_pair()
+        if not abs(step_pair.e0 + step_pair.e1) < abs(f):
+            break
+        spec, pair = step, step_pair
+        gamma, f = spec.gamma, pair.e0 + pair.e1
+
     alpha = spec.amplitudes
     s0_sq, s1_sq = pair.s_psi0, pair.s_psi1
     w0_sq, w1_sq = pair.w_psi0, pair.w_psi1
@@ -616,21 +633,3 @@ def decompose_at_gamma_E(
         ratio_residual=float(ratio_residual),
         max_reconstruction_error=float(np.abs(reconstruction - success).max()),
     )
-
-
-def _polish_root(f, x0: float, f0: float, max_iter: int = 20) -> tuple[float, float]:
-    """Secant refinement of a root already bracketed to ~1e-8."""
-    best_x, best_f = x0, f0
-    x1 = x0 + 1e-9
-    f1 = f(x1)
-    if abs(f1) < abs(best_f):
-        best_x, best_f = x1, f1
-    for _ in range(max_iter):
-        if f1 == f0 or abs(best_f) < 1e-16:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        f2 = f(x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f2) < abs(best_f):
-            best_x, best_f = x2, f2
-    return best_x, best_f

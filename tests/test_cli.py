@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -888,3 +889,18 @@ def test_export_matrix_csv_matches_the_per_row_formatter(tmp_path, kind):
     cli.export_matrix_csv(tmp_path / "sparse.csv", matrix)
     per_row_matrix_csv(tmp_path / "per_row.csv", matrix)
     assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+
+def test_golden_script_lists_every_run():
+    # every change's sameness check is this listing: each config must still
+    # validate and write at least one file
+    script = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    listed = {line.split()[1].split("/")[0] for line in result.stdout.splitlines()}
+    runs = next(
+        node.value
+        for node in ast.parse(script.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "RUNS"
+    )
+    assert listed == {run.elts[0].value for run in runs.elts}

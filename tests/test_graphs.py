@@ -323,8 +323,14 @@ def test_row_not_summing_to_one_rejected():
         (2, {(0, 1): 1.0, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, r"edge \(1,2\) has an endpoint outside 0\.\.1"),
         (2, {(0, 1): 1.0, (1, 0): 0.5, (1, -1): 0.5, (-1, 1): 1.0}, r"edge \(1,-1\) has an endpoint outside 0\.\.1"),
         (0, {}, "n=0 must be an integer >= 1"),
+        # 1.5 used to truncate to 1, so the first passed as the 2-cycle 0 <-> 1
+        # and the second raised KeyError from the weight message; 2**70 overflowed
+        (2, {(0, 1.5): 1.0, (1, 0): 1.0}, r"edge \(0,1\.5\) has an endpoint outside 0\.\.1"),
+        (2, {(0, 1.5): 2.0, (1, 0): 1.0}, r"edge \(0,1\.5\) has an endpoint outside 0\.\.1"),
+        (2, {(0, 2**70): 1.0, (1, 0): 1.0}, rf"edge \(0,{2**70}\) has an endpoint outside 0\.\.1"),
     ],
-    ids=["endpoint-above-n", "negative-endpoint", "no-vertices"],
+    ids=["endpoint-above-n", "negative-endpoint", "no-vertices", "fractional-endpoint",
+         "fractional-endpoint-bad-weight", "huge-endpoint"],
 )
 def test_malformed_graph_rejected_by_name(n, weights, message):
     # numpy used to raise first, about an accumulation or a dimension
@@ -333,6 +339,12 @@ def test_malformed_graph_rejected_by_name(n, weights, message):
         g._tree
     with pytest.raises(ValueError, match=message):
         kolmogorov_measure(g)
+
+
+def test_transition_matrix_checks_the_endpoints():
+    # it reads the edge arrays without the walk check, and used to put p(0, 1.5) at (0, 1)
+    with pytest.raises(ValueError, match=r"edge \(0,1\.5\) has an endpoint outside 0\.\.1"):
+        TransitionGraph(2, {(0, 1.5): 1.0, (1, 0): 1.0}, "custom").transition_matrix()
 
 
 @pytest.mark.parametrize(

@@ -513,6 +513,37 @@ def test_decomposition_matches_dense_on_complete_graphs(n):
     assert_decomposition_matches_dense(g, probabilistic_laplacian(g), (n - 1) / n)
 
 
+def assert_slopes_match_dense(lap, w, gamma):
+    """The slopes (E_a + |<e_w, psi_a>|^2) / gamma of the secular low pair against dense <psi_a|S|psi_a>.
+
+    By Hellmann-Feynman dE_a/dgamma = <psi_a|Delta|psi_a>, and for the
+    eigenvector psi_a of gamma S - e_w e_w^T that is (E_a + w_a) / gamma.  The
+    values lie in [0, 2], the spectrum of S.  Where one is far below 1,
+    E_a + w_a cancels to it, so the limit is 1e-12 relative to max(1, value).
+    """
+    pair = SecularSolver(lap, w).solve(gamma).low_pair()
+    slopes = np.array([pair.e0 + pair.w_psi0, pair.e1 + pair.w_psi1]) / gamma
+    psi = decompose(SearchHamiltonian(gamma, w, lap)).sym_vectors[:, :2]
+    dense = np.einsum("ia,ij,ja->a", psi, symmetrize(lap).matrix, psi)
+    assert (np.abs(slopes - dense) <= 1e-12 * np.maximum(1.0, dense)).all(), (slopes, dense)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st_p, d=st.integers(min_value=1, max_value=3), gamma=st_gamma, data=st.data())
+def test_energy_slopes_match_dense_on_lattices(p, d, gamma, data):
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    w = data.draw(st.integers(min_value=0, max_value=lap.graph.n - 1), label="w")
+    assert_slopes_match_dense(lap, w, gamma)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), gamma=st_gamma)
+def test_energy_slopes_match_dense_on_complete_graphs(n, gamma):
+    lap = probabilistic_laplacian(complete_graph(n))
+    for w in sorted({0, n - 1}):
+        assert_slopes_match_dense(lap, w, gamma)
+
+
 def dense_theorem_bounds(h):
     """theorem_bound_report from dense eigh: the function's former body, kept as its oracle."""
     rep = overlaps_direct(h)

@@ -218,10 +218,35 @@ def test_decomposition_biased_lattice():
     assert report.max_reconstruction_error < 1e-10
 
 
+@pytest.mark.parametrize("offset", [-3e-9, 3e-9])
+def test_decomposition_refines_an_offset_gamma_e(offset):
+    # 3e-9 off the root, |E0 + E1| is still below the 1e-8 entry bound, and
+    # the Newton steps on E0 + E1 land on the root to within 1e-15
+    times = np.linspace(0.0, 5.0, 10)
+    # K_4's symmetric coupling is 3/4
+    assert abs(decompose_at_gamma_E(complete_graph(4), 0, 0.75 + offset, times).gamma - 0.75) <= 1e-15
+    g = cartesian_power(path_graph(0.7), 2)[0]
+    root = decompose_at_gamma_E(g, 0, find_gamma_critical(g, 0, "E"), times).gamma
+    assert abs(decompose_at_gamma_E(g, 0, root + offset, times).gamma - root) <= 1e-15 * root
+
+
 def test_decomposition_rejects_wrong_coupling():
     g = complete_graph(4)
     with pytest.raises(NotAtGammaE):
         decompose_at_gamma_E(g, 0, 0.9, np.linspace(0.0, 5.0, 10))
+
+
+@pytest.mark.parametrize("gamma_e", [None, float("nan"), 0.0, -1.0, True])
+def test_decomposition_checks_gamma_e_before_the_set_up(monkeypatch, gamma_e):
+    # gamma_critical_points gives gamma_E=None on this lattice: E0 + E1 has no
+    # root in the default range; None used to raise TypeError after the set-up
+    g = cartesian_power(path_graph(0.1), 2)[0]
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
+    with pytest.raises(ValueError, match="gamma_E"):
+        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10))
+    assert sizes == []
 
 
 def test_analysis_makes_only_the_axis_eigh(monkeypatch):
