@@ -11,7 +11,9 @@ vertices where the command accepts it, one spectrum of the d=3 product (64
 vertices) at p=0.91, one of the d=5 product (1024 vertices, a 1M-cell
 ``laplacian.csv``) at p=0.5 as in the benchmark's spectrum-d5 workload, one
 ``tables`` run of the d=4 product (256 vertices) with p in {0.91, 0.4} on the
-benchmark's tables-d4 grid (60 scan points, 500 time points), and one ``tables`` run of the d=3 product at the interior
+benchmark's tables-d4 grid (60 scan points, 500 time points), one ``tables``
+row of the d=6 product (4,096 vertices, the largest the cap allows) at
+p=0.91 on the same grid, and one ``tables`` run of the d=3 product at the interior
 target 21, axis coordinates (1, 1, 1), where every other run targets the
 corner (0, 0, ...).  Each run goes through ``qwsearch.cli.main`` from the
 ``src/`` next to this script.  It prints one ``sha256  file`` line per output,
@@ -59,6 +61,8 @@ RUNS = [
     ("tables-defaults", ["tables"], PATH | {"graph.p": 0.91, "output.format": "json"}),
     ("tables-d4", ["tables"],
      PATH | {"graph.d": 4, "graph.p": [0.91, 0.4], "sweep.gamma_points": 60, "sweep.t_points": 500}),
+    ("tables-d6", ["tables"],
+     PATH | {"graph.d": 6, "graph.p": 0.91, "sweep.gamma_points": 60, "sweep.t_points": 500}),
     ("tables-target", ["tables"],
      PATH | {"graph.d": 3, "graph.p": [0.4, 0.91], "target.vertex": 21,
              "sweep.gamma_points": 60, "sweep.t_points": 300}),

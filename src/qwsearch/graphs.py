@@ -22,7 +22,9 @@ from .errors import CycleInconsistency
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
-PRODUCT_SIZE_CAP = 4**6  # 4,096 vertices: 128 MiB per dense n x n matrix
+# 4,096 vertices: `spectrum` writes the 128 MiB dense Delta of the largest as
+# laplacian.csv; the engine reads a product's edges and axis, never an n x n array
+PRODUCT_SIZE_CAP = 4**6
 # complete_graph stores N (N - 1) weights in a dict: 1.8 s and a 240 MB peak
 # to build, measure and set up N = 1024, and 8.3 s and 867 MB at N = 2048
 COMPLETE_SIZE_CAP = 1024
@@ -67,16 +69,21 @@ class TransitionGraph:
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sources, targets and weights of the edges, in ``weights`` order, as read-only arrays.
 
-        Raises ValueError naming the first edge with an endpoint that is not an integer in 0..n-1.
+        Raises ValueError naming the first edge with an endpoint that is not a
+        real number, else the first with one that is not an integer in 0..n-1.
         """
         m = len(self.weights)
-        # one pass over the keys, as floats: they hold every vertex exactly,
-        # where an integer read would truncate 1.5 to a vertex
+        # float() would read the string "1" as vertex 1
+        kinds = set(map(type, chain.from_iterable(self.weights)))
+        if not all(issubclass(kind, numbers.Real) for kind in kinds):
+            x, y = next(e for e in self.weights if not all(isinstance(v, numbers.Real) for v in e))
+            raise ValueError(f"edge ({x!r},{y!r}) has an endpoint that is not a real number")
+        # the keys as floats, which hold every vertex exactly: an integer read would truncate 1.5
         try:
             ends = np.fromiter(chain.from_iterable(self.weights), dtype=float, count=2 * m).reshape(m, 2)
         except OverflowError:
             raise ValueError("an edge endpoint is too large to be a vertex") from None
-        # NaN, which fromiter makes of None, fails every comparison
+        # a NaN endpoint fails every comparison
         vertex = (ends >= 0) & (ends < self.n) & (ends == np.floor(ends))
         if not vertex.all():
             x, y = next(islice(self.weights, int(vertex.all(axis=1).argmin()), None))
@@ -123,11 +130,18 @@ class VertexMeasure:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Dense probabilistic Laplacian I - P together with its graph and measure."""
+    """I - P of a graph, with a measure it is self-adjoint in; ``matrix`` is built on first use, read-only."""
 
-    matrix: np.ndarray
     graph: TransitionGraph
     measure: VertexMeasure
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        sources, targets, p = self.graph._edges
+        delta = np.eye(self.graph.n)
+        delta[sources, targets] -= p
+        delta.flags.writeable = False
+        return delta
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -204,11 +218,7 @@ def kolmogorov_measure(g: TransitionGraph) -> VertexMeasure:
     """
     tree = g._tree
     sources, targets, p = g._edges
-    # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
-    key, back_key = sources * g.n + targets, targets * g.n + sources
-    order = np.argsort(key, kind="stable")
-    back = order[np.minimum(np.searchsorted(key[order], back_key), key.size - 1)]
-    reversible = key[back] == back_key
+    back, reversible = _reverse_edges(g)
     mu = np.full(g.n, np.nan)
     mu[0] = 1.0
     for level in tree:
@@ -234,34 +244,42 @@ def _one_way(x, y) -> CycleInconsistency:
     return CycleInconsistency(f"edge ({x},{y}) has no reverse edge; walk is not reversible")
 
 
-def probabilistic_laplacian(
-    g: TransitionGraph, measure: VertexMeasure | None = None
-) -> Laplacian:
-    """Assemble I - P for g, validating self-adjointness under the measure."""
+def _reverse_edges(g: TransitionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """For each edge (x, y), the index of the edge (y, x), and whether it exists (else the index is arbitrary)."""
+    sources, targets, _ = g._edges
+    # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
+    key, back_key = sources * g.n + targets, targets * g.n + sources
+    order = np.argsort(key, kind="stable")
+    back = order[np.minimum(np.searchsorted(key[order], back_key), key.size - 1)]
+    return back, key[back] == back_key
+
+
+def probabilistic_laplacian(g: TransitionGraph, measure: VertexMeasure | None = None) -> Laplacian:
+    """I - P of g, checked to be self-adjoint under the measure (by default ``kolmogorov_measure(g)``)."""
     if measure is None:
         measure = kolmogorov_measure(g)
+    _check_self_adjoint(g, measure.mu)
+    return Laplacian(g, measure)
+
+
+def _check_self_adjoint(g: TransitionGraph, mu: np.ndarray) -> None:
+    """Raise CycleInconsistency unless M Delta, M = diag(mu), is symmetric within 1e-12 of its largest entry.
+
+    M Delta is compared with its transpose at the edges alone: every other
+    entry of both is an exact zero, and the diagonal is symmetric as it stands.
+    """
     sources, targets, p = g._edges
-    # 0.0 - p, not -p, so a zero weight would give +0.0 like every cell off the edges
-    delta = np.zeros((g.n, g.n))
-    delta[sources, targets] = 0.0 - p
-    delta.flat[:: g.n + 1] += 1.0
-    _check_self_adjoint(delta, measure.mu, sources, targets)
-    return Laplacian(delta, g, measure)
-
-
-def _check_self_adjoint(
-    delta: np.ndarray, mu: np.ndarray, sources: np.ndarray, targets: np.ndarray
-) -> None:
-    # M Delta is compared with its transpose at the edges alone: every other
-    # entry of both is an exact zero, and the diagonal is symmetric as it stands
-    rows = mu[sources] * delta[sources, targets]
-    cols = mu[targets] * delta[targets, sources]
+    back, reversible = _reverse_edges(g)
+    loop = sources == targets
+    cell = loop - p  # I - P at the edges, with the bits of ``Laplacian.matrix``
+    diagonal = np.ones(g.n)
+    diagonal[sources[loop]] = cell[loop]
+    rows = mu[sources] * cell
+    cols = mu[targets] * np.where(reversible, cell[back], 0.0)
     skew = float(np.abs(rows - cols).max(initial=0.0))
-    scale = float(max(np.abs(rows).max(initial=0.0), np.abs(mu * np.diagonal(delta)).max()))
+    scale = float(max(np.abs(rows).max(initial=0.0), np.abs(mu * diagonal).max()))
     if skew > 1e-12 * max(scale, 1.0):
-        raise CycleInconsistency(
-            f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent"
-        )
+        raise CycleInconsistency(f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent")
 
 
 def _power_form(g: TransitionGraph) -> tuple[TransitionGraph, int]:
@@ -285,25 +303,31 @@ def _power_outer(op: np.ufunc, identity, factors) -> np.ndarray:
     return out
 
 
-def _power_steps(axis: TransitionGraph, d: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Every one-axis step of the d-fold Cartesian power of axis, as (sources, targets, p/d) runs.
+def _power_edges(axis: TransitionGraph, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sources, targets and weights of the edges of the d-fold Cartesian power of axis.
 
-    One run per axis k and edge (a, b) of weight p, axis by axis from the
-    first (most significant), then in ``axis._edges`` order: the vertices
-    whose coordinate on axis k is a, ascending, and the vertices that the
-    step to coordinate b reaches from them.
+    First each axis edge's moves, with p/d for its p: axis by axis from the
+    first (most significant), then in ``axis._edges`` order, from the vertices
+    whose coordinate is the edge's source, ascending.  Then, ascending, one
+    self-loop at each vertex where some axis has one: their p/d summed in axis order.
     """
-    m = axis.n
-    vertices = np.arange(m**d)
-    edges = list(zip(*(column.tolist() for column in axis._edges)))
+    m, n = axis.n, axis.n**d
+    vertices = np.arange(n)
+    loops, looped = np.zeros(n), np.zeros(n, dtype=bool)
     runs = []
     for k in range(d):
         stride = m ** (d - 1 - k)
         digit = vertices // stride % m
-        for a, b, p in edges:
+        for a, b, p in zip(*(column.tolist() for column in axis._edges)):
             v = vertices[digit == a]
-            runs.append((v, v + (b - a) * stride, p / d))
-    return runs
+            if a == b:
+                loops[v] += p / d
+                looped[v] = True
+            else:
+                runs.append((v, v + (b - a) * stride, np.full(v.size, p / d)))
+    v = vertices[looped]
+    runs.append((v, v, loops[v]))
+    return tuple(np.concatenate(column) for column in zip(*runs))
 
 
 def _product_measure(g: TransitionGraph, d: int) -> VertexMeasure:
@@ -312,14 +336,12 @@ def _product_measure(g: TransitionGraph, d: int) -> VertexMeasure:
     return VertexMeasure(mu, float(mu.sum()))
 
 
-def cartesian_power(
-    g: TransitionGraph, d: int
-) -> tuple[TransitionGraph, Laplacian, VertexMeasure]:
+def cartesian_power(g: TransitionGraph, d: int) -> tuple[TransitionGraph, Laplacian, VertexMeasure]:
     """d-fold Cartesian power of g: each step moves along one axis, with weight p/d.
 
     Vertices are indexed lexicographically with the first factor most
-    significant.  The Laplacian I - P is assembled from these edges like any
-    other graph's; it equals the 1/d-normalized Kronecker sum of g's Laplacian.
+    significant, and the edges are ``_power_edges``'s.  The Laplacian I - P
+    of these edges is the 1/d-normalized Kronecker sum of g's Laplacian.
     The measure is the product of per-axis measures, so the volume is the
     per-axis volume raised to d.
     """
@@ -328,14 +350,8 @@ def cartesian_power(
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")
 
-    vertex = list(range(n))  # one int per vertex, shared by every key that names it
-    weights: dict[tuple[int, int], float] = {}
-    for sources, targets, p in _power_steps(g, d):
-        for x, y in zip(sources.tolist(), targets.tolist()):
-            step = (vertex[x], vertex[y])
-            # a self-loop of the axis is one of every axis: they add up, in axis order
-            weights[step] = weights[step] + p if step in weights else p
-
+    sources, targets, p = _power_edges(g, d)
+    weights = dict(zip(zip(sources.tolist(), targets.tolist()), p.tolist()))
     params = {"d": d, "axis_n": g.n, "base": g.family, **g.params}
     gd = TransitionGraph(n, weights, "product", params, axis=g)
     gd._tree  # checks the walk

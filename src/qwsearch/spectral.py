@@ -23,8 +23,8 @@ from .graphs import (
     Laplacian,
     TransitionGraph,
     _power_form,
+    _power_edges,
     _power_outer,
-    _power_steps,
     probabilistic_laplacian,
 )
 
@@ -54,7 +54,7 @@ class SearchHamiltonian:
             raise ValueError(f"target vertex {self.target} out of range")
 
     def matrix(self) -> np.ndarray:
-        h = self.gamma * self.laplacian.matrix.copy()
+        h = self.gamma * self.laplacian.matrix
         h[self.target, self.target] -= 1.0
         return h
 
@@ -79,12 +79,8 @@ def symmetrize(op: Laplacian | SearchHamiltonian) -> Symmetrized:
     Raises NonSymmetrizable when the conjugated matrix is not symmetric, which
     signals a detailed-balance violation upstream.
     """
-    if isinstance(op, SearchHamiltonian):
-        a = op.matrix()
-        mu = op.laplacian.measure.mu
-    else:
-        a = op.matrix
-        mu = op.measure.mu
+    hamiltonian = isinstance(op, SearchHamiltonian)
+    a, mu = (op.matrix(), op.laplacian.measure.mu) if hamiltonian else (op.matrix, op.measure.mu)
     sqrt_mu = np.sqrt(mu)
     s = (sqrt_mu[:, None] * a) / sqrt_mu[None, :]
     defect = np.linalg.norm(s - s.T)
@@ -334,15 +330,15 @@ _COMPACT_ELEMENTS = 1 << 12
 def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
     """The validated decomposition of the axis of lap's graph, as a d-fold Cartesian power, and d.
 
-    A graph that is not a product is its own 1-fold power.  A product's axis
-    is decomposed alone, with no n x n array, once ``_check_kronecker_form``
-    has certified lap.matrix.  Either way mu / vol must be the d-fold product
-    of the axis's normalized measure within SYMMETRY_TOL relative (so Delta is
-    self-adjoint in mu and vol is mu's sum), else it raises NonSymmetrizable.
+    A graph that is not a product is its own 1-fold power, decomposed from lap.matrix; a
+    product's axis is decomposed alone, with no n x n array, once its edges pass
+    ``_check_kronecker_form``.  Either way mu / vol must be the d-fold product of the axis's
+    normalized measure within SYMMETRY_TOL relative (so Delta is self-adjoint in mu and vol
+    is mu's sum), else it raises NonSymmetrizable.
     """
     axis, d = _power_form(lap.graph)
     if axis is not lap.graph:
-        _check_kronecker_form(lap.matrix, axis, d)
+        _check_kronecker_form(lap.graph, axis, d)
     spec = decompose(lap if axis is lap.graph else probabilistic_laplacian(axis))
     axis_mu = spec.sqrt_mu**2
     ratio = lap.measure.mu / lap.measure.volume / _power_outer(np.multiply, 1.0, [axis_mu / axis_mu.sum()] * d)
@@ -352,29 +348,17 @@ def _decomposed_axis(lap: Laplacian) -> tuple[SpectralData, int]:
     return spec, d
 
 
-def _check_kronecker_form(delta: np.ndarray, axis: TransitionGraph, d: int) -> None:
-    """Raise NonSymmetrizable unless delta is I - P of the d-fold Cartesian power of axis.
+def _check_kronecker_form(graph: TransitionGraph, axis: TransitionGraph, d: int) -> None:
+    """Raise NonSymmetrizable unless graph has, in any order, the ``_power_edges`` of axis and d, to the bit.
 
-    Every stencil entry must equal what ``cartesian_power`` assembles:
-    0.0 - p/d for a step along one axis, and (0.0 - loops) + 1.0 on the
-    diagonal, for loops the axes' self-loop weights p/d summed in axis order.
-    The nonzero count must equal the stencil's size, so no other entry is
-    nonzero: O(n d) gathers and one count, with no n x n temporary.
+    Then its Laplacian is the 1/d-scaled Kronecker sum of the axis's, as ``cartesian_power`` builds it.
     """
-    loops = np.zeros(delta.shape[0])
-    exact, size = True, 0
-    for sources, targets, p in _power_steps(axis, d):
-        if sources[0] == targets[0]:  # every step of a run moves by the same offset
-            loops[sources] += p
-        else:
-            exact = exact and (delta[sources, targets] == 0.0 - p).all()
-            size += sources.size
-    diagonal = (0.0 - loops) + 1.0
-    exact = exact and (np.diagonal(delta) == diagonal).all()
-    if not exact or np.count_nonzero(delta) != size + np.count_nonzero(diagonal):
-        raise NonSymmetrizable(
-            f"Laplacian of the {d}-fold product differs from the Kronecker sum of its axis"
-        )
+    keyed = []
+    for edges in (graph._edges, _power_edges(axis, d)):
+        order = np.argsort(edges[0] * graph.n + edges[1])  # the (source, target) keys are distinct
+        keyed.append([column[order] for column in edges])
+    if graph.n != axis.n**d or not all(map(np.array_equal, *keyed)):
+        raise NonSymmetrizable(f"Laplacian of the {d}-fold product differs from the Kronecker sum of its axis")
 
 
 @dataclass(frozen=True)
@@ -674,7 +658,7 @@ class SecularSolver:
         Weyl's theorem H has an eigenvalue within r_a = ||H psi_a - E_a psi_a||
         of E_a.  S psi, the independent route, is one ``tensordot`` per axis
         with the axis's symmetrized Laplacian S_1, summed and divided by d, as
-        the set-up certified lap's stencil and measure to be.  Each entry of
+        the set-up certified lap's edges and measure to be.  Each entry of
         H psi - E_a psi rounds over at most m + d + 3 operations (m = axis.n
         products per axis term, d - 1 sums and a division joining them, then
         gamma, the target term and the subtraction), so r_a carries twice

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -820,6 +821,37 @@ def test_certificate_sees_a_laplacian_it_does_not_stand_for(monkeypatch):
         solver.certify_low_pairs([0.5])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_engine_builds_no_dense_laplacian_of_a_product(d):
+    # the set-up, the scan, the optimizer and the row certificate read the
+    # graph's edges and its axis; at d = 6 one dense Delta alone is 134 MB
+    g, lap, _ = cartesian_power(path_graph(0.91), d)
+    tracemalloc.start()
+    try:
+        solver = spectral.SecularSolver(lap, 0)
+        crit = search.gamma_critical_points(g, 0, grid_points=30, solver=solver)
+        opt = optimize_search(g, 0, gamma_points=20, t_points=200, solver=solver)
+        solver.certify_low_pairs([crit.gamma_s, crit.gamma_w, crit.gamma_E, opt.gamma_opt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "matrix" not in lap.__dict__
+    assert peak < 32e6
+
+
+def test_spectrum_builds_the_dense_laplacian_read_only(tmp_path, monkeypatch):
+    # the positive control of the test above: laplacian.csv needs the matrix
+    built = []
+    build = cli._build_graph
+    monkeypatch.setattr(cli, "_build_graph", lambda *args: built.append(build(*args)) or built[-1])
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out", **{"graph.d": 2}))
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    [(_, lap, _, _)] = built
+    assert "matrix" in lap.__dict__
+    with pytest.raises(ValueError, match="read-only"):
+        lap.matrix[0, 0] = 0.0
+
+
 def test_certificate_checks_sqrt_mu_over_vol_against_the_axis(monkeypatch):
     # a measure 5e-11 relative off at the target passes the set-up, whose
     # tolerance is 1e-10, and the row reads its sqrt(mu/vol) cell from it
@@ -828,7 +860,7 @@ def test_certificate_checks_sqrt_mu_over_vol_against_the_axis(monkeypatch):
     mu = measure.mu.copy()
     mu[w] *= 1.0 + 5e-11
     off = VertexMeasure(mu, measure.volume)
-    monkeypatch.setattr(cli, "_build_graph", lambda *args: (g, Laplacian(lap.matrix, g, off), off, w))
+    monkeypatch.setattr(cli, "_build_graph", lambda *args: (g, Laplacian(g, off), off, w))
     with pytest.raises(NumericalFailure, match=r"sqrt\(mu/vol\) cell"):
         cli.compute_table_row(cfg, 0.4)
 

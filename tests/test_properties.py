@@ -367,7 +367,7 @@ def test_batched_low_pairs_name_first_degenerate_coupling(eps, w, gammas):
 
 def dense_setup_laplacian(lap):
     """The same Laplacian with its product structure hidden, so SecularSolver decomposes it densely."""
-    return Laplacian(lap.matrix, dataclasses.replace(lap.graph, axis=None), lap.measure)
+    return Laplacian(dataclasses.replace(lap.graph, axis=None), lap.measure)
 
 
 @settings(max_examples=20, deadline=None)
@@ -434,17 +434,25 @@ def test_hamiltonian_spectra_match_eigvalsh_on_a_lazy_graph():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
+    # product graphs, axis and all, whose edges are not the power's
     g, lap, _ = cartesian_power(path_graph(0.4), d)
     x, y = next(iter(g.weights))
-    off_stencil = lap.matrix.copy()
-    off_stencil[x, y] *= 1.0 + 1e-12
+    off_stencil = dataclasses.replace(g, weights={**g.weights, (x, y): g.weights[(x, y)] * (1.0 + 1e-12)})
     with pytest.raises(NonSymmetrizable):
-        SecularSolver(Laplacian(off_stencil, g, lap.measure), 0)
-    # an entry outside the stencil, which no gathered cell sees: the nonzero count
-    stray = lap.matrix.copy()
-    stray[0, g.n - 1] = -1e-300
+        SecularSolver(Laplacian(off_stencil, lap.measure), 0)
+    # an edge outside the stencil
+    stray = dataclasses.replace(g, weights={**g.weights, (0, g.n - 1): 1e-300})
     with pytest.raises(NonSymmetrizable):
-        SecularSolver(Laplacian(stray, g, lap.measure), 0)
+        SecularSolver(Laplacian(stray, lap.measure), 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_product_setup_takes_the_power_edges_in_any_order(d):
+    # the check compares edges, not their storage order
+    g, lap, _ = cartesian_power(path_graph(0.4), d)
+    reordered = dataclasses.replace(g, weights=dict(reversed(g.weights.items())))
+    solver = SecularSolver(Laplacian(reordered, lap.measure), 0)
+    assert solver.lams.tobytes() == SecularSolver(lap, 0).lams.tobytes()
 
 
 def dense_decomposition(lap, w, gamma, times):

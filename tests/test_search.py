@@ -623,16 +623,16 @@ def test_search_rejects_a_product_laplacian_with_another_measure():
     # the uniform measure does not make the p = 0.4 lattice self-adjoint; the
     # solver used to take it, and optimize_search reported pi_max = 1.342
     g, lap, _ = cartesian_power(path_graph(0.4), 3)
-    uniform = Laplacian(lap.matrix, g, VertexMeasure(np.ones(64), 64.0))
+    uniform = Laplacian(g, VertexMeasure(np.ones(64), 64.0))
     with pytest.raises(NonSymmetrizable, match="measure"):
         SecularSolver(uniform, 0)
     # the true measure over twice its volume would halve mu(w) / vol
-    doubled = Laplacian(lap.matrix, g, VertexMeasure(lap.measure.mu, 2.0 * lap.measure.volume))
+    doubled = Laplacian(g, VertexMeasure(lap.measure.mu, 2.0 * lap.measure.volume))
     with pytest.raises(NonSymmetrizable, match="measure"):
         SecularSolver(doubled, 0)
     # the same for a graph that is not a product
     path = probabilistic_laplacian(path_graph(0.4))
-    path_doubled = Laplacian(path.matrix, path.graph, VertexMeasure(path.measure.mu, 2.0 * path.measure.volume))
+    path_doubled = Laplacian(path.graph, VertexMeasure(path.measure.mu, 2.0 * path.measure.volume))
     with pytest.raises(NonSymmetrizable, match="measure"):
         SecularSolver(path_doubled, 0)
 
@@ -649,7 +649,7 @@ def test_search_takes_a_product_measure_built_another_way():
     # a measure scaled by a constant, with its volume, is as good
     scaled = VertexMeasure(3.0 * lap.measure.mu, 3.0 * lap.measure.volume)
     for measure in (walked, scaled):
-        solver = SecularSolver(Laplacian(lap.matrix, g, measure), 0)
+        solver = SecularSolver(Laplacian(g, measure), 0)
         other = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, solver=solver)
         assert other.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
         assert gamma_critical_points(g, 0, solver=solver).gamma_E == pytest.approx(gamma_e, rel=1e-12)

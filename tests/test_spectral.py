@@ -76,7 +76,7 @@ def test_symmetrize_back_map_preserves_inner_products():
 def test_symmetrize_rejects_wrong_measure():
     g = path_graph(0.5)
     bad_measure = VertexMeasure(np.array([1.0, 5.0, 2.0, 1.0]), 9.0)
-    bad_lap = Laplacian(np.eye(4) - g.transition_matrix(), g, bad_measure)
+    bad_lap = Laplacian(g, bad_measure)
     with pytest.raises(NonSymmetrizable):
         symmetrize(bad_lap)
 
