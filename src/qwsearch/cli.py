@@ -107,9 +107,7 @@ def _want(raw: dict, key: str, kind, default, check, describe: str):
     value = raw[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{key}: expected {describe}, got {value!r}")
-    if not check(value):
+    if not isinstance(value, kind) or isinstance(value, bool) or not check(value):
         raise ConfigError(f"{key}: expected {describe}, got {value!r}")
     return value
 
@@ -143,11 +141,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not (0.0 < v < 1.0):
                 raise ConfigError(f"graph.p: must be a real number in (0, 1), got {v!r}")
         cfg.p_values = [float(v) for v in values]
-        cfg.d = _want(raw, "graph.d", int, None, lambda v: v >= 1, "an integer >= 1")
+        d_cap = (PRODUCT_SIZE_CAP.bit_length() - 1) // 2  # the largest d with 4^d <= PRODUCT_SIZE_CAP
+        describe = f"an integer from 1 to {d_cap} (4^d vertices, at most {PRODUCT_SIZE_CAP})"
+        cfg.d = _want(raw, "graph.d", int, None, lambda v: 1 <= v <= d_cap, describe)
         if cfg.d is None:
             raise ConfigError("graph.d: required for family 'path-power'")
-        if 4**cfg.d > PRODUCT_SIZE_CAP:
-            raise ConfigError(f"graph.d: 4^{cfg.d} vertices exceeds the cap {PRODUCT_SIZE_CAP}")
     else:
         describe = f"an integer from 2 to the cap {COMPLETE_SIZE_CAP}"
         cfg.n_complete = _want(raw, "graph.N", int, None, lambda v: 2 <= v <= COMPLETE_SIZE_CAP, describe)
@@ -411,8 +409,7 @@ def _certify_row(row: TableRow, solver: SecularSolver) -> None:
     axis_mu = solver.axis.sqrt_mu**2 / (solver.axis.sqrt_mu**2).sum()
     if abs(row.sqrt_mu_over_vol - np.sqrt(np.prod(axis_mu[list(solver._axis_target)]))) > 1e-15:
         raise NumericalFailure("sqrt(mu/vol) cell does not reproduce")
-    present = [v for v in (row.gamma_s, row.gamma_E, row.gamma_w) if v is not None]
-    if len(present) == 3 and not (
+    if None not in (row.gamma_s, row.gamma_E, row.gamma_w) and not (
         row.gamma_s <= row.gamma_E + 1e-6 and row.gamma_E <= row.gamma_w + 1e-6
     ):
         raise NumericalFailure(
@@ -673,6 +670,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 4
     return 0
 

@@ -13,7 +13,6 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -25,8 +24,8 @@ BALANCE_TOL = 1e-10
 # 4,096 vertices: `spectrum` writes the 128 MiB dense Delta of the largest as
 # laplacian.csv; the engine reads a product's edges and axis, never an n x n array
 PRODUCT_SIZE_CAP = 4**6
-# complete_graph stores N (N - 1) weights in a dict: 1.8 s and a 240 MB peak
-# to build, measure and set up N = 1024, and 8.3 s and 867 MB at N = 2048
+# the dense N x N decompose of SecularSolver's set-up bounds complete_graph: 0.5 s and a
+# 56 MiB peak at N = 1024, 3.5 s and 224 MiB at 2048; the graph's edge arrays hold 24 MiB
 COMPLETE_SIZE_CAP = 1024
 
 # The search layer's default coupling range and grid sizes.  They sit in this
@@ -37,72 +36,80 @@ OPT_GAMMA_POINTS_DEFAULT = 200
 OPT_T_POINTS_DEFAULT = 4000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
-    """Directed graph with row-stochastic edge weights.
+    """Directed graph with row-stochastic edge weights, compared by identity.
 
-    ``weights`` maps ordered pairs (x, y) to p(x, y); pairs without an edge
-    are absent.  Stored weights lie in (0, 1] and every row sums to one.
-    Every check and assembly reads ``weights`` through ``_edges``, and the
-    check runs once (``_tree``), so the graph keeps ``weights`` behind a
-    read-only view: the dict it is given becomes the graph's own, and must
-    not change afterwards.
+    ``edges`` holds the sources, targets and weights p(x, y) of the edges as
+    read-only intp, intp and float64 arrays.  Construction raises ValueError
+    naming the first edge with an endpoint that is not a real number, else the
+    first with one that is not an integer in 0..n-1, else a pair given twice.
+    Weights lie in (0, 1] and every row sums to one, which ``_tree`` checks
+    once, so the arrays given become the graph's own and must not change.
     """
 
     n: int
-    weights: Mapping[tuple[int, int], float]
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
     family: str
     params: dict = field(default_factory=dict)
     axis: "TransitionGraph | None" = None
 
     def __post_init__(self):
-        if not isinstance(self.weights, MappingProxyType):
-            object.__setattr__(self, "weights", MappingProxyType(self.weights))
+        _require_count("n", self.n, 1)
+        ends = given = [np.asarray(column) for column in self.edges[:2]]
+        p = np.asarray(self.edges[2], dtype=float)
+        if not given[0].shape == given[1].shape == p.shape == (p.size,):
+            raise ValueError("sources, targets and weights must be 1-d arrays of one length")
+        if any(e.dtype.kind not in "biuf" for e in given):
+            given = [e.astype(object) for e in given]
+            # float() would read the string "1" as vertex 1
+            real = np.array([[isinstance(v, numbers.Real) for v in e] for e in given], bool).all(axis=0)
+            if not real.all():
+                x, y = (e[real.argmin()] for e in given)
+                raise ValueError(f"edge ({x!r},{y!r}) has an endpoint that is not a real number")
+            # as floats, clipped to -1..n: each verdict below stays, and no big integer overflows
+            ends = [np.fromiter((min(max(v, -1), self.n) for v in e), float, e.size) for e in given]
+        # a NaN endpoint fails every comparison
+        vertex = np.logical_and.reduce([(e >= 0) & (e < self.n) & (e == np.floor(e)) for e in ends])
+        if not vertex.all():
+            x, y = (e[vertex.argmin()] for e in given)
+            raise ValueError(f"edge ({x},{y}) has an endpoint outside 0..{self.n - 1}")
+        sources, targets = (e.astype(np.intp, copy=False) for e in ends)
+        keys, counts = np.unique(sources * self.n + targets, return_counts=True)
+        if counts.max(initial=0) > 1:
+            x, y = divmod(int(keys[counts.argmax()]), self.n)
+            raise ValueError(f"edge ({x},{y}) is given more than once")
+        edges = sources.view(), targets.view(), p.view()
+        for column in edges:
+            column.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def from_weights(cls, n: int, weights: Mapping, family: str, params=None, axis=None) -> "TransitionGraph":
+        """The graph with an edge (x, y) of weight p for each item of ``weights``, in its order."""
+        ends = (np.fromiter((e[k] for e in weights), object, len(weights)) for k in (0, 1))
+        return cls(n, (*ends, np.fromiter(weights.values(), float, len(weights))), family, params or {}, axis)
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, int], float]:
+        """Read-only view mapping each edge (x, y) to p(x, y), in ``edges`` order, built on first use."""
+        sources, targets, p = (column.tolist() for column in self.edges)
+        return MappingProxyType(dict(zip(zip(sources, targets), p)))
 
     def transition_matrix(self) -> np.ndarray:
-        sources, targets, p = self._edges
+        sources, targets, p = self.edges
         P = np.zeros((self.n, self.n))
         P[sources, targets] = p
         return P
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sources, targets and weights of the edges, in ``weights`` order, as read-only arrays.
-
-        Raises ValueError naming the first edge with an endpoint that is not a
-        real number, else the first with one that is not an integer in 0..n-1.
-        """
-        m = len(self.weights)
-        # float() would read the string "1" as vertex 1
-        kinds = set(map(type, chain.from_iterable(self.weights)))
-        if not all(issubclass(kind, numbers.Real) for kind in kinds):
-            x, y = next(e for e in self.weights if not all(isinstance(v, numbers.Real) for v in e))
-            raise ValueError(f"edge ({x!r},{y!r}) has an endpoint that is not a real number")
-        # the keys as floats, which hold every vertex exactly: an integer read would truncate 1.5
-        try:
-            ends = np.fromiter(chain.from_iterable(self.weights), dtype=float, count=2 * m).reshape(m, 2)
-        except OverflowError:
-            raise ValueError("an edge endpoint is too large to be a vertex") from None
-        # a NaN endpoint fails every comparison
-        vertex = (ends >= 0) & (ends < self.n) & (ends == np.floor(ends))
-        if not vertex.all():
-            x, y = next(islice(self.weights, int(vertex.all(axis=1).argmin()), None))
-            raise ValueError(f"edge ({x},{y}) has an endpoint outside 0..{self.n - 1}")
-        ends = ends.astype(np.intp)
-        p = np.fromiter(self.weights.values(), dtype=float, count=m)
-        ends.flags.writeable = p.flags.writeable = False
-        return ends[:, 0], ends[:, 1], p
-
-    @cached_property
     def _tree(self) -> list[np.ndarray]:
         """Breadth-first tree from vertex 0 (see ``_bfs_tree``) of a graph checked to be a walk.
 
-        Raises ValueError unless n is an integer >= 1, every edge joins two of
-        the vertices 0..n-1, every weight lies in (0, 1], every row sums to one
-        and the graph is strongly connected.  Each graph is checked once.
+        Raises ValueError unless every weight lies in (0, 1], every row sums to
+        one and the graph is strongly connected.  Each graph is checked once.
         """
-        _require_count("n", self.n, 1)
-        sources, targets, p = self._edges
+        sources, targets, p = self.edges
         bad = np.flatnonzero(~((0.0 < p) & (p <= 1.0)))
         if bad.size:
             i = bad[0]
@@ -120,7 +127,7 @@ class TransitionGraph:
         return tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexMeasure:
     """Positive vertex weights satisfying detailed balance, with their total mass."""
 
@@ -128,7 +135,7 @@ class VertexMeasure:
     volume: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Laplacian:
     """I - P of a graph, with a measure it is self-adjoint in; ``matrix`` is built on first use, read-only."""
 
@@ -137,7 +144,7 @@ class Laplacian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        sources, targets, p = self.graph._edges
+        sources, targets, p = self.graph.edges
         delta = np.eye(self.graph.n)
         delta[sources, targets] -= p
         delta.flags.writeable = False
@@ -185,15 +192,8 @@ def path_graph(p: float) -> TransitionGraph:
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"path parameter p={p} must lie in (0, 1)")
-    weights = {
-        (0, 1): 1.0,
-        (1, 0): 1.0 - p,
-        (1, 2): p,
-        (2, 1): p,
-        (2, 3): 1.0 - p,
-        (3, 2): 1.0,
-    }
-    g = TransitionGraph(4, weights, "path", {"p": p})
+    edges = ([0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2], [1.0, 1.0 - p, p, p, 1.0 - p, 1.0])
+    g = TransitionGraph(4, edges, "path", {"p": p})
     g._tree  # checks the walk
     return g
 
@@ -203,8 +203,9 @@ def complete_graph(n: int) -> TransitionGraph:
     _require_count("n", n, 2)
     if n > COMPLETE_SIZE_CAP:
         raise ValueError(f"complete graph on {n} vertices is above the cap {COMPLETE_SIZE_CAP}")
-    weights = dict.fromkeys(permutations(range(n), 2), 1.0 / (n - 1))
-    g = TransitionGraph(n, weights, "complete", {"N": n})
+    # row-major, as permutations(range(n), 2) lists the pairs
+    sources, targets = np.nonzero(~np.eye(n, dtype=bool))
+    g = TransitionGraph(n, (sources, targets, np.full(sources.size, 1.0 / (n - 1))), "complete", {"N": n})
     g._tree  # checks the walk
     return g
 
@@ -216,12 +217,11 @@ def kolmogorov_measure(g: TransitionGraph) -> VertexMeasure:
     tree from vertex 0, then verifies detailed balance on every edge.  Raises
     CycleInconsistency when the walk is not reversible.
     """
-    tree = g._tree
-    sources, targets, p = g._edges
+    sources, targets, p = g.edges
     back, reversible = _reverse_edges(g)
     mu = np.full(g.n, np.nan)
     mu[0] = 1.0
-    for level in tree:
+    for level in g._tree:
         one_way = level[~reversible[level]]
         if one_way.size:
             raise _one_way(sources[one_way[0]], targets[one_way[0]])
@@ -246,7 +246,7 @@ def _one_way(x, y) -> CycleInconsistency:
 
 def _reverse_edges(g: TransitionGraph) -> tuple[np.ndarray, np.ndarray]:
     """For each edge (x, y), the index of the edge (y, x), and whether it exists (else the index is arbitrary)."""
-    sources, targets, _ = g._edges
+    sources, targets, _ = g.edges
     # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
     key, back_key = sources * g.n + targets, targets * g.n + sources
     order = np.argsort(key, kind="stable")
@@ -268,7 +268,7 @@ def _check_self_adjoint(g: TransitionGraph, mu: np.ndarray) -> None:
     M Delta is compared with its transpose at the edges alone: every other
     entry of both is an exact zero, and the diagonal is symmetric as it stands.
     """
-    sources, targets, p = g._edges
+    sources, targets, p = g.edges
     back, reversible = _reverse_edges(g)
     loop = sources == targets
     cell = loop - p  # I - P at the edges, with the bits of ``Laplacian.matrix``
@@ -307,7 +307,7 @@ def _power_edges(axis: TransitionGraph, d: int) -> tuple[np.ndarray, np.ndarray,
     """Sources, targets and weights of the edges of the d-fold Cartesian power of axis.
 
     First each axis edge's moves, with p/d for its p: axis by axis from the
-    first (most significant), then in ``axis._edges`` order, from the vertices
+    first (most significant), then in ``axis.edges`` order, from the vertices
     whose coordinate is the edge's source, ascending.  Then, ascending, one
     self-loop at each vertex where some axis has one: their p/d summed in axis order.
     """
@@ -318,7 +318,7 @@ def _power_edges(axis: TransitionGraph, d: int) -> tuple[np.ndarray, np.ndarray,
     for k in range(d):
         stride = m ** (d - 1 - k)
         digit = vertices // stride % m
-        for a, b, p in zip(*(column.tolist() for column in axis._edges)):
+        for a, b, p in zip(*(column.tolist() for column in axis.edges)):
             v = vertices[digit == a]
             if a == b:
                 loops[v] += p / d
@@ -346,14 +346,13 @@ def cartesian_power(g: TransitionGraph, d: int) -> tuple[TransitionGraph, Laplac
     per-axis volume raised to d.
     """
     _require_count("d", d, 1)
-    n = g.n**d
+    # an axis of two or more vertices passes the cap within its bit length of steps
+    n = g.n ** min(d, PRODUCT_SIZE_CAP.bit_length())
     if n > PRODUCT_SIZE_CAP:
-        raise ValueError(f"product has {n} vertices, above the cap {PRODUCT_SIZE_CAP}")
+        raise ValueError(f"product {g.n}^{d} has more vertices than the cap {PRODUCT_SIZE_CAP}")
 
-    sources, targets, p = _power_edges(g, d)
-    weights = dict(zip(zip(sources.tolist(), targets.tolist()), p.tolist()))
     params = {"d": d, "axis_n": g.n, "base": g.family, **g.params}
-    gd = TransitionGraph(n, weights, "product", params, axis=g)
+    gd = TransitionGraph(n, _power_edges(g, d), "product", params, axis=g)
     gd._tree  # checks the walk
     measure = _product_measure(g, d)
     return gd, probabilistic_laplacian(gd, measure), measure
@@ -383,7 +382,7 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
     # the measure behind the volume; for a product, the one cartesian_power gives it
     mu = _product_measure(axis, d).mu
 
-    sources, _, p = axis._edges
+    sources, _, p = axis.edges
     out_degree = np.bincount(sources, minlength=axis.n)
     interior_mask = _power_outer(np.logical_and, True, [out_degree > 1] * d)
     interior = mu[interior_mask]

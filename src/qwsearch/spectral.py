@@ -354,7 +354,7 @@ def _check_kronecker_form(graph: TransitionGraph, axis: TransitionGraph, d: int)
     Then its Laplacian is the 1/d-scaled Kronecker sum of the axis's, as ``cartesian_power`` builds it.
     """
     keyed = []
-    for edges in (graph._edges, _power_edges(axis, d)):
+    for edges in (graph.edges, _power_edges(axis, d)):
         order = np.argsort(edges[0] * graph.n + edges[1])  # the (source, target) keys are distinct
         keyed.append([column[order] for column in edges])
     if graph.n != axis.n**d or not all(map(np.array_equal, *keyed)):

@@ -313,10 +313,17 @@ def test_criterion_8_effective_sine_approximation(lattice_results):
 
 def test_criterion_9_determinism_across_threads(tmp_path):
     import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
+    # --threads has no effect; the thread count that could move bits is BLAS's,
+    # which is read once, as numpy loads, so each side runs in its own process
+    src = Path(cli.__file__).resolve().parents[1]
     failures = []
     outputs = {}
-    for threads in (1, 3):
+    for threads, blas_threads in ((1, 1), (3, 2)):
         out = tmp_path / f"threads{threads}"
         config = tmp_path / f"cfg{threads}.json"
         config.write_text(json.dumps({
@@ -327,15 +334,12 @@ def test_criterion_9_determinism_across_threads(tmp_path):
             "sweep.gamma_points": 120,
             "sweep.t_points": 500,
         }))
-        code = cli.main(["tables", "--config", str(config), "--threads", str(threads)])
-        code |= cli.main(
-            ["figures", "--config", str(config), "--figure", "overlaps",
-             "--threads", str(threads)]
-        )
-        code |= cli.main(
-            ["figures", "--config", str(config), "--figure", "volume",
-             "--threads", str(threads)]
-        )
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads))
+        env = os.environ | {"PYTHONPATH": str(src)} | blas
+        code = 0
+        for command in (["tables"], ["figures", "--figure", "overlaps"], ["figures", "--figure", "volume"]):
+            argv = [sys.executable, "-m", "qwsearch.cli", *command, "--config", str(config), "--threads", str(threads)]
+            code |= subprocess.run(argv, env=env, capture_output=True).returncode
         if code != 0:
             failures.append(f"threads={threads}: nonzero exit")
             continue

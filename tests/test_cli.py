@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -169,6 +170,31 @@ def test_figure_flag_replaces_config_kind(tmp_path):
 
 def test_cli_missing_config_exits_4(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(["figures", "--figure", "volume"], "volume.p_points"), (["figures", "--figure", "overlaps"], "sweep.gamma_points")],
+    ids=["volume-points", "gamma-points"],
+)
+def test_cli_memory_error_exits_4_with_one_line(tmp_path, capsys, command, key):
+    # a grid of 10^16 points, 80 PB, which no address space holds, so numpy
+    # refuses it before allocating anything whatever the overcommit setting
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {key: 10**16})
+    assert cli.main([*command, "--config", cfg]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("out of memory: "), err
+
+
+def test_graph_d_of_a_billion_exits_2_at_once(tmp_path, capsys):
+    # 4**d is never formed: at d = 10^8 it took 1.6 s and a 25 MB integer
+    config = base_path_config(tmp_path / "out") | {"graph.d": 10**9}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="graph.d"):
+        parse_config(config)
+    assert cli.main(["tables", "--config", write_config(tmp_path, config)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: graph.d: expected an integer from 1 to 6")
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
@@ -780,8 +806,8 @@ def test_certificate_bounds_hold_against_dense_eigh():
     # lattices (one at an interior target, vertex 102 = (1, 2, 1, 2), one at
     # the p = 0.91 resonance), on a product of a lazy axis (one with a
     # self-loop) and on graphs that are not products, their own 1-fold powers
-    lazy = TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
-    lazy3 = TransitionGraph(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
+    lazy = TransitionGraph.from_weights(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+    lazy3 = TransitionGraph.from_weights(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
     inputs = [
         (cartesian_power(path_graph(0.5), 3)[1], 0, [0.4, 1.0, 1.2, 2.5]),
         (cartesian_power(path_graph(0.4), 4)[1], 102, [0.4, 1.0, 1.2, 2.5]),

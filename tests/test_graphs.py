@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 import tracemalloc
 from collections import deque
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwsearch import graphs
 from qwsearch.errors import CycleInconsistency
 from qwsearch.graphs import (
     BALANCE_TOL,
     COMPLETE_SIZE_CAP,
+    Laplacian,
     STOCHASTIC_TOL,
     TransitionGraph,
     _check_self_adjoint,
@@ -170,7 +173,7 @@ def test_nonreversible_cycle_rejected():
         (1, 2): 0.6, (1, 0): 0.4,
         (2, 0): 0.6, (2, 1): 0.4,
     }
-    g = TransitionGraph(3, weights, "custom")
+    g = TransitionGraph.from_weights(3, weights, "custom")
     with pytest.raises(CycleInconsistency):
         kolmogorov_measure(g)
 
@@ -179,7 +182,7 @@ def test_one_way_edge_off_the_tree_rejected():
     # the breadth-first tree from 0 uses (0,1) and (0,2), both reversible;
     # the one-way edge (1,2) is met only by the detailed-balance pass
     weights = {(0, 1): 0.5, (0, 2): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 0): 1.0}
-    g = TransitionGraph(3, weights, "custom")
+    g = TransitionGraph.from_weights(3, weights, "custom")
     with pytest.raises(CycleInconsistency, match="has no reverse edge"):
         kolmogorov_measure(g)
 
@@ -258,6 +261,45 @@ def test_cartesian_power_d7_rejected_before_allocating():
     assert peak < 1 << 20
 
 
+def test_cartesian_power_rejects_a_huge_d_at_once():
+    # 4**d is never formed: at d = 10^8 it took 1.6 s and a 25 MB integer
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        cartesian_power(path_graph(0.5), 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cartesian_power_d8_builds_in_edge_arrays(monkeypatch):
+    # 65,536 vertices and 786,432 edges; a dict of the weights peaked at 223 MiB
+    monkeypatch.setattr(graphs, "PRODUCT_SIZE_CAP", 4**8)
+    tracemalloc.start()
+    try:
+        gd, lap, _ = cartesian_power(path_graph(0.5), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gd.n == 4**8 and gd.edges[0].size == 786_432 and "matrix" not in lap.__dict__
+    assert peak < 100 * 2**20
+
+
+def test_complete_graph_1024_retains_its_edge_arrays():
+    # three arrays of 1,047,552 edges hold 24 MiB; a dict of the weights held 120 MiB
+    tracemalloc.start()
+    try:
+        g = complete_graph(1024)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(column.nbytes for column in g.edges) == 3 * 8 * 1024 * 1023
+    assert retained < 40 * 2**20
+
+
+def test_complete_graph_lists_its_edges_row_major():
+    g = complete_graph(5)
+    assert list(g.weights) == list(itertools.permutations(range(5), 2))
+    assert set(g.weights.values()) == {0.25}
+
+
 def test_cartesian_power_d5_holds_one_dense_matrix():
     g = path_graph(0.5)
     tracemalloc.start()
@@ -289,7 +331,7 @@ def test_cartesian_power_matches_kronecker_sum(p, d):
 def test_cartesian_power_sums_an_axis_self_loop(d):
     # a lazy 2-vertex axis: every axis adds p(0, 0)/d to the loop of a vertex
     # whose coordinate on it is 0, so the corner keeps the axis's 0.5
-    axis = TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+    axis = TransitionGraph.from_weights(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
     gd, lap, _ = cartesian_power(axis, d)
     assert gd.weights[(0, 0)] == pytest.approx(0.5, abs=1e-15)
     assert gd.weights.get((1, 1), 0.0) == pytest.approx(0.5 * (d - 1) / d, abs=1e-15)
@@ -305,14 +347,14 @@ def test_cartesian_power_sums_an_axis_self_loop(d):
 def test_not_strongly_connected_rejected():
     # two disjoint 2-cycles: every row is stochastic, but 0 never reaches 2
     weights = {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0}
-    g = TransitionGraph(4, weights, "custom")
+    g = TransitionGraph.from_weights(4, weights, "custom")
     with pytest.raises(ValueError, match="strongly connected"):
         probabilistic_laplacian(g)
 
 
 def test_row_not_summing_to_one_rejected():
     weights = {(0, 1): 1.0, (1, 0): 0.5}
-    g = TransitionGraph(2, weights, "custom")
+    g = TransitionGraph.from_weights(2, weights, "custom")
     with pytest.raises(ValueError, match="sums to"):
         probabilistic_laplacian(g)
 
@@ -336,18 +378,53 @@ def test_row_not_summing_to_one_rejected():
          "fractional-endpoint-bad-weight", "huge-endpoint", "string-endpoint", "none-endpoint"],
 )
 def test_malformed_graph_rejected_by_name(n, weights, message):
-    # numpy used to raise first, about an accumulation or a dimension
-    g = TransitionGraph(n, weights, "custom")
+    # numpy used to raise first, about an accumulation or a dimension; the
+    # endpoints are checked as the graph is built, before any walk check
     with pytest.raises(ValueError, match=message):
-        g._tree
+        TransitionGraph.from_weights(n, weights, "custom")
+    # the same edges as arrays, where numpy holds the mixed ones as objects
+    sources, targets = (np.array([e[k] for e in weights] or np.empty(0, dtype=int)) for k in (0, 1))
     with pytest.raises(ValueError, match=message):
-        kolmogorov_measure(g)
+        TransitionGraph(n, (sources, targets, np.fromiter(weights.values(), float)), "custom")
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (([0, 1, 1], [1, 0, 0], [1.0, 0.5, 0.5]), r"edge \(1,0\) is given more than once"),
+        (([0, 1], [1, 0], [1.0]), "1-d arrays of one length"),
+        (([0, 1], [1], [1.0, 1.0]), "1-d arrays of one length"),
+        (([[0, 1]], [[1, 0]], [[1.0, 1.0]]), "1-d arrays of one length"),
+        (([0, 1], [1, 0], ["one", "one"]), "could not convert string to float"),
+        ((np.array([0.0, 1.0]), np.array([1.0, np.nan]), [1.0, 1.0]), r"edge \(1\.0,nan\) has an endpoint outside 0\.\.1"),
+        (([0, 10**400], [1, 0], [1.0, 1.0]), rf"edge \(1{'0' * 400},0\) has an endpoint outside 0\.\.1"),
+        # numpy holds both sources as strings
+        (([0, "0"], [1, 0], [1.0, 1.0]), r"edge \('0',1\) has an endpoint that is not a real number"),
+    ],
+    ids=["pair-twice", "short-weights", "short-targets", "two-dimensional", "string-weight", "nan-endpoint",
+         "endpoint-past-float", "string-array"],
+)
+def test_malformed_edge_arrays_rejected(edges, message):
+    # arrays can hold what a mapping cannot: a pair twice, or columns of other lengths
+    with pytest.raises(ValueError, match=message):
+        TransitionGraph(2, edges, "custom")
+
+
+def test_edge_arrays_are_the_graphs_own_read_only_views():
+    sources, targets, p = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0])
+    g = TransitionGraph(2, (sources, targets, p), "custom")
+    for stored, given in zip(g.edges, (sources, targets, p)):
+        assert np.shares_memory(stored, given) and not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+    assert sources.flags.writeable
+    assert [column.dtype for column in g.edges] == [np.intp, np.intp, np.float64]
 
 
 def test_transition_matrix_checks_the_endpoints():
     # it reads the edge arrays without the walk check, and used to put p(0, 1.5) at (0, 1)
     with pytest.raises(ValueError, match=r"edge \(0,1\.5\) has an endpoint outside 0\.\.1"):
-        TransitionGraph(2, {(0, 1.5): 1.0, (1, 0): 1.0}, "custom").transition_matrix()
+        TransitionGraph.from_weights(2, {(0, 1.5): 1.0, (1, 0): 1.0}, "custom").transition_matrix()
 
 
 @pytest.mark.parametrize(
@@ -363,15 +440,30 @@ def test_graph_sizes_must_be_integers(build, size):
 
 def test_weights_are_read_only():
     # the edge arrays and the check are cached, so a stored weight must not change
-    g = TransitionGraph(2, {(0, 1): 1.0, (1, 0): 1.0}, "custom")
+    given = {(1, 0): 1.0, (0, 1): 1.0}  # not in sorted order
+    g = TransitionGraph.from_weights(2, given, "custom")
     before = g.transition_matrix()
     with pytest.raises(TypeError):
         g.weights[(0, 1)] = 0.5
     np.testing.assert_array_equal(g.transition_matrix(), before)
-    same = TransitionGraph(2, {(0, 1): 1.0, (1, 0): 1.0}, "custom")
-    assert g == same and g.weights == {(0, 1): 1.0, (1, 0): 1.0}
+    # the view holds the mapping, in its order, and is built once
+    assert g.weights == given and list(g.weights.items()) == list(given.items())
+    assert g.weights is g.weights
+    # graphs compare by identity, as the solver's graph check does
+    same = TransitionGraph.from_weights(2, given, "custom")
+    assert g != same and g == g and len({g, same}) == 2
     copy = dataclasses.replace(g, family="copy")
-    assert copy.weights is g.weights and copy.family == "copy"
+    assert all(map(np.array_equal, copy.edges, g.edges)) and copy.weights == g.weights and copy.family == "copy"
+
+
+def test_laplacians_and_measures_compare_by_identity():
+    # their generated == compared mu arrays inside a tuple, and raised ValueError
+    first, second = (cartesian_power(path_graph(0.5), 2) for _ in range(2))
+    # with the same fields, and on one graph, where a field-wise == would reach the measures
+    twin, same_graph = Laplacian(first[0], first[2]), Laplacian(first[0], second[2])
+    for a, b in ((first[1], second[1]), (first[1], twin), (first[1], same_graph), (first[2], second[2])):
+        assert a == a and b == b
+        assert a != b and not (a == b)
 
 
 def test_interior_profile_homogeneous():
@@ -554,7 +646,7 @@ def weighted_digraphs(draw, kind):
         # a weight of 1 raised past 1 is out of range before its row sum is off
         weights[(x, y)] *= 1.0 + draw(st.sampled_from([-1e-3, -1e-9, -2e-12, 2e-12, 1e-9]))
     order = draw(st.permutations(sorted(weights)))
-    return TransitionGraph(n, {e: weights[e] for e in order}, "custom")
+    return TransitionGraph.from_weights(n, {e: weights[e] for e in order}, "custom")
 
 
 @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -598,7 +690,7 @@ def test_measure_follows_the_queue_order_of_the_bfs(reversible):
     for k, x in enumerate(ring):
         weights[(x, ring[(k + 1) % 6])] = ahead[k]
         weights[(x, ring[k - 1])] = 1.0 - ahead[k]
-    g = TransitionGraph(6, weights, "custom")
+    g = TransitionGraph.from_weights(6, weights, "custom")
     expected = outcome(loop_kolmogorov_measure, g)
     assert isinstance(expected, bytes) == reversible
     assert outcome(lambda: kolmogorov_measure(g).mu) == expected
@@ -613,7 +705,7 @@ def test_measure_names_the_first_one_way_edge_of_the_tree():
         (1, 0): third, (1, 2): third, (1, 3): third,
         (2, 1): 1.0, (3, 1): 1.0,
     }
-    g = TransitionGraph(4, weights, "custom")
+    g = TransitionGraph.from_weights(4, weights, "custom")
     message = "edge (0,2) has no reverse edge; walk is not reversible"
     assert outcome(loop_kolmogorov_measure, g) == (CycleInconsistency, message)
     assert outcome(lambda: kolmogorov_measure(g).mu) == outcome(loop_kolmogorov_measure, g)
@@ -641,7 +733,7 @@ def test_self_adjoint_check_crosses_blocks_like_the_oracle():
 
 
 def lazy_axis():
-    return TransitionGraph(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
+    return TransitionGraph.from_weights(2, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0}, "custom")
 
 
 @pytest.mark.parametrize(

@@ -240,7 +240,7 @@ def linked_cliques(eps):
             share = (1.0 - 2.0 * eps) / 3.0 if x == 4 * c else 1.0 / 3.0
             weights.update({(x, y): share for y in range(4 * c, 4 * c + 4) if y != x})
         weights.update({(4 * c, 4 * k): eps for k in range(3) if k != c})
-    return TransitionGraph(12, weights, "custom")
+    return TransitionGraph.from_weights(12, weights, "custom")
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-14])
@@ -426,7 +426,7 @@ def test_hamiltonian_spectra_match_eigvalsh_on_linked_cliques():
 
 def test_hamiltonian_spectra_match_eigvalsh_on_a_lazy_graph():
     # a graph that is not a product is its own 1-fold power, self-loop and all
-    lazy = TransitionGraph(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
+    lazy = TransitionGraph.from_weights(3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom")
     lap = probabilistic_laplacian(lazy)
     for w in range(lazy.n):
         assert_hamiltonian_spectra_match_eigvalsh(lap, w, np.geomspace(1e-6, 1e9, 16))
@@ -436,12 +436,12 @@ def test_hamiltonian_spectra_match_eigvalsh_on_a_lazy_graph():
 def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
     # product graphs, axis and all, whose edges are not the power's
     g, lap, _ = cartesian_power(path_graph(0.4), d)
-    x, y = next(iter(g.weights))
-    off_stencil = dataclasses.replace(g, weights={**g.weights, (x, y): g.weights[(x, y)] * (1.0 + 1e-12)})
+    sources, targets, p = g.edges
+    off_stencil = dataclasses.replace(g, edges=(sources, targets, np.append(p[0] * (1.0 + 1e-12), p[1:])))
     with pytest.raises(NonSymmetrizable):
         SecularSolver(Laplacian(off_stencil, lap.measure), 0)
     # an edge outside the stencil
-    stray = dataclasses.replace(g, weights={**g.weights, (0, g.n - 1): 1e-300})
+    stray = dataclasses.replace(g, edges=(np.append(sources, 0), np.append(targets, g.n - 1), np.append(p, 1e-300)))
     with pytest.raises(NonSymmetrizable):
         SecularSolver(Laplacian(stray, lap.measure), 0)
 
@@ -450,7 +450,7 @@ def test_product_setup_rejects_a_laplacian_off_its_stencil(d):
 def test_product_setup_takes_the_power_edges_in_any_order(d):
     # the check compares edges, not their storage order
     g, lap, _ = cartesian_power(path_graph(0.4), d)
-    reordered = dataclasses.replace(g, weights=dict(reversed(g.weights.items())))
+    reordered = dataclasses.replace(g, edges=tuple(column[::-1] for column in g.edges))
     solver = SecularSolver(Laplacian(reordered, lap.measure), 0)
     assert solver.lams.tobytes() == SecularSolver(lap, 0).lams.tobytes()
 

@@ -285,7 +285,7 @@ def twin_cliques(k=4, bridge=0.1):
             share = (1.0 - (bridge if x == door else 0.0)) / (k - 1)
             weights.update({(x, y): share for y in members if y != x})
         weights[(door, 0)] = bridge
-    return TransitionGraph(2 * k + 1, weights, "custom")
+    return TransitionGraph.from_weights(2 * k + 1, weights, "custom")
 
 
 def test_analysis_rejects_an_invisible_first_excited_state():

@@ -161,7 +161,7 @@ def test_green_vanishes_far_below_spectrum():
 
 def three_path():
     """Laplacian of the 3-vertex path, whose eigenvalue 1 has the eigenvector (1, 0, -1): invisible from 1."""
-    return probabilistic_laplacian(TransitionGraph(3, {(0, 1): 1.0, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom"))
+    return probabilistic_laplacian(TransitionGraph.from_weights(3, {(0, 1): 1.0, (1, 0): 0.5, (1, 2): 0.5, (2, 1): 1.0}, "custom"))
 
 
 def test_green_pole_rejected():
