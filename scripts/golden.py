@@ -22,7 +22,8 @@ listings are identical on the same machine.  BLAS runs on one thread, because
 the thread count could change the last bits of a dense eigensolver's results;
 only ``tables-threads2`` runs in a child process with BLAS on two threads, so
 its ``tables.csv`` equals that of ``tables`` only while the outputs do not
-depend on the BLAS thread count.
+depend on the BLAS thread count.  Every warning is an error, in this process
+and in the child, so a numpy warning in any run stops the listing.
 
 Where listings differ, keep both output sets and run ``--diff``: for each file
 whose bytes changed it prints the largest absolute and relative difference of
@@ -39,12 +40,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = Path(__file__).resolve().parents[1] / "src"
 # before numpy is first imported, through qwsearch
 os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+warnings.simplefilter("error")
 sys.path.insert(0, str(SRC))
 
 from qwsearch.cli import main as qwsearch_main  # noqa: E402
@@ -101,7 +104,9 @@ def write_outputs(root: Path) -> int:
         if name in CHILD_BLAS_THREADS:
             blas = dict.fromkeys(BLAS_THREAD_VARS, str(CHILD_BLAS_THREADS[name]))
             env = os.environ | {"PYTHONPATH": str(SRC)} | blas
-            child = subprocess.run([sys.executable, "-m", "qwsearch.cli", *argv], env=env, capture_output=True, text=True)
+            child = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "qwsearch.cli", *argv], env=env, capture_output=True, text=True
+            )
             code, err = child.returncode, child.stderr
         else:
             with contextlib.redirect_stderr(io.StringIO()) as stderr:

@@ -18,7 +18,7 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,7 @@ from .graphs import (
 
 if TYPE_CHECKING:
     from .search import GammaCriticalPoints, SearchOptimum
-    from .spectral import SecularSolver, SecularSpectrum
+    from .spectral import SecularSolver
 
 TABLE_COLUMNS = [
     "p",
@@ -60,25 +60,6 @@ TABLE_COLUMNS = [
 ]
 
 FIGURE_KINDS = ("overlaps", "contour", "timeseries", "volume")
-
-_KNOWN_KEYS = {
-    "graph.family",
-    "graph.p",
-    "graph.d",
-    "graph.N",
-    "target.vertex",
-    "sweep.gamma_min",
-    "sweep.gamma_max",
-    "sweep.gamma_points",
-    "sweep.t_points",
-    "output.format",
-    "output.path",
-    "figure.kind",
-    "spectrum.gamma_values",
-    "volume.p_min",
-    "volume.p_max",
-    "volume.p_points",
-}
 
 
 @dataclass
@@ -99,6 +80,30 @@ class ExperimentConfig:
     volume_p_min: float = 0.05
     volume_p_max: float = 0.95
     volume_p_points: int = 19
+
+
+def _positive_finite(v: float) -> bool:
+    return 0 < v < np.inf  # False for NaN as well
+
+
+# The single-value keys, in the order they are checked: (key, ExperimentConfig
+# field, which holds the default, type, test, what the test asks for)
+_SCALAR_KEYS = (
+    ("sweep.gamma_min", "gamma_min", float, _positive_finite, "a positive finite real"),
+    ("sweep.gamma_max", "gamma_max", float, _positive_finite, "a positive finite real"),
+    ("sweep.gamma_points", "gamma_points", int, lambda v: v >= 2, "an integer >= 2"),
+    ("sweep.t_points", "t_points", int, lambda v: v >= 2, "an integer >= 2"),
+    ("output.format", "out_format", str, lambda v: v in ("csv", "json"), "'csv' or 'json'"),
+    ("output.path", "out_path", str, lambda v: len(v) > 0, "a path"),
+    ("figure.kind", "figure", str, lambda v: v in FIGURE_KINDS, f"one of {FIGURE_KINDS}"),
+    ("volume.p_min", "volume_p_min", float, lambda v: 0 < v < 1, "a real in (0, 1)"),
+    ("volume.p_max", "volume_p_max", float, lambda v: 0 < v < 1, "a real in (0, 1)"),
+    ("volume.p_points", "volume_p_points", int, lambda v: v >= 1, "an integer >= 1"),
+)
+
+_KNOWN_KEYS = {key for key, *_ in _SCALAR_KEYS} | {
+    "graph.family", "graph.p", "graph.d", "graph.N", "target.vertex", "spectrum.gamma_values",
+}
 
 
 def _want(raw: dict, key: str, kind, default, check, describe: str):
@@ -157,44 +162,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"target.vertex: expected 'corner' or a vertex index, got {target!r}")
     cfg.target = target
 
-    # 0 < v < inf is False for NaN as well
-    cfg.gamma_min = _want(raw, "sweep.gamma_min", float, None, lambda v: 0 < v < np.inf, "a positive finite real")
-    cfg.gamma_max = _want(raw, "sweep.gamma_max", float, None, lambda v: 0 < v < np.inf, "a positive finite real")
-    lo, hi = _scan_range(cfg)
-    if lo >= hi:
-        raise ConfigError(f"sweep.gamma_min: must be below sweep.gamma_max, got the range ({lo}, {hi})")
-    cfg.gamma_points = _want(raw, "sweep.gamma_points", int, None, lambda v: v >= 2, "an integer >= 2")
-    cfg.t_points = _want(raw, "sweep.t_points", int, None, lambda v: v >= 2, "an integer >= 2")
-
-    cfg.out_format = _want(raw, "output.format", str, "csv", lambda v: v in ("csv", "json"), "'csv' or 'json'")
-    cfg.out_path = _want(raw, "output.path", str, "out", lambda v: len(v) > 0, "a path")
-    cfg.figure = _want(raw, "figure.kind", str, None, lambda v: v in FIGURE_KINDS, f"one of {FIGURE_KINDS}")
-
-    gv = raw.get("spectrum.gamma_values", [1.0])
-    if not isinstance(gv, list) or not gv:
-        raise ConfigError(f"spectrum.gamma_values: expected a non-empty list, got {gv!r}")
-    for v in gv:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
-            raise ConfigError(f"spectrum.gamma_values: entries must be positive finite reals, got {v!r}")
-    cfg.spectrum_gammas = [float(v) for v in gv]
-
-    cfg.volume_p_min = _want(raw, "volume.p_min", float, 0.05, lambda v: 0 < v < 1, "a real in (0, 1)")
-    cfg.volume_p_max = _want(raw, "volume.p_max", float, 0.95, lambda v: 0 < v < 1, "a real in (0, 1)")
-    if cfg.volume_p_min > cfg.volume_p_max:
-        raise ConfigError("volume.p_min: must not exceed volume.p_max")
-    cfg.volume_p_points = _want(raw, "volume.p_points", int, 19, lambda v: v >= 1, "an integer >= 1")
+    # each cross-key check runs right after its last key, so that of several
+    # faults a config always reports the same one first
+    for key, name, kind, check, describe in _SCALAR_KEYS:
+        setattr(cfg, name, _want(raw, key, kind, getattr(cfg, name), check, describe))
+        if key == "sweep.gamma_max":
+            lo, hi = _scan_range(cfg)
+            if lo >= hi:
+                raise ConfigError(f"sweep.gamma_min: must be below sweep.gamma_max, got the range ({lo}, {hi})")
+        elif key == "figure.kind":  # then spectrum.gamma_values, a list
+            gv = raw.get("spectrum.gamma_values", [1.0])
+            if not isinstance(gv, list) or not gv:
+                raise ConfigError(f"spectrum.gamma_values: expected a non-empty list, got {gv!r}")
+            for v in gv:
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not _positive_finite(v):
+                    raise ConfigError(f"spectrum.gamma_values: entries must be positive finite reals, got {v!r}")
+            cfg.spectrum_gammas = [float(v) for v in gv]
+        elif key == "volume.p_max" and cfg.volume_p_min > cfg.volume_p_max:
+            raise ConfigError("volume.p_min: must not exceed volume.p_max")
     return cfg
 
 
-def _build_graph(cfg: ExperimentConfig, p: float | None = None):
-    """Graph, Laplacian, measure and target vertex for one parameter value."""
+def _build_graph(cfg: ExperimentConfig, p: float | None = None) -> tuple[Laplacian, SecularSolver]:
+    """The Laplacian for one parameter value, and its solver at the target vertex.
+
+    The solver holds the graph (``solver.graph``) and the target (``solver.target``).
+    """
+    from .spectral import SecularSolver
+
     if cfg.family == "complete":
-        g = complete_graph(cfg.n_complete)
-        lap = probabilistic_laplacian(g)
-        measure = lap.measure
+        lap = probabilistic_laplacian(complete_graph(cfg.n_complete))
     else:
-        g, lap, measure = cartesian_power(path_graph(p), cfg.d)
-    return g, lap, measure, _resolve_target(cfg, g)
+        _, lap, _ = cartesian_power(path_graph(p), cfg.d)
+    return lap, SecularSolver(lap, _resolve_target(cfg, lap.graph))
 
 
 def _resolve_target(cfg: ExperimentConfig, g: TransitionGraph) -> int:
@@ -240,7 +240,9 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_schema(out: Path, kind: str, columns: list[tuple[str, str]]) -> None:
+def _write_figure(out: Path, kind: str, name: str, columns: list[tuple[str, str]], rows) -> None:
+    """A figure's CSV, headed by the names of its (name, description) columns, and its schema."""
+    _write_csv(out / name, [n for n, _ in columns], rows)
     _write_json(
         out / f"{kind}.schema.json",
         {"figure": kind, "columns": [{"name": n, "description": d} for n, d in columns]},
@@ -282,11 +284,8 @@ def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
-    from .spectral import SecularSolver
-
-    g, lap, measure, w = _build_graph(cfg, _single_p(cfg, "spectrum"))
-
-    solver = SecularSolver(lap, w)
+    lap, solver = _build_graph(cfg, _single_p(cfg, "spectrum"))
+    g, measure = lap.graph, lap.measure
     _write_csv(
         out / "laplacian_spectrum.csv",
         ["index", "eigenvalue"],
@@ -331,19 +330,17 @@ class TableRow:
     half_pi_sqrt_vol: float
 
     def cells(self) -> list:
-        return [
-            self.p, self.gamma_s, self.gamma_w, self.gamma_E, self.gamma_opt,
-            self.e0, self.e1, self.sqrt_mu_over_vol, self.t_opt, self.half_pi_sqrt_vol,
-        ]
+        """The row's values in field order, which is the order of ``TABLE_COLUMNS``."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def _critical_and_optimum(
-    cfg: ExperimentConfig, p: float, g: TransitionGraph, solver: SecularSolver, w: int
+    cfg: ExperimentConfig, p: float, solver: SecularSolver
 ) -> tuple[GammaCriticalPoints, SearchOptimum]:
     """Critical couplings, then the optimum in the ``_optimum_window`` of gamma_E and the scan range."""
     from .search import _optimum_window, gamma_critical_points, optimize_search
 
-    scan = _scan_range(cfg)
+    g, w, scan = solver.graph, solver.target, _scan_range(cfg)
     crit = gamma_critical_points(
         g, w, scan,
         grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT,
@@ -362,11 +359,9 @@ def _critical_and_optimum(
 
 
 def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
-    from .spectral import SecularSolver
-
-    g, lap, measure, w = _build_graph(cfg, p)
-    solver = SecularSolver(lap, w)
-    crit, opt = _critical_and_optimum(cfg, p, g, solver, w)
+    lap, solver = _build_graph(cfg, p)
+    crit, opt = _critical_and_optimum(cfg, p, solver)
+    measure, w = lap.measure, solver.target
     row = TableRow(
         p=p,
         gamma_s=crit.gamma_s,
@@ -431,133 +426,105 @@ def run_tables(cfg: ExperimentConfig, out: Path) -> None:
         _write_csv(out / "tables.csv", TABLE_COLUMNS, (r.cells() for r in rows))
 
 
+def _figure_overlaps(cfg: ExperimentConfig, out: Path) -> None:
+    columns = [
+        ("gamma", "Laplacian coupling"),
+        ("s_psi0", "squared overlap of the initial state with the ground state"),
+        ("w_psi0", "squared overlap of the target state with the ground state"),
+        ("s_psi1", "squared overlap of the initial state with the first excited state"),
+        ("w_psi1", "squared overlap of the target state with the first excited state"),
+    ]
+    for p in cfg.p_values:
+        _, solver = _build_graph(cfg, p)
+        grid = np.linspace(*_scan_range(cfg), cfg.gamma_points or SCAN_POINTS_DEFAULT)
+        reports = [spec.low_pair() for spec in solver.solve_many(grid)]
+        rows = [[gamma, r.s_psi0, r.w_psi0, r.s_psi1, r.w_psi1] for gamma, r in zip(grid, reports)]
+        _write_figure(out, "overlaps", f"overlaps_p{p:g}.csv", columns, rows)
+
+
+def _figure_contour(cfg: ExperimentConfig, out: Path) -> None:
+    from .search import _grid_curve, _time_ceiling
+
+    columns = [("t", "evolution time"), ("gamma", "Laplacian coupling"), ("pi", "success probability at (t, gamma)")]
+    for p in cfg.p_values:
+        _, solver = _build_graph(cfg, p)
+        grid = np.linspace(*_scan_range(cfg), cfg.gamma_points or SCAN_POINTS_DEFAULT)
+        spectra = solver.solve_many(grid)
+        reports = [spec.low_pair() for spec in spectra]
+        t_max = _time_ceiling("auto", solver.volume, min(abs(r.e1 - r.e0) for r in reports))
+        rows = []
+        for gamma, spec in zip(grid, spectra):
+            times, curve = _grid_curve(
+                spec.energies, spec.amplitudes, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT
+            )
+            rows.extend([t, gamma, pi] for t, pi in zip(times, curve))
+        _write_figure(out, "contour", f"contour_p{p:g}.csv", columns, rows)
+
+
+def _figure_timeseries(cfg: ExperimentConfig, out: Path) -> None:
+    from .search import _grid_curve
+
+    columns = [("t", "evolution time"), ("pi", "success probability at the optimal coupling")]
+    for p in cfg.p_values:
+        _, solver = _build_graph(cfg, p)
+        _, opt = _critical_and_optimum(cfg, p, solver)
+        spec = solver.solve(opt.gamma_opt)
+        times, curve = _grid_curve(
+            spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT
+        )
+        _write_figure(out, "timeseries", f"timeseries_p{p:g}.csv", columns, zip(times, curve))
+        _write_json(
+            out / f"timeseries_p{p:g}.meta.json",
+            {
+                "p": p,
+                "gamma_opt": opt.gamma_opt,
+                "t_opt": opt.t_opt,
+                "pi_max": opt.pi_max,
+                "E0": opt.e0,
+                "E1": opt.e1,
+                "truncated": opt.truncated,
+            },
+        )
+
+
+def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
+    ps = np.linspace(cfg.volume_p_min, cfg.volume_p_max, cfg.volume_p_points)
+    rows = [[p, np.sqrt(_product_measure(path_graph(float(p)), cfg.d).volume)] for p in ps]
+    columns = [("p", "path bias parameter"), ("sqrt_volume", "square root of the lattice volume")]
+    _write_figure(out, "volume", "volume.csv", columns, rows)
+
+
+_FIGURES = {
+    "overlaps": _figure_overlaps,
+    "contour": _figure_contour,
+    "timeseries": _figure_timeseries,
+    "volume": _figure_volume,
+}
+
+
 def run_figure_data(cfg: ExperimentConfig, out: Path) -> None:
     figure = cfg.figure
     if figure is None:
         raise ConfigError("figure.kind: required (or pass --figure)")
     if cfg.family != "path-power":
         raise ConfigError(f"graph.family: figure '{figure}' requires the 'path-power' family")
-    if figure == "volume":
-        _figure_volume(cfg, out)
-        return
-    for p in cfg.p_values:
-        if figure == "overlaps":
-            _figure_overlaps(cfg, p, out)
-        elif figure == "contour":
-            _figure_contour(cfg, p, out)
-        else:
-            _figure_timeseries(cfg, p, out)
-
-
-def _secular_grid(
-    cfg: ExperimentConfig, lap: Laplacian, w: int
-) -> tuple[np.ndarray, list[SecularSpectrum]]:
-    """The figure coupling grid and the secular spectrum at each point."""
-    from .spectral import SecularSolver
-
-    lo, hi = _scan_range(cfg)
-    grid = np.linspace(lo, hi, cfg.gamma_points or SCAN_POINTS_DEFAULT)
-    return grid, SecularSolver(lap, w).solve_many(grid)
-
-
-def _figure_overlaps(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    _, lap, _, w = _build_graph(cfg, p)
-    grid, spectra = _secular_grid(cfg, lap, w)
-    reports = [spec.low_pair() for spec in spectra]
-    rows = [[gamma, r.s_psi0, r.w_psi0, r.s_psi1, r.w_psi1] for gamma, r in zip(grid, reports)]
-    _write_csv(
-        out / f"overlaps_p{p:g}.csv",
-        ["gamma", "s_psi0", "w_psi0", "s_psi1", "w_psi1"],
-        rows,
-    )
-    _write_schema(out, "overlaps", [
-        ("gamma", "Laplacian coupling"),
-        ("s_psi0", "squared overlap of the initial state with the ground state"),
-        ("w_psi0", "squared overlap of the target state with the ground state"),
-        ("s_psi1", "squared overlap of the initial state with the first excited state"),
-        ("w_psi1", "squared overlap of the target state with the first excited state"),
-    ])
-
-
-def _figure_contour(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    from .search import _grid_curve, _time_ceiling
-
-    _, lap, measure, w = _build_graph(cfg, p)
-    grid, spectra = _secular_grid(cfg, lap, w)
-    reports = [spec.low_pair() for spec in spectra]
-    t_max = _time_ceiling("auto", measure.volume, min(abs(r.e1 - r.e0) for r in reports))
-    rows = []
-    for gamma, spec in zip(grid, spectra):
-        times, curve = _grid_curve(
-            spec.energies, spec.amplitudes, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT
-        )
-        rows.extend([t, gamma, pi] for t, pi in zip(times, curve))
-    _write_csv(out / f"contour_p{p:g}.csv", ["t", "gamma", "pi"], rows)
-    _write_schema(out, "contour", [
-        ("t", "evolution time"),
-        ("gamma", "Laplacian coupling"),
-        ("pi", "success probability at (t, gamma)"),
-    ])
-
-
-def _figure_timeseries(cfg: ExperimentConfig, p: float, out: Path) -> None:
-    from .search import _grid_curve
-    from .spectral import SecularSolver
-
-    g, lap, _, w = _build_graph(cfg, p)
-    solver = SecularSolver(lap, w)
-    _, opt = _critical_and_optimum(cfg, p, g, solver, w)
-    spec = solver.solve(opt.gamma_opt)
-    times, curve = _grid_curve(
-        spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT
-    )
-    _write_csv(out / f"timeseries_p{p:g}.csv", ["t", "pi"], zip(times, curve))
-    _write_json(
-        out / f"timeseries_p{p:g}.meta.json",
-        {
-            "p": p,
-            "gamma_opt": opt.gamma_opt,
-            "t_opt": opt.t_opt,
-            "pi_max": opt.pi_max,
-            "E0": opt.e0,
-            "E1": opt.e1,
-            "truncated": opt.truncated,
-        },
-    )
-    _write_schema(out, "timeseries", [
-        ("t", "evolution time"),
-        ("pi", "success probability at the optimal coupling"),
-    ])
-
-
-def _figure_volume(cfg: ExperimentConfig, out: Path) -> None:
-    ps = np.linspace(cfg.volume_p_min, cfg.volume_p_max, cfg.volume_p_points)
-    rows = []
-    for p in ps:
-        measure = _product_measure(path_graph(float(p)), cfg.d)
-        rows.append([p, np.sqrt(measure.volume)])
-    _write_csv(out / "volume.csv", ["p", "sqrt_volume"], rows)
-    _write_schema(out, "volume", [
-        ("p", "path bias parameter"),
-        ("sqrt_volume", "square root of the lattice volume"),
-    ])
+    _FIGURES[figure](cfg, out)
 
 
 def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     from .search import optimize_search
-    from .spectral import SecularSolver
 
-    g, lap, _, w = _build_graph(cfg, _single_p(cfg, "optimize"))
+    _, solver = _build_graph(cfg, _single_p(cfg, "optimize"))
     # either configured end fixes the window (a missing end takes its default);
     # with neither, optimize_search centres the window on gamma_E
     gamma_range = None
     if cfg.gamma_min is not None or cfg.gamma_max is not None:
         gamma_range = _scan_range(cfg)
     opt = optimize_search(
-        g, w, gamma_range,
+        solver.graph, solver.target, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        solver=SecularSolver(lap, w),
+        solver=solver,
     )
     payload = {
         "t_opt": opt.t_opt,
@@ -574,15 +541,23 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     if cfg.out_format == "json":
         _write_json(out / "optimum.json", payload)
     else:
-        _write_csv(
-            out / "optimum.csv",
-            ["t_opt", "gamma_opt", "pi_max", "E0", "E1", "truncated"],
-            [[opt.t_opt, opt.gamma_opt, opt.pi_max, opt.e0, opt.e1, str(opt.truncated).lower()]],
-        )
+        columns = ["t_opt", "gamma_opt", "pi_max", "E0", "E1", "truncated"]
+        # the JSON's values, a boolean spelled as JSON spells it
+        row = [json.dumps(v) if isinstance(v, bool) else v for v in map(payload.get, columns)]
+        _write_csv(out / "optimum.csv", columns, [row])
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+# each subcommand's help line and what it runs
+_COMMANDS = {
+    "spectrum": ("export Laplacian and Hamiltonian spectra plus a summary", run_spectrum),
+    "tables": ("critical couplings and search optima per parameter value", run_tables),
+    "figures": ("grid data behind the overlap/contour/timeseries/volume plots", run_figure_data),
+    "optimize": ("locate the optimal coupling and time", run_optimize),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -591,12 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum-walk search experiments on weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "export Laplacian and Hamiltonian spectra plus a summary"),
-        ("tables", "critical couplings and search optima per parameter value"),
-        ("figures", "grid data behind the overlap/contour/timeseries/volume plots"),
-        ("optimize", "locate the optimal coupling and time"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a flat JSON config")
         # a flag whose dest is a dotted config key replaces that key before validation
@@ -654,14 +624,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         out = Path(cfg.out_path)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "spectrum":
-            run_spectrum(cfg, out)
-        elif args.command == "tables":
-            run_tables(cfg, out)
-        elif args.command == "figures":
-            run_figure_data(cfg, out)
-        else:
-            run_optimize(cfg, out)
+        _COMMANDS[args.command][1](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,6 +126,19 @@ class TransitionGraph:
             raise ValueError("graph is not strongly connected")
         return tree
 
+    @cached_property
+    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each edge (x, y), the index of the edge (y, x), and whether it exists (else the index is arbitrary).
+
+        Looked up once per graph, for the measure and the self-adjointness check.
+        """
+        sources, targets, _ = self.edges
+        # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
+        key, back_key = sources * self.n + targets, targets * self.n + sources
+        order = np.argsort(key, kind="stable")
+        back = order[np.minimum(np.searchsorted(key[order], back_key), key.size - 1)]
+        return back, key[back] == back_key
+
 
 @dataclass(frozen=True, eq=False)
 class VertexMeasure:
@@ -218,7 +231,7 @@ def kolmogorov_measure(g: TransitionGraph) -> VertexMeasure:
     CycleInconsistency when the walk is not reversible.
     """
     sources, targets, p = g.edges
-    back, reversible = _reverse_edges(g)
+    back, reversible = g._reverse
     mu = np.full(g.n, np.nan)
     mu[0] = 1.0
     for level in g._tree:
@@ -244,16 +257,6 @@ def _one_way(x, y) -> CycleInconsistency:
     return CycleInconsistency(f"edge ({x},{y}) has no reverse edge; walk is not reversible")
 
 
-def _reverse_edges(g: TransitionGraph) -> tuple[np.ndarray, np.ndarray]:
-    """For each edge (x, y), the index of the edge (y, x), and whether it exists (else the index is arbitrary)."""
-    sources, targets, _ = g.edges
-    # the reverse of edge (x, y) is the edge whose key x n + y equals y n + x
-    key, back_key = sources * g.n + targets, targets * g.n + sources
-    order = np.argsort(key, kind="stable")
-    back = order[np.minimum(np.searchsorted(key[order], back_key), key.size - 1)]
-    return back, key[back] == back_key
-
-
 def probabilistic_laplacian(g: TransitionGraph, measure: VertexMeasure | None = None) -> Laplacian:
     """I - P of g, checked to be self-adjoint under the measure (by default ``kolmogorov_measure(g)``)."""
     if measure is None:
@@ -269,7 +272,7 @@ def _check_self_adjoint(g: TransitionGraph, mu: np.ndarray) -> None:
     entry of both is an exact zero, and the diagonal is symmetric as it stands.
     """
     sources, targets, p = g.edges
-    back, reversible = _reverse_edges(g)
+    back, reversible = g._reverse
     loop = sources == targets
     cell = loop - p  # I - P at the edges, with the bits of ``Laplacian.matrix``
     diagonal = np.ones(g.n)
@@ -346,10 +349,13 @@ def cartesian_power(g: TransitionGraph, d: int) -> tuple[TransitionGraph, Laplac
     per-axis volume raised to d.
     """
     _require_count("d", d, 1)
-    # an axis of two or more vertices passes the cap within its bit length of steps
-    n = g.n ** min(d, PRODUCT_SIZE_CAP.bit_length())
+    d_max = PRODUCT_SIZE_CAP.bit_length() - 1  # the largest d with 2^d <= PRODUCT_SIZE_CAP
+    # an axis of two or more vertices passes the cap within d_max + 1 steps
+    n = g.n ** min(d, d_max + 1)
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product {g.n}^{d} has more vertices than the cap {PRODUCT_SIZE_CAP}")
+    if d > d_max:  # a 1-vertex axis, whose power has one vertex but d steps to build
+        raise ValueError(f"d={d} is above {d_max}, the largest exponent the cap {PRODUCT_SIZE_CAP} allows")
 
     params = {"d": d, "axis_n": g.n, "base": g.family, **g.params}
     gd = TransitionGraph(n, _power_edges(g, d), "product", params, axis=g)

@@ -502,9 +502,10 @@ class SecularSolver:
         The couplings are solved together, ``_BATCH_ELEMENTS`` array cells at
         a time, and each comes out bit for bit as it would alone.  Raises
         ConvergenceFailure, naming the first failing coupling in input order,
-        when the iteration stalls or when the completeness identities
+        when the iteration stalls, when the completeness identities
         sum 1/G'(E_a) = 1 and (sum alpha_a)^2 = mu(w)/vol fail, which is how a
-        missed root shows.  Raises ValueError, naming the first offender, for
+        missed root shows, or when an overlap |<s, psi_a>|^2 is not finite, as
+        at a coupling so small that E_a^2 underflows.  Raises ValueError, naming the first offender, for
         a coupling that is not positive and finite, before any iteration.
         """
         gammas = np.asarray(gammas, dtype=float).reshape(-1)
@@ -524,35 +525,38 @@ class SecularSolver:
         m = a.size
         nb = gammas.size
         batch = np.arange(nb)[:, None]
-        gaps = gammas[:, None, None] * self._lam_gaps
-        # Root 0 lies in [-1, 0), below pole 0 (gamma * Delta >= 0); root i >= 1
-        # between poles i-1 and i, in the half that G at the midpoint picks.  The
-        # pole bounding that half is the origin of tau = E - pole.
-        k = np.arange(1, m)
-        half = 0.5 * gaps[:, k - 1, k]
-        g_mid = (a / (gaps[:, k - 1] - half[..., None])).sum(axis=-1)
-        left = g_mid >= 1.0
-        first = np.zeros((nb, 1))
-        origin = np.concatenate([first.astype(int), np.where(left, k - 1, k)], axis=1)
-        lo = np.concatenate([first - 2.0, np.where(left, 0.0, -half)], axis=1)
-        hi = np.concatenate([first, np.where(left, half, 0.0)], axis=1)
-        rel = gaps[batch, origin]  # rel[c, i, j] = pole j minus the origin pole of root i
-        a_o = a[origin]
-        # Each root starts at the root of a quadratic q2 tau^2 + q1 tau + q0 = 0
-        # modelling tau (G - 1).  Root 0: the origin pole, and the other poles'
-        # share of G to first order at it.  Root i: both poles of its interval,
-        # at distance span apart, and the other poles' share at the midpoint.
-        partner = np.where(left, k, k - 1)
-        span = gaps[batch, origin[:, 1:], partner]
-        b = 1.0 - g_mid - (a[k - 1] - a[k]) / half
-        near = a[1:] / gaps[:, 0, 1:]
-        q2 = np.concatenate([(near / gaps[:, 0, 1:]).sum(axis=-1)[:, None], b], axis=1)
-        q1 = np.concatenate(
-            [near.sum(axis=-1)[:, None] - 1.0, a_o[:, 1:] + a[partner] - b * span], axis=1
-        )
-        q0 = -a_o * np.concatenate([first + 1.0, span], axis=1)
-        eps = np.finfo(float).eps
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Every array step runs with numpy's floating-point warnings off: at an
+        # extreme coupling, an overflow or underflow shows below as a stalled
+        # iteration, a missed identity or a non-finite overlap, a typed failure.
+        with np.errstate(all="ignore"):
+            gaps = gammas[:, None, None] * self._lam_gaps
+            # Root 0 lies in [-1, 0), below pole 0 (gamma * Delta >= 0); root i >= 1
+            # between poles i-1 and i, in the half that G at the midpoint picks.  The
+            # pole bounding that half is the origin of tau = E - pole.
+            k = np.arange(1, m)
+            half = 0.5 * gaps[:, k - 1, k]
+            g_mid = (a / (gaps[:, k - 1] - half[..., None])).sum(axis=-1)
+            left = g_mid >= 1.0
+            first = np.zeros((nb, 1))
+            origin = np.concatenate([first.astype(int), np.where(left, k - 1, k)], axis=1)
+            lo = np.concatenate([first - 2.0, np.where(left, 0.0, -half)], axis=1)
+            hi = np.concatenate([first, np.where(left, half, 0.0)], axis=1)
+            rel = gaps[batch, origin]  # rel[c, i, j] = pole j minus the origin pole of root i
+            a_o = a[origin]
+            # Each root starts at the root of a quadratic q2 tau^2 + q1 tau + q0 = 0
+            # modelling tau (G - 1).  Root 0: the origin pole, and the other poles'
+            # share of G to first order at it.  Root i: both poles of its interval,
+            # at distance span apart, and the other poles' share at the midpoint.
+            partner = np.where(left, k, k - 1)
+            span = gaps[batch, origin[:, 1:], partner]
+            b = 1.0 - g_mid - (a[k - 1] - a[k]) / half
+            near = a[1:] / gaps[:, 0, 1:]
+            q2 = np.concatenate([(near / gaps[:, 0, 1:]).sum(axis=-1)[:, None], b], axis=1)
+            q1 = np.concatenate(
+                [near.sum(axis=-1)[:, None] - 1.0, a_o[:, 1:] + a[partner] - b * span], axis=1
+            )
+            q0 = -a_o * np.concatenate([first + 1.0, span], axis=1)
+            eps = np.finfo(float).eps
             big = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
             r1, r2 = big / q2, q0 / big
             tau = np.where(
@@ -604,22 +608,26 @@ class SecularSolver:
             energies = gammas[:, None] * self.lams[origin] + tau
             w_sq = 1.0 / gprime
             amps = -np.sqrt(self.s_w2) / (energies * gprime)
+            s_sq = self.s_w2 / (energies**2 * gprime)
             w_defect = np.abs(w_sq.sum(axis=-1) - 1.0)
             s_defect = np.abs(amps.sum(axis=-1) ** 2 - self.s_w2)
+            s_finite = np.isfinite(s_sq).all(axis=-1)
+            low = self._invisible[:3]
+            candidates = np.concatenate([energies[:, :3], gammas[:, None] * low], axis=1)
         stalled = ~done.all(axis=1)
-        failed = stalled | ~((w_defect <= IDENTITY_TOL) & (s_defect <= IDENTITY_TOL))
+        # a NaN defect fails its comparison as well
+        failed = stalled | ~((w_defect <= IDENTITY_TOL) & (s_defect <= IDENTITY_TOL) & s_finite)
         if failed.any():
             j = int(failed.argmax())
             gamma = float(gammas[j])
             if stalled[j]:
                 raise ConvergenceFailure(f"secular iteration did not converge at gamma={gamma}")
-            raise ConvergenceFailure(
-                f"secular solve at gamma={gamma} misses weight: "
-                f"|sum 1/G' - 1| = {w_defect[j]:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect[j]:.3e}"
-            )
-        s_sq = self.s_w2 / (energies**2 * gprime)
-        low = self._invisible[:3]
-        candidates = np.concatenate([energies[:, :3], gammas[:, None] * low], axis=1)
+            if s_finite[j]:
+                raise ConvergenceFailure(
+                    f"secular solve at gamma={gamma} misses weight: "
+                    f"|sum 1/G' - 1| = {w_defect[j]:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect[j]:.3e}"
+                )
+            raise ConvergenceFailure(f"secular solve at gamma={gamma} gives an overlap |<s,psi>|^2 that is not finite")
         index = np.concatenate([np.arange(min(m, 3)), np.full(low.size, -1)])
         order = np.argsort(candidates, axis=1, kind="stable")[:, : min(self.n, 3)]
         levels = np.take_along_axis(candidates, order, axis=1)

@@ -75,12 +75,30 @@ def test_parse_config_minimal():
         ({"graph.family": "complete", "graph.N": 4, "nonsense.key": 1}, "nonsense.key"),
         # with gamma_max defaulted to 3.0 the range would be (5.0, 3.0)
         ({"graph.family": "complete", "graph.N": 4, "sweep.gamma_min": 5.0}, "sweep.gamma_min"),
+        ({"graph.family": "complete", "graph.N": 4, "sweep.gamma_max": "3"}, "sweep.gamma_max"),
+        ({"graph.family": "complete", "graph.N": 4, "sweep.t_points": 1}, "sweep.t_points"),
+        ({"graph.family": "complete", "graph.N": 4, "output.path": ""}, "output.path"),
+        ({"graph.family": "complete", "graph.N": 4, "spectrum.gamma_values": []}, "spectrum.gamma_values"),
+        ({"graph.family": "complete", "graph.N": 4, "volume.p_min": 0}, "volume.p_min"),
+        ({"graph.family": "complete", "graph.N": 4, "volume.p_max": 1.5}, "volume.p_max"),
+        ({"graph.family": "complete", "graph.N": 4, "volume.p_points": 0}, "volume.p_points"),
+        # of several faults, the first in checking order: the coupling range
+        # right after sweep.gamma_max, spectrum.gamma_values right after
+        # figure.kind, and the order of the volume range right after volume.p_max
+        ({"graph.family": "complete", "graph.N": 4, "sweep.gamma_max": 0.01, "output.format": "xml"},
+         "sweep.gamma_min"),
+        ({"graph.family": "complete", "graph.N": 4, "volume.p_min": 0.9, "volume.p_max": 0.1, "volume.p_points": 0},
+         "volume.p_min"),
+        ({"graph.family": "complete", "graph.N": 4, "figure.kind": "pie", "spectrum.gamma_values": []},
+         "figure.kind"),
+        ({"graph.family": "complete", "graph.N": 4, "spectrum.gamma_values": [0], "volume.p_min": 2},
+         "spectrum.gamma_values"),
     ],
 )
 def test_parse_config_names_offending_key(payload, key):
     with pytest.raises(ConfigError) as err:
         parse_config(payload)
-    assert key in str(err.value)
+    assert str(err.value).startswith(f"{key}: ")
 
 
 def test_cli_invalid_p_exits_2(tmp_path, capsys):
@@ -209,13 +227,28 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
 
 
 def test_spectrum_unsolvable_coupling_exits_3_with_one_line(tmp_path, capsys):
-    # gamma = 1e300 stalls the secular iteration: a typed failure, no numpy warnings
-    cfg = write_config(tmp_path, base_path_config(tmp_path / "out") | {"spectrum.gamma_values": [1e300]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["spectrum", "--config", cfg]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    # an extreme coupling either solves to finite cells or fails typed, in one
+    # line; a numpy warning is an error here, so none may reach the user
+    cases = [
+        *(("spectrum", {"spectrum.gamma_values": [gamma]})
+          for gamma in (5e-324, 1e-310, 1e-300, 1e300, 1e308, 1.7976931348623157e308)),
+        ("tables", {"sweep.gamma_max": 1e308}),
+    ]
+    for i, (command, extra) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        cfg = write_config(tmp_path, base_path_config(out, **{"graph.d": 2}) | extra, name=f"config{i}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", cfg])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == [], extra
+            for path in out.glob("*.csv"):
+                cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+                assert np.isfinite(np.array(cells, dtype=float)).all(), (extra, path.name)
+        else:
+            assert code == 3, extra
+            assert len(err) == 1 and err[0].startswith("numerical failure: "), (extra, err)
 
 
 def test_spectrum_path_outputs(tmp_path):
@@ -424,6 +457,19 @@ def test_figure_timeseries_and_contour(tmp_path):
     lines = (out / "contour_p0.5.csv").read_text().splitlines()
     assert lines[0] == "t,gamma,pi"
     assert len(lines) == 1 + 13 * 101
+
+
+@pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
+def test_figure_schema_names_the_csv_header(tmp_path, kind):
+    out = tmp_path / "out"
+    extra = {"graph.d": 2, "sweep.gamma_points": 12, "sweep.t_points": 50, "volume.p_points": 3}
+    cfg = write_config(tmp_path, base_path_config(out, **extra))
+    assert cli.main(["figures", "--config", cfg, "--figure", kind]) == 0
+    schema = json.loads((out / f"{kind}.schema.json").read_text())
+    assert schema["figure"] == kind
+    names = ",".join(c["name"] for c in schema["columns"])
+    [csv] = out.glob("*.csv")
+    assert csv.read_text().splitlines()[0] == names
 
 
 def test_timeseries_meta_matches_tables_row(tmp_path):
@@ -721,8 +767,8 @@ def uncertified_rows(monkeypatch, config):
     rows = []
     for p in cfg.p_values:
         cli.compute_table_row(cfg, p)
-        _, lap, _, w = cli._build_graph(cfg, p)
-        rows.append((*seen[-1], lap, w))
+        lap, solver = cli._build_graph(cfg, p)
+        rows.append((*seen[-1], lap, solver.target))
     return rows
 
 
@@ -872,7 +918,7 @@ def test_spectrum_builds_the_dense_laplacian_read_only(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_build_graph", lambda *args: built.append(build(*args)) or built[-1])
     cfg = write_config(tmp_path, base_path_config(tmp_path / "out", **{"graph.d": 2}))
     assert cli.main(["spectrum", "--config", cfg]) == 0
-    [(_, lap, _, _)] = built
+    [(lap, _)] = built
     assert "matrix" in lap.__dict__
     with pytest.raises(ValueError, match="read-only"):
         lap.matrix[0, 0] = 0.0
@@ -882,11 +928,13 @@ def test_certificate_checks_sqrt_mu_over_vol_against_the_axis(monkeypatch):
     # a measure 5e-11 relative off at the target passes the set-up, whose
     # tolerance is 1e-10, and the row reads its sqrt(mu/vol) cell from it
     cfg = parse_config(path_tables(2, [0.4], **{"sweep.gamma_points": 60, "sweep.t_points": 300}))
-    g, lap, measure, w = cli._build_graph(cfg, 0.4)
+    lap, solver = cli._build_graph(cfg, 0.4)
+    g, measure, w = lap.graph, lap.measure, solver.target
     mu = measure.mu.copy()
     mu[w] *= 1.0 + 5e-11
-    off = VertexMeasure(mu, measure.volume)
-    monkeypatch.setattr(cli, "_build_graph", lambda *args: (g, Laplacian(g, off), off, w))
+    shifted = Laplacian(g, VertexMeasure(mu, measure.volume))
+    built = shifted, spectral.SecularSolver(shifted, w)
+    monkeypatch.setattr(cli, "_build_graph", lambda *args: built)
     with pytest.raises(NumericalFailure, match=r"sqrt\(mu/vol\) cell"):
         cli.compute_table_row(cfg, 0.4)
 

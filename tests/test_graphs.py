@@ -269,6 +269,20 @@ def test_cartesian_power_rejects_a_huge_d_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_cartesian_power_refuses_a_1_vertex_axis_past_the_cap_at_once():
+    # 1^d = 1 vertex at any d, but the edges took d steps: 1.0 s at d = 10^5,
+    # whose d loop weights of 1/d no longer summed to one
+    axis = TransitionGraph.from_weights(1, {(0, 0): 1.0}, "custom")
+    start = time.perf_counter()
+    for d in (10**5, 13):
+        with pytest.raises(ValueError, match=f"d={d} is above 12"):
+            cartesian_power(axis, d)
+    assert time.perf_counter() - start < 0.1
+    assert cartesian_power(axis, 12)[0].n == 1
+    with pytest.raises(ValueError, match=r"product 2\^13 has more vertices than the cap"):
+        cartesian_power(TransitionGraph.from_weights(2, {(0, 1): 1.0, (1, 0): 1.0}, "custom"), 13)
+
+
 def test_cartesian_power_d8_builds_in_edge_arrays(monkeypatch):
     # 65,536 vertices and 786,432 edges; a dict of the weights peaked at 223 MiB
     monkeypatch.setattr(graphs, "PRODUCT_SIZE_CAP", 4**8)
