@@ -25,6 +25,10 @@ its ``tables.csv`` equals that of ``tables`` only while the outputs do not
 depend on the BLAS thread count.  Every warning is an error, in this process
 and in the child, so a numpy warning in any run stops the listing.
 
+Every output must hold finite numbers only: the listing stops, naming the
+file, at a CSV cell that parses as a number but is not finite, or at a NaN or
+Infinity in a JSON output.
+
 Where listings differ, keep both output sets and run ``--diff``: for each file
 whose bytes changed it prints the largest absolute and relative difference of
 every numeric column (CSV) or key (JSON) that moved.
@@ -36,6 +40,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +166,13 @@ def _number(cell) -> float | None:
         return None
 
 
+def nonfinite_cells(path: Path) -> int:
+    """Count the cells of an output (CSV cells or JSON values) that are numbers but not finite."""
+    return sum(
+        x is not None and not math.isfinite(x) for cells in _columns(path).values() for x in map(_number, cells)
+    )
+
+
 def diff(old_root: Path, new_root: Path) -> int:
     """Print, per changed file, the largest absolute and relative move of each moved column."""
     old_files, new_files = set(outputs(old_root)), set(outputs(new_root))
@@ -216,6 +228,10 @@ def main() -> int:
                 return 1
         if write_outputs(root) != 0:
             return 1
+        for rel in outputs(root):
+            if count := nonfinite_cells(root / rel):
+                print(f"error: {rel.as_posix()} holds {count} number(s) that are not finite", file=sys.stderr)
+                return 1
         for rel in outputs(root):
             digest = hashlib.sha256((root / rel).read_bytes()).hexdigest()
             print(f"{digest}  {rel.as_posix()}")

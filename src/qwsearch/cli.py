@@ -235,9 +235,12 @@ def _write_csv(path: Path, header: list[str] | None, rows) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write payload as JSON, refusing NaN and Infinity before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"{path} would hold a number that is not finite: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8", newline="")
 
 
 def _write_figure(out: Path, kind: str, name: str, columns: list[tuple[str, str]], rows) -> None:

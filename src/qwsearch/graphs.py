@@ -371,11 +371,12 @@ class InteriorMeasureProfile:
     Interior vertices are those whose coordinates all avoid the axis
     boundaries (axis vertices with a single out-neighbor).  The structure is
     homogeneous when every axis row is uniform over its out-neighbors, i.e.
-    the walk is the simple unbiased one.
+    the walk is the simple unbiased one.  With no interior vertex, as on
+    K_2, interior_min and interior_max are None.
     """
 
-    interior_min: float
-    interior_max: float
+    interior_min: float | None
+    interior_max: float | None
     interior_constant: bool
     homogeneous: bool
     graph_min: float
@@ -393,7 +394,7 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
     interior_mask = _power_outer(np.logical_and, True, [out_degree > 1] * d)
     interior = mu[interior_mask]
     if interior.size == 0:
-        i_min = i_max = float("nan")
+        i_min = i_max = None
         constant = False
     else:
         i_min, i_max = float(interior.min()), float(interior.max())

@@ -223,29 +223,6 @@ def _lockstep_roots(grid: np.ndarray, values: dict, crossings) -> dict[str, floa
                 brackets[which] = (x, b, fx, fb, kappa1, steps_left - 1)
 
 
-def _scan(
-    solver: SecularSolver,
-    kinds: tuple[str, ...],
-    gamma_range: tuple[float, float],
-    grid_points: int,
-) -> dict[str, float | None]:
-    """First root of each requested crossing kind, or None, from one shared grid.
-
-    The callers check gamma_range and grid_points before they build the solver.
-    """
-    lo, hi = gamma_range
-    crossing = {which: _crossing(which) for which in kinds}
-
-    def crossings(batch_kinds, gammas):
-        spectra = solver.solve_many(gammas)
-        return [crossing[k](spec.low_pair()) for k, spec in zip(batch_kinds, spectra)]
-
-    grid = np.linspace(lo, hi, grid_points)
-    reports = [spec.low_pair() for spec in solver.solve_many(grid)]
-    values = {which: np.array([f(r) for r in reports]) for which, f in crossing.items()}
-    return _lockstep_roots(grid, values, crossings)
-
-
 def _require_range(gamma_range: tuple[float, float]) -> None:
     lo, hi = gamma_range
     if not (0.0 < lo < hi):
@@ -278,17 +255,14 @@ def find_gamma_critical(
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
-    Scans a uniform grid for the first sign change, on a new ``_solver_for``
-    solver, then refines it by ITP down to a bracket at most 1e-12 wide.
-    Raises NoRootInRange if the scanned values never change sign.
+    The ``which`` field of ``gamma_critical_points`` on the same range and
+    grid, on a new ``_solver_for`` solver.  Raises NoRootInRange if the
+    scanned values never change sign.
     """
     _crossing(which)  # an unknown kind raises here, before the set-up
-    _require_range(gamma_range)
-    _require_count("grid_points", grid_points, 2)
-    root = _scan(_solver_for(graph, w, None), (which,), gamma_range, grid_points)[which]
+    root = getattr(gamma_critical_points(graph, w, gamma_range, grid_points=grid_points), f"gamma_{which}")
     if root is None:
-        lo, hi = gamma_range
-        raise NoRootInRange(f"no sign change of the '{which}' crossing in [{lo}, {hi}]")
+        raise NoRootInRange("no sign change of the '{}' crossing in [{}, {}]".format(which, *gamma_range))
     return root
 
 
@@ -300,11 +274,24 @@ def gamma_critical_points(
     grid_points: int = SCAN_POINTS_DEFAULT,
     solver: SecularSolver | None = None,
 ) -> GammaCriticalPoints:
-    """All three critical couplings from one shared grid scan on ``_solver_for(graph, w, solver)``."""
+    """All three critical couplings from one grid scan on ``_solver_for(graph, w, solver)``.
+
+    The package's one coupling scan: the low pair is solved on a uniform grid
+    over gamma_range, and ``_lockstep_roots`` refines the first sign change of
+    the s, w and E crossings together.  Each bracket steps as it would alone,
+    and ``solve_many`` gives each coupling the bits of a lone solve, so each
+    root is bit for bit the one a scan of its kind alone would find.
+    """
     _require_range(gamma_range)
     _require_count("grid_points", grid_points, 2)
     solver = _solver_for(graph, w, solver)
-    roots = _scan(solver, ("s", "w", "E"), gamma_range, grid_points)
+
+    def crossings(kinds, gammas):
+        return [_crossing(k)(spec.low_pair()) for k, spec in zip(kinds, solver.solve_many(gammas))]
+
+    grid = np.linspace(*gamma_range, grid_points)
+    reports = [spec.low_pair() for spec in solver.solve_many(grid)]
+    roots = _lockstep_roots(grid, {k: np.array([_crossing(k)(r) for r in reports]) for k in "swE"}, crossings)
     return GammaCriticalPoints(gamma_s=roots["s"], gamma_w=roots["w"], gamma_E=roots["E"])
 
 
@@ -420,18 +407,19 @@ def optimize_search(
 ) -> SearchOptimum:
     """Locate (t_opt, gamma_opt) maximizing the success probability.
 
-    A coarse gamma grid (default spanning +-20% around gamma_E when it exists)
-    is scanned; each gamma gets a uniform time grid up to the ceiling
-    min(volume, 3 pi / |E1 - E0|) plus a golden-section refinement of its best
-    peak.  The winning gamma is then re-gridded ``REFINE_DECADES`` times, one
-    decade finer each pass.  Among all evaluated points within 1e-9 of the
-    maximum, the earliest time and then the smallest coupling win.  Each
-    grid is solved in one batched secular pass, and its peaks are refined in
-    lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
-    than 1e-9, plus rounding, below the best pi already reached (the
-    pool's, or the grid maximum of the grid's coupling with the largest
-    bound) can win no tie, and gets no curve.  A ``solver`` for (graph, w)
-    saves its set-up.  Raises ValueError for an invalid t_ceiling or count.
+    A coarse gamma grid is scanned, by default over +-20% around the gamma_E
+    of ``gamma_critical_points`` on its default range and grid, or over that
+    range when it has none.  Each gamma gets a uniform time grid up to the
+    ceiling min(volume, 3 pi / |E1 - E0|) plus a golden-section refinement of
+    its best peak.  The winning gamma is then re-gridded ``REFINE_DECADES``
+    times, one decade finer each pass.  Among all evaluated points within 1e-9
+    of the maximum, the earliest time and then the smallest coupling win.
+    Each grid is solved in one batched secular pass, and its peaks are refined
+    in lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
+    than 1e-9, plus rounding, below the best pi already reached (the pool's,
+    or the grid maximum of the grid's coupling with the largest bound) can win
+    no tie, and gets no curve.  A ``solver`` for (graph, w) saves its set-up.
+    Raises ValueError for an invalid t_ceiling or count.
     """
     _require_ceiling(t_ceiling)
     _require_count("gamma_points", gamma_points, 1)
@@ -442,7 +430,7 @@ def optimize_search(
     volume = solver.volume
 
     if gamma_range is None:
-        g_e = _scan(solver, ("E",), GAMMA_RANGE_DEFAULT, SCAN_POINTS_DEFAULT)["E"]
+        g_e = gamma_critical_points(graph, w, solver=solver).gamma_E
         gamma_range = _optimum_window(g_e, GAMMA_RANGE_DEFAULT)
     lo, hi = gamma_range
 

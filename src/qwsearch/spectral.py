@@ -316,7 +316,9 @@ def overlaps_via_green(h: SearchHamiltonian) -> OverlapReport:
 # 1e-16, so its square sits far below this; deflating a true weight this small
 # moves the roots and amplitudes by about the weight itself.
 DEFLATION_TOL = 1e-24
-# Both completeness identities of a secular solve hold to this absolute tolerance.
+# The completeness identities of a secular solve hold to this tolerance:
+# sum 1/G' = 1 absolutely, and (sum alpha)^2 = mu(w)/vol relative to the size
+# of its terms, (sum |alpha|)^2, which is at most 1 (Cauchy-Schwarz).
 IDENTITY_TOL = 1e-10
 _SECULAR_MAX_ITER = 200
 # Cells of one (couplings x roots x poles) array in a batched secular solve;
@@ -503,10 +505,12 @@ class SecularSolver:
         a time, and each comes out bit for bit as it would alone.  Raises
         ConvergenceFailure, naming the first failing coupling in input order,
         when the iteration stalls, when the completeness identities
-        sum 1/G'(E_a) = 1 and (sum alpha_a)^2 = mu(w)/vol fail, which is how a
-        missed root shows, or when an overlap |<s, psi_a>|^2 is not finite, as
-        at a coupling so small that E_a^2 underflows.  Raises ValueError, naming the first offender, for
-        a coupling that is not positive and finite, before any iteration.
+        sum 1/G'(E_a) = 1 and (sum alpha_a)^2 = mu(w)/vol (relative to
+        (sum |alpha_a|)^2) fail, which is how a missed root shows, or when a
+        G'(E_a) or an overlap |<s, psi_a>|^2 is not finite, as at a coupling
+        so small that G' overflows or E_a^2 underflows.  Raises ValueError,
+        naming the first offender, for a coupling that is not positive and
+        finite, before any iteration.
         """
         gammas = np.asarray(gammas, dtype=float).reshape(-1)
         bad = ~(np.isfinite(gammas) & (gammas > 0.0))
@@ -610,24 +614,25 @@ class SecularSolver:
             amps = -np.sqrt(self.s_w2) / (energies * gprime)
             s_sq = self.s_w2 / (energies**2 * gprime)
             w_defect = np.abs(w_sq.sum(axis=-1) - 1.0)
-            s_defect = np.abs(amps.sum(axis=-1) ** 2 - self.s_w2)
-            s_finite = np.isfinite(s_sq).all(axis=-1)
+            s_defect = np.abs(amps.sum(axis=-1) ** 2 - self.s_w2) / np.abs(amps).sum(axis=-1) ** 2
+            # an overflowing G' reads as a zero overlap, at which both identities can still hold
+            finite = np.isfinite(gprime).all(axis=-1) & np.isfinite(s_sq).all(axis=-1)
             low = self._invisible[:3]
             candidates = np.concatenate([energies[:, :3], gammas[:, None] * low], axis=1)
         stalled = ~done.all(axis=1)
         # a NaN defect fails its comparison as well
-        failed = stalled | ~((w_defect <= IDENTITY_TOL) & (s_defect <= IDENTITY_TOL) & s_finite)
+        failed = stalled | ~((w_defect <= IDENTITY_TOL) & (s_defect <= IDENTITY_TOL) & finite)
         if failed.any():
             j = int(failed.argmax())
             gamma = float(gammas[j])
             if stalled[j]:
                 raise ConvergenceFailure(f"secular iteration did not converge at gamma={gamma}")
-            if s_finite[j]:
+            if finite[j]:
                 raise ConvergenceFailure(
-                    f"secular solve at gamma={gamma} misses weight: "
-                    f"|sum 1/G' - 1| = {w_defect[j]:.3e}, |(sum alpha)^2 - mu/vol| = {s_defect[j]:.3e}"
+                    f"secular solve at gamma={gamma} misses weight: |sum 1/G' - 1| = {w_defect[j]:.3e}, "
+                    f"|(sum alpha)^2 - mu/vol| / (sum |alpha|)^2 = {s_defect[j]:.3e}"
                 )
-            raise ConvergenceFailure(f"secular solve at gamma={gamma} gives an overlap |<s,psi>|^2 that is not finite")
+            raise ConvergenceFailure(f"secular solve at gamma={gamma} gives a G'(E) or |<s,psi>|^2 that is not finite")
         index = np.concatenate([np.arange(min(m, 3)), np.full(low.size, -1)])
         order = np.argsort(candidates, axis=1, kind="stable")[:, : min(self.n, 3)]
         levels = np.take_along_axis(candidates, order, axis=1)

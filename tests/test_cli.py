@@ -231,7 +231,7 @@ def test_spectrum_unsolvable_coupling_exits_3_with_one_line(tmp_path, capsys):
     # line; a numpy warning is an error here, so none may reach the user
     cases = [
         *(("spectrum", {"spectrum.gamma_values": [gamma]})
-          for gamma in (5e-324, 1e-310, 1e-300, 1e300, 1e308, 1.7976931348623157e308)),
+          for gamma in (5e-324, 1e-310, 1e-300, 1e-155, 1e300, 1e308, 1.7976931348623157e308)),
         ("tables", {"sweep.gamma_max": 1e308}),
     ]
     for i, (command, extra) in enumerate(cases):
@@ -298,6 +298,27 @@ def test_spectrum_complete_outputs(tmp_path):
     rows = (out / "laplacian_spectrum.csv").read_text().splitlines()[1:]
     evals = sorted(float(r.split(",")[1]) for r in rows)
     np.testing.assert_allclose(evals, [0.0, 4 / 3, 4 / 3, 4 / 3], atol=1e-10)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_spectrum_k2_writes_null_for_its_empty_interior(tmp_path):
+    # K_2 has no interior vertex; summary.json must stay JSON, with no NaN
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"graph.family": "complete", "graph.N": 2, "output.path": str(out)})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["interior_min"] is None and summary["interior_max"] is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_number_that_is_not_finite(tmp_path, value):
+    path = tmp_path / "summary.json"
+    with pytest.raises(NumericalFailure, match="summary.json"):
+        cli._write_json(path, {"ok": 1.0, "bad": [value]})
+    assert not path.exists()
 
 
 def test_csv_floats_roundtrip(tmp_path):

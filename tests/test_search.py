@@ -14,6 +14,7 @@ from qwsearch.errors import (
     NotAtGammaE,
 )
 from qwsearch.graphs import (
+    GAMMA_RANGE_DEFAULT,
     Laplacian,
     TransitionGraph,
     VertexMeasure,
@@ -34,6 +35,7 @@ from qwsearch.search import (
     _golden_lockstep,
     _itp_point,
     _lockstep_roots,
+    _optimum_window,
     _peak_objective,
     decompose_at_gamma_E,
     evolve,
@@ -155,6 +157,42 @@ def test_two_vertex_graph_has_no_overlap_crossings():
     with pytest.raises(NoRootInRange):
         find_gamma_critical(g, 0, "w")
     assert find_gamma_critical(g, 0, "E") == pytest.approx(0.5, abs=1e-9)
+
+
+def _lattice_and_complete_targets():
+    # lattices at their corner and at the interior vertex (1, ..., 1), then K_4 and K_8
+    for d in (1, 2, 3, 4):
+        for p in (0.1, 0.5, 0.91):
+            for w in (0, (4**d - 1) // 3):
+                yield pytest.param(lambda d=d, p=p: cartesian_power(path_graph(p), d)[0], w, id=f"d{d}-p{p}-w{w}")
+    for n in (4, 8):
+        yield pytest.param(lambda n=n: complete_graph(n), 0, id=f"K{n}")
+
+
+@pytest.mark.parametrize("build, w", _lattice_and_complete_targets())
+def test_find_gamma_critical_is_the_field_of_the_three_kind_scan(build, w):
+    g = build()
+    crit = gamma_critical_points(g, w)
+    for which in ("s", "w", "E"):
+        root = getattr(crit, f"gamma_{which}")
+        if root is None:
+            with pytest.raises(NoRootInRange):
+                find_gamma_critical(g, w, which)
+        else:
+            assert find_gamma_critical(g, w, which) == root, which
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cartesian_power(path_graph(0.91), 2)[0], lambda: cartesian_power(path_graph(0.4), 3)[0],
+     lambda: complete_graph(4)],
+    ids=["d2-p0.91", "d3-p0.4", "K4"],
+)
+def test_optimize_default_window_is_around_the_scans_gamma_e(build):
+    g = build()
+    window = _optimum_window(gamma_critical_points(g, 0).gamma_E, GAMMA_RANGE_DEFAULT)
+    kwargs = {"gamma_points": 40, "t_points": 400}
+    assert optimize_search(g, 0, **kwargs) == optimize_search(g, 0, window, **kwargs)
 
 
 def test_gamma_critical_points_none_for_missing_roots():

@@ -335,6 +335,19 @@ def test_secular_solve_rejects_missing_weight():
         solver.solve_many([0.5, 1.0, 1.5])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_tiny_couplings_fail_typed_or_keep_the_s_overlaps(d):
+    # from about 1e-160 G' overflows at some visible roots, so 1/G' reads 0 and
+    # the excited s-overlaps vanish while both completeness identities hold
+    solver = SecularSolver(cartesian_power(path_graph(0.5), d)[1], 0)
+    for gamma in np.logspace(-170, -140, 241):
+        try:
+            spec = solver.solve(gamma)
+        except ConvergenceFailure:
+            continue
+        assert abs(spec.s_overlaps.sum() - 1.0) <= 1e-10, gamma
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_secular_solve_rejects_a_coupling_that_is_not_positive_and_finite(bad):
     solver = SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0)
