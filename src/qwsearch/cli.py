@@ -184,10 +184,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _build_graph(cfg: ExperimentConfig, p: float | None = None) -> tuple[Laplacian, SecularSolver]:
-    """The Laplacian for one parameter value, and its solver at the target vertex.
-
-    The solver holds the graph (``solver.graph``) and the target (``solver.target``).
-    """
+    """The Laplacian for one parameter value, and its solver at the target vertex."""
     from .spectral import SecularSolver
 
     if cfg.family == "complete":
@@ -343,20 +340,15 @@ def _critical_and_optimum(
     """Critical couplings, then the optimum in the ``_optimum_window`` of gamma_E and the scan range."""
     from .search import _optimum_window, gamma_critical_points, optimize_search
 
-    g, w, scan = solver.graph, solver.target, _scan_range(cfg)
-    crit = gamma_critical_points(
-        g, w, scan,
-        grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT,
-        solver=solver,
-    )
+    scan = _scan_range(cfg)
+    crit = gamma_critical_points(solver, scan, grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT)
     for name, value in (("gamma_s", crit.gamma_s), ("gamma_w", crit.gamma_w), ("gamma_E", crit.gamma_E)):
         if value is None:
             print(f"note: p={p}: no {name} root in [{scan[0]}, {scan[1]}]", file=sys.stderr)
     opt = optimize_search(
-        g, w, _optimum_window(crit.gamma_E, scan),
+        solver, _optimum_window(crit.gamma_E, scan),
         gamma_points=OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        solver=solver,
     )
     return crit, opt
 
@@ -524,10 +516,9 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     if cfg.gamma_min is not None or cfg.gamma_max is not None:
         gamma_range = _scan_range(cfg)
     opt = optimize_search(
-        solver.graph, solver.target, gamma_range,
+        solver, gamma_range,
         gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-        solver=solver,
     )
     payload = {
         "t_opt": opt.t_opt,

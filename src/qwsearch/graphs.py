@@ -379,8 +379,6 @@ class InteriorMeasureProfile:
     interior_max: float | None
     interior_constant: bool
     homogeneous: bool
-    graph_min: float
-    graph_max: float
 
 
 def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
@@ -406,7 +404,5 @@ def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
         interior_max=i_max,
         interior_constant=constant,
         homogeneous=homogeneous,
-        graph_min=float(mu.min()),
-        graph_max=float(mu.max()),
     )
 

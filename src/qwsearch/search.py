@@ -22,11 +22,7 @@ from .graphs import (
     OPT_GAMMA_POINTS_DEFAULT,
     OPT_T_POINTS_DEFAULT,
     SCAN_POINTS_DEFAULT,
-    TransitionGraph,
-    _power_form,
-    _product_measure,
     _require_count,
-    probabilistic_laplacian,
 )
 from .spectral import (
     SearchHamiltonian,
@@ -229,25 +225,8 @@ def _require_range(gamma_range: tuple[float, float]) -> None:
         raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
 
 
-def _solver_for(graph: TransitionGraph, w: int, solver: SecularSolver | None) -> SecularSolver:
-    """The given solver, checked to be set up for this graph object and w, or a new one.
-
-    A new one takes ``cartesian_power``'s Laplacian and product measure, which
-    for a graph that is not a product is ``kolmogorov_measure``'s bit for bit.
-    Raises ValueError, before any solve, for a solver of another graph or target.
-    """
-    if solver is None:
-        return SecularSolver(probabilistic_laplacian(graph, _product_measure(*_power_form(graph))), w)
-    if solver.graph is not graph:
-        raise ValueError("solver is set up for another graph than the one given")
-    if solver.target != w:
-        raise ValueError(f"solver is for target {solver.target}, not {w}")
-    return solver
-
-
 def find_gamma_critical(
-    graph: TransitionGraph,
-    w: int,
+    solver: SecularSolver,
     which: str,
     gamma_range: tuple[float, float] = GAMMA_RANGE_DEFAULT,
     *,
@@ -255,26 +234,24 @@ def find_gamma_critical(
 ) -> float:
     """Smallest root of the chosen crossing function in gamma_range.
 
-    The ``which`` field of ``gamma_critical_points`` on the same range and
-    grid, on a new ``_solver_for`` solver.  Raises NoRootInRange if the
-    scanned values never change sign.
+    The ``which`` field of ``gamma_critical_points`` on the same solver,
+    range and grid.  Raises NoRootInRange if the scanned values never
+    change sign.
     """
-    _crossing(which)  # an unknown kind raises here, before the set-up
-    root = getattr(gamma_critical_points(graph, w, gamma_range, grid_points=grid_points), f"gamma_{which}")
+    _crossing(which)  # an unknown kind raises here, before any solve
+    root = getattr(gamma_critical_points(solver, gamma_range, grid_points=grid_points), f"gamma_{which}")
     if root is None:
         raise NoRootInRange("no sign change of the '{}' crossing in [{}, {}]".format(which, *gamma_range))
     return root
 
 
 def gamma_critical_points(
-    graph: TransitionGraph,
-    w: int,
+    solver: SecularSolver,
     gamma_range: tuple[float, float] = GAMMA_RANGE_DEFAULT,
     *,
     grid_points: int = SCAN_POINTS_DEFAULT,
-    solver: SecularSolver | None = None,
 ) -> GammaCriticalPoints:
-    """All three critical couplings from one grid scan on ``_solver_for(graph, w, solver)``.
+    """All three critical couplings from one grid scan on the solver.
 
     The package's one coupling scan: the low pair is solved on a uniform grid
     over gamma_range, and ``_lockstep_roots`` refines the first sign change of
@@ -284,7 +261,6 @@ def gamma_critical_points(
     """
     _require_range(gamma_range)
     _require_count("grid_points", grid_points, 2)
-    solver = _solver_for(graph, w, solver)
 
     def crossings(kinds, gammas):
         return [_crossing(k)(spec.low_pair()) for k, spec in zip(kinds, solver.solve_many(gammas))]
@@ -396,14 +372,12 @@ def _peak_objective(energies: np.ndarray, amps: np.ndarray):
 
 
 def optimize_search(
-    graph: TransitionGraph,
-    w: int,
+    solver: SecularSolver,
     gamma_range: tuple[float, float] | None = None,
     *,
     gamma_points: int = OPT_GAMMA_POINTS_DEFAULT,
     t_points: int = OPT_T_POINTS_DEFAULT,
     t_ceiling: str | float = "auto",
-    solver: SecularSolver | None = None,
 ) -> SearchOptimum:
     """Locate (t_opt, gamma_opt) maximizing the success probability.
 
@@ -418,19 +392,18 @@ def optimize_search(
     in lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
     than 1e-9, plus rounding, below the best pi already reached (the pool's,
     or the grid maximum of the grid's coupling with the largest bound) can win
-    no tie, and gets no curve.  A ``solver`` for (graph, w) saves its set-up.
-    Raises ValueError for an invalid t_ceiling or count.
+    no tie, and gets no curve.  Raises ValueError for an invalid window,
+    t_ceiling or count, before any solve.
     """
     _require_ceiling(t_ceiling)
     _require_count("gamma_points", gamma_points, 1)
     _require_count("t_points", t_points, 2)
     if gamma_range is not None:
         _require_range(gamma_range)
-    solver = _solver_for(graph, w, solver)
     volume = solver.volume
 
     if gamma_range is None:
-        g_e = gamma_critical_points(graph, w, solver=solver).gamma_E
+        g_e = gamma_critical_points(solver).gamma_E
         gamma_range = _optimum_window(g_e, GAMMA_RANGE_DEFAULT)
     lo, hi = gamma_range
 
@@ -541,15 +514,14 @@ class DecompositionReport:
 
 
 def decompose_at_gamma_E(
-    graph: TransitionGraph,
-    w: int,
+    solver: SecularSolver,
     gamma_E: float,
     t_samples: np.ndarray,
 ) -> DecompositionReport:
     """Decompose pi(t) into its two-level part and higher-state residual.
 
-    Requires a positive finite gamma_E with |E0 + E1| < 1e-8 there, on a new
-    ``_solver_for`` solver whose two low states must both overlap e_w.  The
+    Requires a positive finite gamma_E, checked before any solve, with
+    |E0 + E1| < 1e-8 there, where both low states must overlap e_w.  The
     coupling is then refined by Newton steps on f = E0 + E1, until f is 0 or
     a step no longer lowers |f|, which makes the pointwise reconstruction
     identity hold to full precision.  By Hellmann-Feynman, dE_a/dgamma =
@@ -558,7 +530,6 @@ def decompose_at_gamma_E(
     """
     if not _positive_number(gamma_E):
         raise ValueError(f"gamma_E={gamma_E!r} must be a positive finite number")
-    solver = _solver_for(graph, w, None)
     gamma = float(gamma_E)
     spec = solver.solve(gamma)
     pair = spec.low_pair()

@@ -213,15 +213,20 @@ def _target_weights(
     return np.array(lams), np.array(weights), np.array(counts)
 
 
-def green(gamma: float, lap: Laplacian, w: int, z: float) -> GreenEvaluation:
+def green(solver: SecularSolver, gamma: float, z: float) -> GreenEvaluation:
     """Green function G(z) = <e_w, (gamma Delta - z)^{-1} e_w> and its z-derivative.
 
-    Both are sums over the pole table of ``SecularSolver(lap, w)``, the
-    distinct eigenvalues of Delta with their target weights.  Raises
-    PoleProximity when z is closer to gamma times any eigenvalue of Delta,
-    visible or not, than 1e-12 times the width of that scaled spectrum.
+    Both are sums over the solver's pole table, the distinct eigenvalues of
+    Delta with their target weights.  Raises ValueError, naming the argument,
+    for a gamma that is not positive and finite or a z that is not finite,
+    before any sum, and PoleProximity when z is closer to gamma times any
+    eigenvalue of Delta, visible or not, than 1e-12 times the width of that
+    scaled spectrum.
     """
-    solver = SecularSolver(lap, w)
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma={gamma} must be positive and finite")
+    if not np.isfinite(z):
+        raise ValueError(f"z={z} must be finite")
     spectrum = gamma * solver.laplacian_spectrum
     span = max(float(spectrum[-1] - spectrum[0]), 1e-300)
     gap = np.abs(spectrum - z).min()
@@ -298,7 +303,7 @@ def overlaps_direct(
     return _overlap_report(sd.eigenvalues, sd.sym_vectors, _ground_sym(sd.sqrt_mu), h.target)
 
 
-def overlaps_via_green(h: SearchHamiltonian) -> OverlapReport:
+def overlaps_via_green(solver: SecularSolver, gamma: float) -> OverlapReport:
     """Overlap probabilities through the Green-function derivative, from one secular solve.
 
     Uses |<e_w, psi_a>|^2 = 1 / G'(E_a) and
@@ -306,7 +311,7 @@ def overlaps_via_green(h: SearchHamiltonian) -> OverlapReport:
     G(E) = 1.  Raises EigenvalueOnSpectrum when a low state is orthogonal to
     e_w, so its energy is gamma times an eigenvalue of Delta and no root.
     """
-    spec = SecularSolver(h.laplacian, h.target).solve(h.gamma)
+    spec = solver.solve(gamma)
     _require_visible_low_pair(spec, EigenvalueOnSpectrum)
     return spec.low_pair()
 
@@ -451,7 +456,8 @@ class SecularSolver:
     has eigenvalue sum_i lambda_{k_i} / d and target weight
     prod_i u_{k_i}(x_i)^2 at w = (x_1, ..., x_d).  The solver keeps the
     validated axis decomposition as ``axis``, which ``certify_low_pairs``
-    builds its vectors and its residual from, and lap's graph as ``graph``.
+    builds its vectors and its residual from.  Every quantity the package
+    reports of one Laplacian and target is read off one solver.
     """
 
     def __init__(self, lap: Laplacian, w: int):
@@ -479,7 +485,7 @@ class SecularSolver:
         # the eigenvalues, with multiplicity, whose eigenvectors vanish at w:
         # each eigenspace less its one visible direction
         self._invisible = np.repeat(lams, counts - visible)
-        self.graph, self.target = lap.graph, w
+        self.target = w
         self.volume = lap.measure.volume
         self.s_w2 = float(lap.measure.mu[w] / lap.measure.volume)
         self.n = evals.size
@@ -752,7 +758,7 @@ class TheoremBounds:
     second_holds: bool
 
 
-def theorem_bound_report(h: SearchHamiltonian) -> TheoremBounds:
+def theorem_bound_report(solver: SecularSolver, gamma: float) -> TheoremBounds:
     """Check |E_a^2 - mu(w)/vol| against the overlap-gap bounds, from one secular solve.
 
     The ground-state inequality is |E_0^2 - mu(w)/vol| <= eps0 with
@@ -760,8 +766,7 @@ def theorem_bound_report(h: SearchHamiltonian) -> TheoremBounds:
     carries the extra prefactor built from the two s-overlaps.  Both low
     states must overlap e_w.
     """
-    solver = SecularSolver(h.laplacian, h.target)
-    spec = solver.solve(h.gamma)
+    spec = solver.solve(gamma)
     _require_visible_low_pair(spec)
     rep = spec.low_pair()
     ratio = solver.s_w2

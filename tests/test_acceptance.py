@@ -29,6 +29,7 @@ from qwsearch.search import (
 )
 from qwsearch.spectral import (
     SearchHamiltonian,
+    SecularSolver,
     decompose,
     green,
     overlaps_direct,
@@ -66,17 +67,17 @@ def lattice_results():
     """Critical couplings and search optimum for every reference row (computed once)."""
     out = {}
     for p in LATTICE_P_VALUES:
-        g, lap, measure = cartesian_power(path_graph(p), 5)
-        crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=600)
+        _, lap, measure = cartesian_power(path_graph(p), 5)
+        solver = SecularSolver(lap, 0)
+        crit = gamma_critical_points(solver, (0.05, 3.0), grid_points=600)
         assert crit.gamma_E is not None
         opt = optimize_search(
-            g,
-            0,
+            solver,
             (0.8 * crit.gamma_E, 1.2 * crit.gamma_E),
             gamma_points=200,
             t_points=4000,
         )
-        out[p] = SimpleNamespace(graph=g, lap=lap, measure=measure, crit=crit, opt=opt)
+        out[p] = SimpleNamespace(solver=solver, lap=lap, measure=measure, crit=crit, opt=opt)
     return out
 
 
@@ -85,6 +86,7 @@ def random_instances(count: int = 50):
 
     Instances whose low states are degenerate or collide with the Laplacian
     spectrum violate the overlap formulas' hypotheses and are resampled.
+    Each instance is (label, Hamiltonian, the solver that filtered it).
     """
     rng = np.random.default_rng(7)
     instances = []
@@ -100,12 +102,12 @@ def random_instances(count: int = 50):
             label = f"complete N={n}"
         gamma = float(rng.uniform(0.2, 2.0))
         w = int(rng.integers(0, lap.graph.n))
-        h = SearchHamiltonian(gamma, w, lap)
+        solver = SecularSolver(lap, w)
         try:
-            overlaps_via_green(h)
+            overlaps_via_green(solver, gamma)
         except (DegenerateLowStates, EigenvalueOnSpectrum):
             continue
-        instances.append((label, h))
+        instances.append((label, SearchHamiltonian(gamma, w, lap), solver))
     return instances
 
 
@@ -143,11 +145,11 @@ def test_criterion_1_complete_graph_closed_forms():
 def test_criterion_2_green_direct_equivalence():
     start = time.monotonic()
     failures = []
-    for label, h in random_instances(50):
+    for label, h, solver in random_instances(50):
         lap = h.laplacian
         hsd = decompose(h)
         direct = overlaps_direct(h, spectral=hsd)
-        via = overlaps_via_green(h)
+        via = overlaps_via_green(solver, h.gamma)
         for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
             if abs(getattr(direct, name) - getattr(via, name)) > 1e-8:
                 failures.append(f"{label}: {name} mismatch")
@@ -157,7 +159,7 @@ def test_criterion_2_green_direct_equivalence():
             v_a = hsd.sym_vectors[:, a]
             if abs(v_a[h.target]) <= 1e-12:
                 failures.append(f"{label}: <e_w, psi_{a}> vanishes")
-            g_val = green(h.gamma, lap, h.target, e_a).value
+            g_val = green(solver, h.gamma, e_a).value
             if abs(g_val - 1.0) > 1e-8:
                 failures.append(f"{label}: G(E_{a}) = {g_val}")
             x = np.linalg.solve(
@@ -174,7 +176,7 @@ def test_criterion_2_green_direct_equivalence():
 def test_criterion_3_evolution_matches_matrix_exponential():
     failures = []
     checked = 0
-    for label, h in random_instances(50):
+    for label, h, _ in random_instances(50):
         if h.laplacian.graph.n > 16:
             continue
         checked += 1
@@ -249,16 +251,14 @@ def test_criterion_6_eigenvalue_volume_bounds(lattice_results):
     failures = []
     for p in LATTICE_P_VALUES:
         res = lattice_results[p]
-        bounds = theorem_bound_report(
-            SearchHamiltonian(res.crit.gamma_E, 0, res.lap)
-        )
+        bounds = theorem_bound_report(res.solver, res.crit.gamma_E)
         if not bounds.first_holds:
             failures.append(f"p={p}: ground-state bound fails")
         if not bounds.second_holds:
             failures.append(f"p={p}: excited-state bound fails")
     for n in (4, 16, 64, 1024):
         lap = probabilistic_laplacian(complete_graph(n))
-        bounds = theorem_bound_report(SearchHamiltonian((n - 1) / n, 0, lap))
+        bounds = theorem_bound_report(SecularSolver(lap, 0), (n - 1) / n)
         if not (bounds.first_holds and bounds.second_holds):
             failures.append(f"complete N={n}: bound fails")
         if bounds.lhs0 > 1e-12 or bounds.lhs1 > 1e-12:
@@ -271,7 +271,7 @@ def test_criterion_6_eigenvalue_volume_bounds(lattice_results):
 def test_criterion_7_two_level_decomposition(lattice_results):
     failures = []
     times = np.linspace(0.0, 2.0 * np.pi, 1000)
-    rep = decompose_at_gamma_E(complete_graph(4), 0, 0.75, times)
+    rep = decompose_at_gamma_E(SecularSolver(probabilistic_laplacian(complete_graph(4)), 0), 0.75, times)
     if abs(rep.theta) > 1e-12:
         failures.append(f"complete N=4: theta={rep.theta}")
     if abs(rep.constant - 0.25) > 1e-12:
@@ -285,7 +285,7 @@ def test_criterion_7_two_level_decomposition(lattice_results):
     for p in LATTICE_P_VALUES:
         res = lattice_results[p]
         rep = decompose_at_gamma_E(
-            res.graph, 0, res.crit.gamma_E,
+            res.solver, res.crit.gamma_E,
             np.linspace(0.0, min(2.0 * np.pi / (res.opt.e1 - res.opt.e0), 400.0), 1000),
         )
         if rep.max_reconstruction_error > 1e-10:

@@ -450,7 +450,8 @@ def test_figure_overlaps_crossing_near_gamma_s(tmp_path):
     crossing = data[sign_change[0], 0]
     from qwsearch.search import find_gamma_critical
 
-    expected = find_gamma_critical(cli.path_graph(0.5), 0, "s", (0.3, 1.2))
+    solver = spectral.SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0)
+    expected = find_gamma_critical(solver, "s", (0.3, 1.2))
     assert crossing == pytest.approx(expected, abs=0.01)
 
 
@@ -507,9 +508,9 @@ def test_timeseries_meta_matches_tables_row(tmp_path):
     for key in ("gamma_opt", "t_opt", "E0", "E1"):
         assert meta[key] == row[key]
     # pi_max is not a table column: rerun the optimizer on the row's gamma_E window
-    g, lap, _ = cli.cartesian_power(cli.path_graph(0.5), 2)
+    _, lap, _ = cli.cartesian_power(cli.path_graph(0.5), 2)
     gamma_e = row["gamma_E"]
-    opt = optimize_search(g, 0, (0.8 * gamma_e, 1.2 * gamma_e), t_points=300)
+    opt = optimize_search(spectral.SecularSolver(lap, 0), (0.8 * gamma_e, 1.2 * gamma_e), t_points=300)
     assert (opt.gamma_opt, opt.t_opt) == (row["gamma_opt"], row["t_opt"])
     assert meta["pi_max"] == opt.pi_max
 
@@ -918,12 +919,12 @@ def test_certificate_sees_a_laplacian_it_does_not_stand_for(monkeypatch):
 def test_engine_builds_no_dense_laplacian_of_a_product(d):
     # the set-up, the scan, the optimizer and the row certificate read the
     # graph's edges and its axis; at d = 6 one dense Delta alone is 134 MB
-    g, lap, _ = cartesian_power(path_graph(0.91), d)
+    _, lap, _ = cartesian_power(path_graph(0.91), d)
     tracemalloc.start()
     try:
         solver = spectral.SecularSolver(lap, 0)
-        crit = search.gamma_critical_points(g, 0, grid_points=30, solver=solver)
-        opt = optimize_search(g, 0, gamma_points=20, t_points=200, solver=solver)
+        crit = search.gamma_critical_points(solver, grid_points=30)
+        opt = optimize_search(solver, gamma_points=20, t_points=200)
         solver.certify_low_pairs([crit.gamma_s, crit.gamma_w, crit.gamma_E, opt.gamma_opt])
         _, peak = tracemalloc.get_traced_memory()
     finally:

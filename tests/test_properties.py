@@ -124,7 +124,7 @@ def test_green_matches_direct_and_ground_energy_negative(p, gamma, w):
     lap = probabilistic_laplacian(path_graph(p))
     h = SearchHamiltonian(gamma, w, lap)
     direct = overlaps_direct(h)
-    via = overlaps_via_green(h)
+    via = overlaps_via_green(SecularSolver(lap, w), gamma)
     for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
         assert getattr(direct, name) == pytest.approx(getattr(via, name), abs=1e-8)
     assert direct.e0 < 0.0
@@ -133,8 +133,7 @@ def test_green_matches_direct_and_ground_energy_negative(p, gamma, w):
 @settings(max_examples=20, deadline=None)
 @given(p=st_p, gamma=st_gamma)
 def test_theorem_bounds_always_hold(p, gamma):
-    _, lap, _ = cartesian_power(path_graph(p), 2)
-    bounds = theorem_bound_report(SearchHamiltonian(gamma, 0, lap))
+    bounds = theorem_bound_report(SecularSolver(cartesian_power(path_graph(p), 2)[1], 0), gamma)
     assert bounds.first_holds
     assert bounds.second_holds
 
@@ -494,10 +493,10 @@ def dense_decomposition(lap, w, gamma, times):
     }
 
 
-def assert_decomposition_matches_dense(graph, lap, gamma_e):
+def assert_decomposition_matches_dense(solver, lap, gamma_e):
     """Every field of the secular decomposition at the limits: E 1e-12, the rest 1e-10, theta equal."""
     times = np.linspace(0.0, 200.0, 300)
-    report = decompose_at_gamma_E(graph, 0, gamma_e, times)
+    report = decompose_at_gamma_E(solver, gamma_e, times)
     dense = dense_decomposition(lap, 0, report.gamma, times)
     assert report.theta == dense["theta"]
     for name, expected in dense.items():
@@ -508,17 +507,18 @@ def assert_decomposition_matches_dense(graph, lap, gamma_e):
 @settings(max_examples=15, deadline=None)
 @given(p=st_p, d=st.integers(min_value=1, max_value=3))
 def test_decomposition_matches_dense_on_lattices(p, d):
-    g, lap, _ = cartesian_power(path_graph(p), d)
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    solver = SecularSolver(lap, 0)
     # gamma_E grows as p falls: about 25 at p=0.02 on the path
-    gamma_e = find_gamma_critical(g, 0, "E", (0.05, 60.0), grid_points=1200)
-    assert_decomposition_matches_dense(g, lap, gamma_e)
+    gamma_e = find_gamma_critical(solver, "E", (0.05, 60.0), grid_points=1200)
+    assert_decomposition_matches_dense(solver, lap, gamma_e)
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=2, max_value=40))
 def test_decomposition_matches_dense_on_complete_graphs(n):
-    g = complete_graph(n)
-    assert_decomposition_matches_dense(g, probabilistic_laplacian(g), (n - 1) / n)
+    lap = probabilistic_laplacian(complete_graph(n))
+    assert_decomposition_matches_dense(SecularSolver(lap, 0), lap, (n - 1) / n)
 
 
 def assert_slopes_match_dense(lap, w, gamma):
@@ -575,7 +575,7 @@ def dense_theorem_bounds(h):
 def assert_theorem_bounds_match_dense(lap, w, gamma):
     """Every bound field within 1e-10 (the energy ones within 1e-12), and the same verdicts."""
     h = SearchHamiltonian(gamma, w, lap)
-    bounds, dense = theorem_bound_report(h), dense_theorem_bounds(h)
+    bounds, dense = theorem_bound_report(SecularSolver(lap, w), gamma), dense_theorem_bounds(h)
     for name in ("eps0", "eps1", "lhs0", "lhs1", "rhs0", "rhs1"):
         limit = 1e-12 if name.startswith("lhs") else 1e-10
         assert abs(getattr(bounds, name) - getattr(dense, name)) <= limit, name

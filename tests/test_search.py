@@ -62,6 +62,11 @@ def complete_success_curve(n, times):
     return (n - 1) / n * np.sin(times / np.sqrt(n)) ** 2 + 1.0 / n
 
 
+def complete_solver(n):
+    """The solver of the complete graph on n vertices at the target 0."""
+    return SecularSolver(probabilistic_laplacian(complete_graph(n)), 0)
+
+
 def test_evolve_at_zero_is_initial_state():
     lap = probabilistic_laplacian(path_graph(0.5))
     h = SearchHamiltonian(1.3, 0, lap)
@@ -125,22 +130,22 @@ def test_evolution_matches_matrix_exponential(lap_builder, gamma):
 
 @pytest.mark.parametrize("n", [3, 8, 30])
 def test_gamma_E_complete_graph(n):
-    root = find_gamma_critical(complete_graph(n), 0, "E")
+    root = find_gamma_critical(complete_solver(n), "E")
     assert root == pytest.approx((n - 1) / n, abs=1e-9)
 
 
 def test_gamma_roots_satisfy_their_equations():
-    g = path_graph(0.5)
-    lap = probabilistic_laplacian(g)
+    lap = probabilistic_laplacian(path_graph(0.5))
+    solver = SecularSolver(lap, 0)
     # the target-overlap crossing of the single axis sits just above 3
     for which in ("s", "w", "E"):
-        root = find_gamma_critical(g, 0, which, (0.05, 5.0))
+        root = find_gamma_critical(solver, which, (0.05, 5.0))
         dense = overlaps_direct(SearchHamiltonian(root, 0, lap))
         assert abs(_CROSSINGS[which](dense)) < 1e-9
 
 
 def test_gamma_ordering_single_axis():
-    crit = gamma_critical_points(path_graph(0.5), 0, (0.05, 5.0))
+    crit = gamma_critical_points(SecularSolver(probabilistic_laplacian(path_graph(0.5)), 0), (0.05, 5.0))
     assert crit.gamma_s is not None
     assert crit.gamma_w is not None
     assert crit.gamma_E is not None
@@ -151,12 +156,12 @@ def test_gamma_ordering_single_axis():
 def test_two_vertex_graph_has_no_overlap_crossings():
     # for two vertices the s-crossing degenerates to gamma -> 0 and the
     # w-crossing never happens, so neither root lies in the scanned range
-    g = complete_graph(2)
+    solver = complete_solver(2)
     with pytest.raises(NoRootInRange):
-        find_gamma_critical(g, 0, "s")
+        find_gamma_critical(solver, "s")
     with pytest.raises(NoRootInRange):
-        find_gamma_critical(g, 0, "w")
-    assert find_gamma_critical(g, 0, "E") == pytest.approx(0.5, abs=1e-9)
+        find_gamma_critical(solver, "w")
+    assert find_gamma_critical(solver, "E") == pytest.approx(0.5, abs=1e-9)
 
 
 def _lattice_and_complete_targets():
@@ -164,47 +169,46 @@ def _lattice_and_complete_targets():
     for d in (1, 2, 3, 4):
         for p in (0.1, 0.5, 0.91):
             for w in (0, (4**d - 1) // 3):
-                yield pytest.param(lambda d=d, p=p: cartesian_power(path_graph(p), d)[0], w, id=f"d{d}-p{p}-w{w}")
+                yield pytest.param(lambda d=d, p=p: cartesian_power(path_graph(p), d)[1], w, id=f"d{d}-p{p}-w{w}")
     for n in (4, 8):
-        yield pytest.param(lambda n=n: complete_graph(n), 0, id=f"K{n}")
+        yield pytest.param(lambda n=n: probabilistic_laplacian(complete_graph(n)), 0, id=f"K{n}")
 
 
 @pytest.mark.parametrize("build, w", _lattice_and_complete_targets())
 def test_find_gamma_critical_is_the_field_of_the_three_kind_scan(build, w):
-    g = build()
-    crit = gamma_critical_points(g, w)
+    solver = SecularSolver(build(), w)
+    crit = gamma_critical_points(solver)
     for which in ("s", "w", "E"):
         root = getattr(crit, f"gamma_{which}")
         if root is None:
             with pytest.raises(NoRootInRange):
-                find_gamma_critical(g, w, which)
+                find_gamma_critical(solver, which)
         else:
-            assert find_gamma_critical(g, w, which) == root, which
+            assert find_gamma_critical(solver, which) == root, which
 
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: cartesian_power(path_graph(0.91), 2)[0], lambda: cartesian_power(path_graph(0.4), 3)[0],
-     lambda: complete_graph(4)],
+    [lambda: cartesian_power(path_graph(0.91), 2)[1], lambda: cartesian_power(path_graph(0.4), 3)[1],
+     lambda: probabilistic_laplacian(complete_graph(4))],
     ids=["d2-p0.91", "d3-p0.4", "K4"],
 )
 def test_optimize_default_window_is_around_the_scans_gamma_e(build):
-    g = build()
-    window = _optimum_window(gamma_critical_points(g, 0).gamma_E, GAMMA_RANGE_DEFAULT)
+    solver = SecularSolver(build(), 0)
+    window = _optimum_window(gamma_critical_points(solver).gamma_E, GAMMA_RANGE_DEFAULT)
     kwargs = {"gamma_points": 40, "t_points": 400}
-    assert optimize_search(g, 0, **kwargs) == optimize_search(g, 0, window, **kwargs)
+    assert optimize_search(solver, **kwargs) == optimize_search(solver, window, **kwargs)
 
 
 def test_gamma_critical_points_none_for_missing_roots():
-    crit = gamma_critical_points(complete_graph(2), 0)
+    crit = gamma_critical_points(complete_solver(2))
     assert crit.gamma_s is None
     assert crit.gamma_w is None
     assert crit.gamma_E == pytest.approx(0.5, abs=1e-9)
 
 
 def test_optimize_complete_graph():
-    g = complete_graph(4)
-    opt = optimize_search(g, 0, gamma_points=100, t_points=1500)
+    opt = optimize_search(complete_solver(4), gamma_points=100, t_points=1500)
     assert opt.gamma_opt == pytest.approx(0.75, abs=5e-4)
     assert opt.t_opt == pytest.approx(np.pi, rel=1e-3)
     assert opt.pi_max == pytest.approx(1.0, abs=1e-6)
@@ -214,28 +218,24 @@ def test_optimize_complete_graph():
 
 def test_optimize_picks_earliest_peak():
     # all maxima of sin^2 are equal; the tie-break must take the first one
-    g = complete_graph(16)
     opt = optimize_search(
-        g, 0, (0.9375, 0.93751), gamma_points=2, t_points=4000, t_ceiling="volume"
+        complete_solver(16), (0.9375, 0.93751), gamma_points=2, t_points=4000, t_ceiling="volume"
     )
     assert opt.t_opt == pytest.approx(np.pi / 2.0 * 4.0, rel=1e-3)
 
 
 def test_optimize_truncation_flag():
-    g = complete_graph(4)
-    full = optimize_search(g, 0, (0.7, 0.8), gamma_points=5, t_points=500,
-                           t_ceiling="volume")
+    solver = complete_solver(4)
+    full = optimize_search(solver, (0.7, 0.8), gamma_points=5, t_points=500, t_ceiling="volume")
     assert not full.truncated
-    capped = optimize_search(g, 0, (0.7, 0.8), gamma_points=5, t_points=500,
-                             t_ceiling=2.0)
+    capped = optimize_search(solver, (0.7, 0.8), gamma_points=5, t_points=500, t_ceiling=2.0)
     assert capped.truncated
     assert capped.t_opt <= 2.0
 
 
 def test_decomposition_complete_graph_exact():
-    g = complete_graph(4)
     times = np.linspace(0.0, 4.0 * np.pi, 500)
-    report = decompose_at_gamma_E(g, 0, 0.75, times)
+    report = decompose_at_gamma_E(complete_solver(4), 0.75, times)
     assert report.theta == pytest.approx(0.0, abs=1e-12)
     assert report.constant == pytest.approx(0.25, abs=1e-12)
     assert report.amplitude == pytest.approx(0.75, abs=1e-12)
@@ -247,9 +247,9 @@ def test_decomposition_complete_graph_exact():
 
 
 def test_decomposition_biased_lattice():
-    g, lap, _ = cartesian_power(path_graph(0.7), 2)
-    gamma_e = find_gamma_critical(g, 0, "E")
-    report = decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 200.0, 800))
+    solver = SecularSolver(cartesian_power(path_graph(0.7), 2)[1], 0)
+    gamma_e = find_gamma_critical(solver, "E")
+    report = decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 200.0, 800))
     assert abs(report.e0 + report.e1) < 1e-12
     assert report.ratio_residual < 1e-8
     assert report.theta in (0.0, pytest.approx(np.pi / 2.0))
@@ -262,50 +262,46 @@ def test_decomposition_refines_an_offset_gamma_e(offset):
     # the Newton steps on E0 + E1 land on the root to within 1e-15
     times = np.linspace(0.0, 5.0, 10)
     # K_4's symmetric coupling is 3/4
-    assert abs(decompose_at_gamma_E(complete_graph(4), 0, 0.75 + offset, times).gamma - 0.75) <= 1e-15
-    g = cartesian_power(path_graph(0.7), 2)[0]
-    root = decompose_at_gamma_E(g, 0, find_gamma_critical(g, 0, "E"), times).gamma
-    assert abs(decompose_at_gamma_E(g, 0, root + offset, times).gamma - root) <= 1e-15 * root
+    assert abs(decompose_at_gamma_E(complete_solver(4), 0.75 + offset, times).gamma - 0.75) <= 1e-15
+    solver = SecularSolver(cartesian_power(path_graph(0.7), 2)[1], 0)
+    root = decompose_at_gamma_E(solver, find_gamma_critical(solver, "E"), times).gamma
+    assert abs(decompose_at_gamma_E(solver, root + offset, times).gamma - root) <= 1e-15 * root
 
 
 def test_decomposition_rejects_wrong_coupling():
-    g = complete_graph(4)
     with pytest.raises(NotAtGammaE):
-        decompose_at_gamma_E(g, 0, 0.9, np.linspace(0.0, 5.0, 10))
+        decompose_at_gamma_E(complete_solver(4), 0.9, np.linspace(0.0, 5.0, 10))
 
 
 @pytest.mark.parametrize("gamma_e", [None, float("nan"), 0.0, -1.0, True])
 def test_decomposition_checks_gamma_e_before_the_set_up(monkeypatch, gamma_e):
     # gamma_critical_points gives gamma_E=None on this lattice: E0 + E1 has no
-    # root in the default range; None used to raise TypeError after the set-up
-    g = cartesian_power(path_graph(0.1), 2)[0]
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
+    # root in the default range; None used to raise TypeError after a solve
+    solver = SecularSolver(cartesian_power(path_graph(0.1), 2)[1], 0)
+    solves = []
+    monkeypatch.setattr(solver, "solve_many", lambda gammas: solves.append(gammas))
     with pytest.raises(ValueError, match="gamma_E"):
-        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10))
-    assert sizes == []
+        decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 5.0, 10))
+    assert solves == []
 
 
 def test_analysis_makes_only_the_axis_eigh(monkeypatch):
-    # decompose_at_gamma_E, theorem_bound_report, green and overlaps_via_green
-    # read one secular set-up: the only eigendecomposition is its 4 x 4 one of the axis
-    g, lap, _ = cartesian_power(path_graph(0.6), 3)
-    gamma_e = find_gamma_critical(g, 0, "E")
+    # every entry point reads the solver it is given: the set-up's 4 x 4
+    # eigendecomposition of the axis is the only one
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
-    decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 50.0, 20))
+    solver = SecularSolver(cartesian_power(path_graph(0.6), 3)[1], 0)
     assert sizes == [4]
     sizes.clear()
-    theorem_bound_report(SearchHamiltonian(gamma_e, 0, lap))
-    assert sizes == [4]
-    sizes.clear()
-    green(gamma_e, lap, 0, -0.5)
-    assert sizes == [4]
-    sizes.clear()
-    overlaps_via_green(SearchHamiltonian(gamma_e, 0, lap))
-    assert sizes == [4]
+    gamma_e = find_gamma_critical(solver, "E", grid_points=60)
+    gamma_critical_points(solver, grid_points=60)
+    optimize_search(solver, gamma_points=10, t_points=200)
+    decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 50.0, 20))
+    green(solver, gamma_e, -0.5)
+    overlaps_via_green(solver, gamma_e)
+    theorem_bound_report(solver, gamma_e)
+    assert sizes == []
 
 
 def twin_cliques(k=4, bridge=0.1):
@@ -327,22 +323,22 @@ def twin_cliques(k=4, bridge=0.1):
 
 
 def test_analysis_rejects_an_invisible_first_excited_state():
-    g = twin_cliques()
-    lap = probabilistic_laplacian(g)
+    lap = probabilistic_laplacian(twin_cliques())
+    solver = SecularSolver(lap, 0)
     # the dense oracle agrees that the first excited state misses e_w
     assert overlaps_direct(SearchHamiltonian(1.0, 0, lap)).w_psi1 < 1e-20
     with pytest.raises(ConvergenceFailure, match=r"level 1 .* gamma=1\.0 is orthogonal to e_w"):
-        theorem_bound_report(SearchHamiltonian(1.0, 0, lap))
+        theorem_bound_report(solver, 1.0)
     # E0 + E1 still has a root, where E1 is the invisible level
-    gamma_e = find_gamma_critical(g, 0, "E")
+    gamma_e = find_gamma_critical(solver, "E")
     with pytest.raises(ConvergenceFailure, match=r"level 1 .* is orthogonal to e_w"):
-        decompose_at_gamma_E(g, 0, gamma_e, np.linspace(0.0, 5.0, 10))
+        decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 5.0, 10))
 
 
 @pytest.mark.parametrize("t_ceiling", [-5.0, 0.0, float("nan"), float("inf"), "bogus", True, None])
 def test_optimize_rejects_a_bad_time_ceiling(t_ceiling):
     with pytest.raises(ValueError, match="t_ceiling"):
-        optimize_search(complete_graph(4), 0, (0.7, 0.8), gamma_points=3, t_points=50, t_ceiling=t_ceiling)
+        optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=3, t_points=50, t_ceiling=t_ceiling)
 
 
 @pytest.mark.parametrize(
@@ -350,45 +346,44 @@ def test_optimize_rejects_a_bad_time_ceiling(t_ceiling):
 )
 def test_optimize_rejects_too_few_points(name, value):
     with pytest.raises(ValueError, match=name):
-        optimize_search(complete_graph(4), 0, (0.7, 0.8), **{"gamma_points": 3, "t_points": 50, name: value})
+        optimize_search(complete_solver(4), (0.7, 0.8), **{"gamma_points": 3, "t_points": 50, name: value})
 
 
 def test_optimize_takes_the_fewest_points():
-    opt = optimize_search(complete_graph(4), 0, (0.7, 0.8), gamma_points=1, t_points=2, t_ceiling=3)
+    opt = optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=1, t_points=2, t_ceiling=3)
     assert opt.gamma_points == 1 and opt.t_points == 2
     assert 0.0 <= opt.t_opt <= 3.0
 
 
 @pytest.mark.parametrize("grid_points", [0, 1])
 def test_scans_reject_too_few_grid_points(grid_points):
-    g = complete_graph(4)
+    solver = complete_solver(4)
     with pytest.raises(ValueError, match="grid_points"):
-        gamma_critical_points(g, 0, grid_points=grid_points)
+        gamma_critical_points(solver, grid_points=grid_points)
     with pytest.raises(ValueError, match="grid_points"):
-        find_gamma_critical(g, 0, "E", grid_points=grid_points)
+        find_gamma_critical(solver, "E", grid_points=grid_points)
 
 
 @pytest.mark.parametrize(
     "search_call, match",
     [
-        (lambda g: find_gamma_critical(g, 0, "E", (3.0, 1.0)), "gamma_range"),
-        (lambda g: find_gamma_critical(g, 0, "E", grid_points=1), "grid_points"),
-        (lambda g: find_gamma_critical(g, 0, "x"), "unknown crossing kind"),
-        (lambda g: gamma_critical_points(g, 0, (0.0, 1.0)), "gamma_range"),
-        (lambda g: gamma_critical_points(g, 0, grid_points=1), "grid_points"),
-        (lambda g: optimize_search(g, 0, (3.0, 1.0)), "gamma_range"),
+        (lambda s: find_gamma_critical(s, "E", (3.0, 1.0)), "gamma_range"),
+        (lambda s: find_gamma_critical(s, "E", grid_points=1), "grid_points"),
+        (lambda s: find_gamma_critical(s, "x"), "unknown crossing kind"),
+        (lambda s: gamma_critical_points(s, (0.0, 1.0)), "gamma_range"),
+        (lambda s: gamma_critical_points(s, grid_points=1), "grid_points"),
+        (lambda s: optimize_search(s, (3.0, 1.0)), "gamma_range"),
     ],
     ids=["find-range", "find-grid", "find-kind", "points-range", "points-grid", "optimize-range"],
 )
 def test_searches_reject_bad_arguments_before_the_setup(monkeypatch, search_call, match):
-    # a graph that is not a product is set up by a dense n x n eigh, which a
-    # bad argument must not wait for
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: sizes.append(len(a)) or eigh(a, *args, **kw))
+    # a bad argument must not wait for a scan of the default 600-point grid
+    solver = complete_solver(6)
+    solves = []
+    monkeypatch.setattr(solver, "solve_many", lambda gammas: solves.append(gammas))
     with pytest.raises(ValueError, match=match):
-        search_call(complete_graph(6))
-    assert sizes == []
+        search_call(solver)
+    assert solves == []
 
 
 def test_energy_levels_lipschitz_in_gamma():
@@ -621,10 +616,9 @@ def test_lockstep_reports_the_first_failing_step():
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.91])
 def test_scan_roots_match_serial_bisection_on_a_lattice(p):
-    g, lap, _ = cartesian_power(path_graph(p), 2)
-    solver = SecularSolver(lap, 0)
+    solver = SecularSolver(cartesian_power(path_graph(p), 2)[1], 0)
     grid = np.linspace(0.05, 3.0, 60)
-    crit = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver)
+    crit = gamma_critical_points(solver, (0.05, 3.0), grid_points=60)
     functions = crossing_functions(solver)
     roots, _, _ = run_lockstep(grid, functions)
     for which, root in (("s", crit.gamma_s), ("w", crit.gamma_w), ("E", crit.gamma_E)):
@@ -645,16 +639,6 @@ def test_itp_takes_few_calls_on_the_d4_lattice():
     assert all(roots.values())
     assert max(len(x) for x in points.values()) <= 12
     assert halvings(grid[1] - grid[0]) == 36
-
-
-def test_search_rejects_a_laplacian_of_another_graph(monkeypatch):
-    # before any solve: the solver set up for p=0.6 would give the p=0.6 roots
-    solver = SecularSolver(probabilistic_laplacian(path_graph(0.6)), 0)
-    monkeypatch.setattr(solver, "solve_many", lambda *args: pytest.fail("the solver was used"))
-    with pytest.raises(ValueError, match="another graph"):
-        gamma_critical_points(path_graph(0.4), 0, solver=solver)
-    with pytest.raises(ValueError, match="another graph"):
-        optimize_search(path_graph(0.4), 0, solver=solver)
 
 
 def test_search_rejects_a_product_laplacian_with_another_measure():
@@ -682,42 +666,16 @@ def test_search_takes_a_product_measure_built_another_way():
     g, lap, _ = cartesian_power(path_graph(0.7), 3)
     walked = kolmogorov_measure(g)
     assert not np.array_equal(walked.mu, lap.measure.mu) and walked.volume != lap.measure.volume
-    reference = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300)
-    gamma_e = find_gamma_critical(g, 0, "E")
+    solver = SecularSolver(lap, 0)
+    reference = optimize_search(solver, (0.5, 2.0), gamma_points=20, t_points=300)
+    gamma_e = find_gamma_critical(solver, "E")
     # a measure scaled by a constant, with its volume, is as good
     scaled = VertexMeasure(3.0 * lap.measure.mu, 3.0 * lap.measure.volume)
     for measure in (walked, scaled):
         solver = SecularSolver(Laplacian(g, measure), 0)
-        other = optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, solver=solver)
+        other = optimize_search(solver, (0.5, 2.0), gamma_points=20, t_points=300)
         assert other.pi_max == pytest.approx(reference.pi_max, rel=1e-12)
-        assert gamma_critical_points(g, 0, solver=solver).gamma_E == pytest.approx(gamma_e, rel=1e-12)
-
-
-def test_search_rejects_a_solver_for_another_target(monkeypatch):
-    g, lap, _ = cartesian_power(path_graph(0.5), 2)
-    solver = SecularSolver(lap, 0)
-    monkeypatch.setattr(solver, "solve_many", lambda *args: pytest.fail("the solver was used"))
-    with pytest.raises(ValueError, match="target 0, not 3"):
-        gamma_critical_points(g, 3, solver=solver)
-    with pytest.raises(ValueError, match="target 0, not 3"):
-        optimize_search(g, 3, solver=solver)
-
-
-@pytest.mark.parametrize(
-    "p, d, search_call",
-    [
-        (0.7, 3, lambda g, **kw: optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, **kw)),
-        (0.91, 2, lambda g, **kw: gamma_critical_points(g, 0, grid_points=120, **kw)),
-        (0.91, 4, lambda g, **kw: optimize_search(g, 0, (0.5, 2.0), gamma_points=20, t_points=300, **kw)),
-    ],
-    ids=["optimum-p0.7-d3", "critical-p0.91-d2", "optimum-p0.91-d4"],
-)
-def test_search_default_is_the_cli_laplacian(p, d, search_call):
-    # the default set-up takes the Laplacian and measure of cartesian_power, as
-    # the CLI does; a tree-walked measure of the whole lattice moves the last
-    # bits of these answers
-    g, lap, _ = cartesian_power(path_graph(p), d)
-    assert search_call(g) == search_call(g, solver=SecularSolver(lap, 0))
+        assert gamma_critical_points(solver).gamma_E == pytest.approx(gamma_e, rel=1e-12)
 
 
 def serial_golden_max(f, a, b, tol):
@@ -840,12 +798,9 @@ def unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling="aut
     )
 
 
-def assert_pruning_keeps_the_optimum(graph, lap, w, gamma_range, gamma_points, t_points, t_ceiling):
+def assert_pruning_keeps_the_optimum(lap, w, gamma_range, gamma_points, t_points, t_ceiling):
     solver = SecularSolver(lap, w)
-    pruned = optimize_search(
-        graph, w, gamma_range, gamma_points=gamma_points, t_points=t_points,
-        t_ceiling=t_ceiling, solver=solver,
-    )
+    pruned = optimize_search(solver, gamma_range, gamma_points=gamma_points, t_points=t_points, t_ceiling=t_ceiling)
     assert pruned == unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling)
 
 
@@ -870,7 +825,7 @@ def test_pruned_optimum_equals_the_unpruned_one_on_lattices(
     g, lap, _ = cartesian_power(path_graph(p), d)
     w = data.draw(st.sampled_from([0, g.n - 1, g.n // 3]), label="target")
     try:
-        assert_pruning_keeps_the_optimum(g, lap, w, window, gamma_points, t_points, t_ceiling)
+        assert_pruning_keeps_the_optimum(lap, w, window, gamma_points, t_points, t_ceiling)
     except DegenerateLowStates:
         # both refuse such a window alike; the lone solves say which coupling
         with pytest.raises(DegenerateLowStates):
@@ -885,19 +840,17 @@ def test_pruned_optimum_equals_the_unpruned_one_on_lattices(
     t_points=st.integers(min_value=20, max_value=600),
 )
 def test_pruned_optimum_equals_the_unpruned_one_on_complete_graphs(n, window, gamma_points, t_points):
-    g = complete_graph(n)
-    assert_pruning_keeps_the_optimum(g, probabilistic_laplacian(g), 0, window, gamma_points, t_points, "auto")
+    assert_pruning_keeps_the_optimum(probabilistic_laplacian(complete_graph(n)), 0, window, gamma_points, t_points, "auto")
 
 
 def test_pruning_draws_few_curves_on_the_d4_tables_row(monkeypatch):
     # the benchmark's tables-d4 seed-0 row: 200 + 2 x 21 couplings
-    g, lap, _ = cartesian_power(path_graph(0.91), 4)
-    solver = SecularSolver(lap, 0)
-    gamma_e = gamma_critical_points(g, 0, (0.05, 3.0), grid_points=60, solver=solver).gamma_E
+    solver = SecularSolver(cartesian_power(path_graph(0.91), 4)[1], 0)
+    gamma_e = gamma_critical_points(solver, (0.05, 3.0), grid_points=60).gamma_E
     window = (0.8 * gamma_e, 1.2 * gamma_e)
     curves = []
     monkeypatch.setattr(search, "_grid_curve", lambda *args: curves.append(args) or _grid_curve(*args))
-    pruned = optimize_search(g, 0, window, gamma_points=200, t_points=500, solver=solver)
+    pruned = optimize_search(solver, window, gamma_points=200, t_points=500)
     assert 1 <= len(curves) <= 10
     monkeypatch.undo()
     assert pruned == unpruned_optimum(solver, window, 200, 500)

@@ -148,15 +148,14 @@ def test_ground_state_target_overlap(p, w):
 
 def test_green_complete_graph_closed_form():
     # two-term sum (1/N)/(-z) + ((N-1)/N)/(gamma*N/(N-1) - z) at N=4, gamma=3/4
-    lap = probabilistic_laplacian(complete_graph(4))
-    ev = green(0.75, lap, 0, -0.5)
+    ev = green(SecularSolver(probabilistic_laplacian(complete_graph(4)), 0), 0.75, -0.5)
     assert ev.value == pytest.approx(1.0, abs=1e-12)
     assert ev.derivative == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_green_vanishes_far_below_spectrum():
-    lap = probabilistic_laplacian(path_graph(0.4))
-    assert abs(green(1.0, lap, 0, -1e9).value) < 1e-8
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.4)), 0)
+    assert abs(green(solver, 1.0, -1e9).value) < 1e-8
 
 
 def three_path():
@@ -165,18 +164,36 @@ def three_path():
 
 
 def test_green_pole_rejected():
-    lap = probabilistic_laplacian(complete_graph(4))
     with pytest.raises(PoleProximity):
-        green(0.75, lap, 0, 0.0)
+        green(SecularSolver(probabilistic_laplacian(complete_graph(4)), 0), 0.75, 0.0)
     # a pole that carries no weight at the target is a pole all the same
     with pytest.raises(PoleProximity):
-        green(0.3, three_path(), 1, 0.3)
+        green(SecularSolver(three_path(), 1), 0.3, 0.3)
+
+
+@pytest.mark.parametrize(
+    "gamma, z, name",
+    [
+        # a negative coupling once put z = -0.5 on a pole, G = 2.0e15, with PoleProximity silent
+        (-1.0, -0.5, "gamma"),
+        (0.0, -0.5, "gamma"),
+        (float("nan"), -0.5, "gamma"),
+        (float("inf"), -0.5, "gamma"),
+        (0.75, float("nan"), "z"),
+        (0.75, float("inf"), "z"),
+        (0.75, -float("inf"), "z"),
+    ],
+)
+def test_green_rejects_a_bad_coupling_or_energy(gamma, z, name):
+    solver = SecularSolver(cartesian_power(path_graph(0.5), 2)[1], 0)
+    with pytest.raises(ValueError, match=f"^{name}="):
+        green(solver, gamma, z)
 
 
 def test_green_derivative_positive_below_spectrum():
-    lap = probabilistic_laplacian(path_graph(0.25))
+    solver = SecularSolver(probabilistic_laplacian(path_graph(0.25)), 0)
     for z in (-3.0, -0.5, -1e-3):
-        assert green(1.2, lap, 0, z).derivative > 0.0
+        assert green(solver, 1.2, z).derivative > 0.0
 
 
 @pytest.mark.parametrize(
@@ -189,10 +206,10 @@ def test_green_derivative_positive_below_spectrum():
 )
 def test_green_equals_one_at_hamiltonian_eigenvalues(graph, gamma):
     lap = probabilistic_laplacian(graph)
-    h = SearchHamiltonian(gamma, 0, lap)
-    hsd = decompose(h)
+    solver = SecularSolver(lap, 0)
+    hsd = decompose(SearchHamiltonian(gamma, 0, lap))
     for a in (0, 1):
-        value = green(gamma, lap, 0, float(hsd.eigenvalues[a])).value
+        value = green(solver, gamma, float(hsd.eigenvalues[a])).value
         assert value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -224,8 +241,7 @@ def test_complete_graph_overlap_closed_forms(n):
 
 
 def test_overlap_via_green_closed_form_derivative():
-    lap = probabilistic_laplacian(complete_graph(4))
-    rep = overlaps_via_green(SearchHamiltonian(0.75, 0, lap))
+    rep = overlaps_via_green(SecularSolver(probabilistic_laplacian(complete_graph(4)), 0), 0.75)
     assert rep.w_psi0 == pytest.approx(0.75, abs=1e-10)  # 1 / G'(-1/2) = 3/4
 
 
@@ -240,9 +256,8 @@ def test_overlap_via_green_closed_form_derivative():
 )
 def test_green_and_direct_overlaps_agree(builder, gamma, w):
     lap = builder()
-    h = SearchHamiltonian(gamma, w, lap)
-    a = overlaps_direct(h)
-    b = overlaps_via_green(h)
+    a = overlaps_direct(SearchHamiltonian(gamma, w, lap))
+    b = overlaps_via_green(SecularSolver(lap, w), gamma)
     for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-8)
 
@@ -264,10 +279,10 @@ def test_degenerate_low_states_rejected():
 
 def test_eigenvalue_on_spectrum_rejected():
     # E_1 is gamma times the eigenvalue 1 of Delta, whose eigenvector vanishes at 1
-    h = SearchHamiltonian(0.3, 1, three_path())
-    assert overlaps_direct(h).e1 == pytest.approx(0.3, abs=1e-15)
+    lap = three_path()
+    assert overlaps_direct(SearchHamiltonian(0.3, 1, lap)).e1 == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(EigenvalueOnSpectrum, match="level 1"):
-        overlaps_via_green(h)
+        overlaps_via_green(SecularSolver(lap, 1), 0.3)
 
 
 def test_ground_energy_negative():
@@ -283,8 +298,7 @@ def test_ground_energy_negative():
 
 def test_theorem_bounds_complete_graph_exact():
     n = 16
-    lap = probabilistic_laplacian(complete_graph(n))
-    bounds = theorem_bound_report(SearchHamiltonian((n - 1) / n, 0, lap))
+    bounds = theorem_bound_report(SecularSolver(probabilistic_laplacian(complete_graph(n)), 0), (n - 1) / n)
     assert bounds.eps0 < 1e-12
     assert bounds.lhs0 < 1e-12
     assert bounds.lhs1 < 1e-12
@@ -293,8 +307,7 @@ def test_theorem_bounds_complete_graph_exact():
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.8])
 def test_theorem_bounds_hold_off_symmetry(gamma):
-    _, lap, _ = cartesian_power(path_graph(0.6), 2)
-    bounds = theorem_bound_report(SearchHamiltonian(gamma, 0, lap))
+    bounds = theorem_bound_report(SecularSolver(cartesian_power(path_graph(0.6), 2)[1], 0), gamma)
     assert bounds.first_holds and bounds.second_holds
 
 

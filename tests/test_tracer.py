@@ -1,17 +1,24 @@
-"""The benchmark tracer's targets, checked without installing the tracer.
+"""The benchmark tracer's targets and the sizes it records.
 
 ``perfbench/tracer.py`` wraps qwsearch functions by name in traced benchmark
 runs only, so a renamed function would pass every other test and crash those
-runs.
+runs, and a count passed by another route would be recorded as None.  The
+targets are resolved in this process; the sizes come from one traced
+``perfbench/child.py`` run in a subprocess.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from qwsearch.graphs import cartesian_power, path_graph, probabilistic_laplacian
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -32,3 +39,29 @@ def test_every_traced_name_resolves():
         assert callable(owner), f"{module_name}.{path}"
     assert tracer._n_of_result(cartesian_power(path_graph(0.5), 2)) == 16
     assert tracer._n_of_result(probabilistic_laplacian(path_graph(0.5))) == 4
+
+
+def test_traced_search_spans_carry_their_configured_counts(tmp_path):
+    # the tracer sizes a scan span by its grid_points= keyword and an optimize
+    # span by its t_points= keyword; a count passed by position would leave None
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph.family": "path-power",
+        "graph.p": [0.4, 0.91],
+        "graph.d": 2,
+        "sweep.gamma_points": 60,
+        "sweep.t_points": 300,
+    }))
+    trace = tmp_path / "trace.json"
+    argv = [
+        sys.executable, str(ROOT / "perfbench" / "child.py"), str(tmp_path / "stamp"), str(trace),
+        "--", "tables", "--config", str(config), "--out", str(tmp_path / "out"),
+    ]
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    sizes = {}
+    for _, _, _, layer, kind, _, _, size in json.loads(trace.read_text())["spans"]:
+        if layer == "search":
+            sizes.setdefault(kind, []).append(size)
+    assert sizes == {"scan": [60, 60], "optimize": [300, 300]}
