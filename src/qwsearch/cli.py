@@ -335,19 +335,25 @@ class TableRow:
 
 
 def _critical_and_optimum(
-    cfg: ExperimentConfig, p: float, solver: SecularSolver
+    cfg: ExperimentConfig, p: float | None, solver: SecularSolver, scan_points: int, gamma_points: int
 ) -> tuple[GammaCriticalPoints, SearchOptimum]:
-    """Critical couplings, then the optimum in the ``_optimum_window`` of gamma_E and the scan range."""
+    """The one crit -> optimum pipeline, for ``tables``, the timeseries figure and ``optimize``.
+
+    A scan_points scan of the scan range gives the critical couplings, and a
+    note on stderr names each one with no root there.  The optimizer then
+    searches the ``_optimum_window`` of gamma_E on gamma_points couplings.
+    """
     from .search import _optimum_window, gamma_critical_points, optimize_search
 
     scan = _scan_range(cfg)
-    crit = gamma_critical_points(solver, scan, grid_points=cfg.gamma_points or SCAN_POINTS_DEFAULT)
+    crit = gamma_critical_points(solver, scan, grid_points=scan_points)
+    graph = f"p={p}" if p is not None else f"N={cfg.n_complete}"
     for name, value in (("gamma_s", crit.gamma_s), ("gamma_w", crit.gamma_w), ("gamma_E", crit.gamma_E)):
         if value is None:
-            print(f"note: p={p}: no {name} root in [{scan[0]}, {scan[1]}]", file=sys.stderr)
+            print(f"note: {graph}: no {name} root in [{scan[0]}, {scan[1]}]", file=sys.stderr)
     opt = optimize_search(
         solver, _optimum_window(crit.gamma_E, scan),
-        gamma_points=OPT_GAMMA_POINTS_DEFAULT,
+        gamma_points=gamma_points,
         t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
     )
     return crit, opt
@@ -355,7 +361,9 @@ def _critical_and_optimum(
 
 def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
     lap, solver = _build_graph(cfg, p)
-    crit, opt = _critical_and_optimum(cfg, p, solver)
+    crit, opt = _critical_and_optimum(
+        cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
+    )
     measure, w = lap.measure, solver.target
     row = TableRow(
         p=p,
@@ -446,7 +454,7 @@ def _figure_contour(cfg: ExperimentConfig, out: Path) -> None:
         grid = np.linspace(*_scan_range(cfg), cfg.gamma_points or SCAN_POINTS_DEFAULT)
         spectra = solver.solve_many(grid)
         reports = [spec.low_pair() for spec in spectra]
-        t_max = _time_ceiling("auto", solver.volume, min(abs(r.e1 - r.e0) for r in reports))
+        t_max = _time_ceiling(solver.volume, min(abs(r.e1 - r.e0) for r in reports))
         rows = []
         for gamma, spec in zip(grid, spectra):
             times, curve = _grid_curve(
@@ -462,7 +470,9 @@ def _figure_timeseries(cfg: ExperimentConfig, out: Path) -> None:
     columns = [("t", "evolution time"), ("pi", "success probability at the optimal coupling")]
     for p in cfg.p_values:
         _, solver = _build_graph(cfg, p)
-        _, opt = _critical_and_optimum(cfg, p, solver)
+        _, opt = _critical_and_optimum(
+            cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
+        )
         spec = solver.solve(opt.gamma_opt)
         times, curve = _grid_curve(
             spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT
@@ -509,17 +519,17 @@ def run_figure_data(cfg: ExperimentConfig, out: Path) -> None:
 def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     from .search import optimize_search
 
-    _, solver = _build_graph(cfg, _single_p(cfg, "optimize"))
+    p = _single_p(cfg, "optimize")
+    _, solver = _build_graph(cfg, p)
+    gamma_points = cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT
     # either configured end fixes the window (a missing end takes its default);
-    # with neither, optimize_search centres the window on gamma_E
-    gamma_range = None
+    # with neither, the window is centred on the gamma_E of a default scan
     if cfg.gamma_min is not None or cfg.gamma_max is not None:
-        gamma_range = _scan_range(cfg)
-    opt = optimize_search(
-        solver, gamma_range,
-        gamma_points=cfg.gamma_points or OPT_GAMMA_POINTS_DEFAULT,
-        t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
-    )
+        opt = optimize_search(
+            solver, _scan_range(cfg), gamma_points=gamma_points, t_points=cfg.t_points or OPT_T_POINTS_DEFAULT
+        )
+    else:
+        _, opt = _critical_and_optimum(cfg, p, solver, SCAN_POINTS_DEFAULT, gamma_points)
     payload = {
         "t_opt": opt.t_opt,
         "gamma_opt": opt.gamma_opt,

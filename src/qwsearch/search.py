@@ -276,7 +276,7 @@ class SearchOptimum:
     """Earliest-time, smallest-coupling absolute maximum of the success probability.
 
     ``truncated`` records whether any time window was capped below the graph
-    volume by the spectral-gap ceiling.
+    volume by 3 pi / |E1 - E0|.
     """
 
     t_opt: float
@@ -287,7 +287,6 @@ class SearchOptimum:
     gamma_range: tuple[float, float]
     gamma_points: int
     t_points: int
-    t_ceiling: str | float
     truncated: bool
     refined_gamma_step: float
 
@@ -297,22 +296,14 @@ def _positive_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0.0
 
 
-def _require_ceiling(policy) -> None:
-    if policy not in ("auto", "volume") and not _positive_number(policy):
-        raise ValueError(f"t_ceiling={policy!r} must be 'auto', 'volume' or a positive finite number")
-
-
 def _optimum_window(gamma_e: float | None, fallback: tuple[float, float]) -> tuple[float, float]:
     """The optimizer's coupling window: +-20% around gamma_E, or fallback when there is no gamma_E."""
     return (0.8 * gamma_e, 1.2 * gamma_e) if gamma_e is not None else fallback
 
 
-def _time_ceiling(policy, volume: float, gap: float) -> float:
-    if policy == "auto":
-        return min(volume, 3.0 * np.pi / max(gap, 1e-300))
-    if policy == "volume":
-        return volume
-    return float(policy)
+def _time_ceiling(volume: float, gap: float) -> float:
+    """The end of a coupling's time window: min(volume, 3 pi / gap) for the gap |E1 - E0|."""
+    return min(volume, 3.0 * np.pi / max(gap, 1e-300))
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -373,38 +364,30 @@ def _peak_objective(energies: np.ndarray, amps: np.ndarray):
 
 def optimize_search(
     solver: SecularSolver,
-    gamma_range: tuple[float, float] | None = None,
+    gamma_range: tuple[float, float],
     *,
     gamma_points: int = OPT_GAMMA_POINTS_DEFAULT,
     t_points: int = OPT_T_POINTS_DEFAULT,
-    t_ceiling: str | float = "auto",
 ) -> SearchOptimum:
-    """Locate (t_opt, gamma_opt) maximizing the success probability.
+    """Locate (t_opt, gamma_opt) maximizing the success probability in gamma_range.
 
-    A coarse gamma grid is scanned, by default over +-20% around the gamma_E
-    of ``gamma_critical_points`` on its default range and grid, or over that
-    range when it has none.  Each gamma gets a uniform time grid up to the
-    ceiling min(volume, 3 pi / |E1 - E0|) plus a golden-section refinement of
-    its best peak.  The winning gamma is then re-gridded ``REFINE_DECADES``
-    times, one decade finer each pass.  Among all evaluated points within 1e-9
-    of the maximum, the earliest time and then the smallest coupling win.
+    A coarse gamma grid is scanned over the window; the optimizer runs no
+    scan of its own.  Each gamma gets a uniform time grid up to its one
+    ceiling, ``_time_ceiling``, plus a golden-section refinement of its best
+    peak.  The winning gamma is then re-gridded ``REFINE_DECADES`` times, one
+    decade finer each pass.  Among all evaluated points within 1e-9 of the
+    maximum, the earliest time and then the smallest coupling win.
     Each grid is solved in one batched secular pass, and its peaks are refined
     in lockstep.  A coupling whose bound (sum |alpha_a|)^2 on pi(t) falls more
     than 1e-9, plus rounding, below the best pi already reached (the pool's,
     or the grid maximum of the grid's coupling with the largest bound) can win
-    no tie, and gets no curve.  Raises ValueError for an invalid window,
-    t_ceiling or count, before any solve.
+    no tie, and gets no curve.  Raises ValueError for an invalid window or
+    count, before any solve.
     """
-    _require_ceiling(t_ceiling)
     _require_count("gamma_points", gamma_points, 1)
     _require_count("t_points", t_points, 2)
-    if gamma_range is not None:
-        _require_range(gamma_range)
+    _require_range(gamma_range)
     volume = solver.volume
-
-    if gamma_range is None:
-        g_e = gamma_critical_points(solver).gamma_E
-        gamma_range = _optimum_window(g_e, GAMMA_RANGE_DEFAULT)
     lo, hi = gamma_range
 
     def draw(spec, ceiling: float):
@@ -418,10 +401,7 @@ def optimize_search(
     def eval_grid(gammas: np.ndarray, incumbent: float) -> tuple[list, bool]:
         """Pool rows of the couplings that can still win, and whether any window was capped."""
         spectra = solver.solve_many(gammas)
-        ceilings = [
-            _time_ceiling(t_ceiling, volume, abs(float(s.levels[1]) - float(s.levels[0])))
-            for s in spectra
-        ]
+        ceilings = [_time_ceiling(volume, abs(float(s.levels[1]) - float(s.levels[0]))) for s in spectra]
         # pi(t) <= (sum |alpha_a|)^2 at every t, and a computed pi exceeds it
         # by at most its rounding, well within `slack` (sum |alpha_a| <= 1)
         bounds = np.array([np.abs(s.amplitudes).sum() ** 2 for s in spectra])
@@ -472,7 +452,6 @@ def optimize_search(
         gamma_range=(lo, hi),
         gamma_points=gamma_points,
         t_points=t_points,
-        t_ceiling=t_ceiling,
         truncated=truncated,
         refined_gamma_step=step,
     )

@@ -135,12 +135,12 @@ class SpectralData:
         return self
 
 
-def eigendecompose(sym: Symmetrized, *, check: bool = True) -> SpectralData:
+def eigendecompose(sym: Symmetrized) -> SpectralData:
     """Eigendecompose a symmetrized operator, fixing phases deterministically.
 
     The sign of each eigenvector is chosen so its largest-magnitude vertex
-    component is positive (lowest index on ties).  With ``check`` the
-    orthonormality and residual contracts are verified.
+    component is positive (lowest index on ties).  The orthonormality and
+    residual contracts are always verified.
     """
     defect = np.abs(sym.matrix - sym.matrix.T).max()
     if defect > SYMMETRY_TOL * max(np.abs(sym.matrix).max(), 1e-300):
@@ -154,15 +154,12 @@ def eigendecompose(sym: Symmetrized, *, check: bool = True) -> SpectralData:
     flip[flip == 0.0] = 1.0
     vecs = vecs * flip
     vertex = vertex * flip
-    data = SpectralData(evals, vertex, vecs, sym.sqrt_mu, sym.matrix)
-    if check:
-        data.validate()
-    return data
+    return SpectralData(evals, vertex, vecs, sym.sqrt_mu, sym.matrix).validate()
 
 
-def decompose(op: Laplacian | SearchHamiltonian, *, check: bool = True) -> SpectralData:
+def decompose(op: Laplacian | SearchHamiltonian) -> SpectralData:
     """Symmetrize then eigendecompose in one step."""
-    return eigendecompose(symmetrize(op), check=check)
+    return eigendecompose(symmetrize(op))
 
 
 def weighted_inner(f: np.ndarray, g: np.ndarray, mu: np.ndarray) -> complex | float:

@@ -303,7 +303,7 @@ def test_criterion_8_effective_sine_approximation(lattice_results):
     opt = res.opt
     h = SearchHamiltonian(opt.gamma_opt, 0, res.lap)
     times = np.linspace(0.0, opt.t_opt, 4000)
-    curve = success_curve(h, times, spectral=decompose(h, check=False))
+    curve = success_curve(h, times, spectral=decompose(h))
     approx = 0.89 * np.sin(opt.e1 * times) ** 2
     sup = float(np.abs(curve - approx).max())
     if sup >= 0.05:

@@ -924,7 +924,7 @@ def test_engine_builds_no_dense_laplacian_of_a_product(d):
     try:
         solver = spectral.SecularSolver(lap, 0)
         crit = search.gamma_critical_points(solver, grid_points=30)
-        opt = optimize_search(solver, gamma_points=20, t_points=200)
+        opt = optimize_search(solver, (0.8 * crit.gamma_E, 1.2 * crit.gamma_E), gamma_points=20, t_points=200)
         solver.certify_low_pairs([crit.gamma_s, crit.gamma_w, crit.gamma_E, opt.gamma_opt])
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qwsearch import search
+from qwsearch import cli, search
 
 from qwsearch.errors import (
     ConvergenceFailure,
@@ -187,17 +189,43 @@ def test_find_gamma_critical_is_the_field_of_the_three_kind_scan(build, w):
             assert find_gamma_critical(solver, which) == root, which
 
 
+def lattice(p, d):
+    return {"graph.family": "path-power", "graph.p": p, "graph.d": d}
+
+
+def complete(n):
+    return {"graph.family": "complete", "graph.N": n}
+
+
 @pytest.mark.parametrize(
-    "build",
-    [lambda: cartesian_power(path_graph(0.91), 2)[1], lambda: cartesian_power(path_graph(0.4), 3)[1],
-     lambda: probabilistic_laplacian(complete_graph(4))],
-    ids=["d2-p0.91", "d3-p0.4", "K4"],
+    "graph, build, notes",
+    [(lattice(0.91, 2), lambda: cartesian_power(path_graph(0.91), 2)[1], []),
+     (lattice(0.4, 3), lambda: cartesian_power(path_graph(0.4), 3)[1], []),
+     (complete(4), lambda: probabilistic_laplacian(complete_graph(4)), []),
+     (lattice(0.5, 1), lambda: probabilistic_laplacian(path_graph(0.5)),
+      ["note: p=0.5: no gamma_w root in [0.05, 3.0]"]),
+     (complete(2), lambda: probabilistic_laplacian(complete_graph(2)),
+      ["note: N=2: no gamma_s root in [0.05, 3.0]", "note: N=2: no gamma_w root in [0.05, 3.0]"])],
+    ids=["d2-p0.91", "d3-p0.4", "K4", "d1-p0.5", "K2"],
 )
-def test_optimize_default_window_is_around_the_scans_gamma_e(build):
+def test_optimize_default_window_is_around_the_scans_gamma_e(tmp_path, capsys, graph, build, notes):
+    # optimize with no window runs the tables' pipeline: a 600-point scan of
+    # the default range, with a note per missing root, then the optimizer on
+    # +-20% around its gamma_E (the default range without one)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(graph | {
+        "sweep.gamma_points": 40, "sweep.t_points": 400, "output.format": "json", "output.path": str(tmp_path),
+    }))
+    assert cli.main(["optimize", "--config", str(config)]) == 0
+    assert capsys.readouterr().err.splitlines() == notes
     solver = SecularSolver(build(), 0)
-    window = _optimum_window(gamma_critical_points(solver).gamma_E, GAMMA_RANGE_DEFAULT)
-    kwargs = {"gamma_points": 40, "t_points": 400}
-    assert optimize_search(solver, **kwargs) == optimize_search(solver, window, **kwargs)
+    window = _optimum_window(gamma_critical_points(solver, grid_points=600).gamma_E, GAMMA_RANGE_DEFAULT)
+    opt = optimize_search(solver, window, gamma_points=40, t_points=400)
+    assert json.loads((tmp_path / "optimum.json").read_text()) == {
+        "t_opt": opt.t_opt, "gamma_opt": opt.gamma_opt, "pi_max": opt.pi_max, "E0": opt.e0, "E1": opt.e1,
+        "gamma_range": list(opt.gamma_range), "gamma_points": opt.gamma_points, "t_points": opt.t_points,
+        "truncated": opt.truncated, "refined_gamma_step": opt.refined_gamma_step,
+    }
 
 
 def test_gamma_critical_points_none_for_missing_roots():
@@ -208,7 +236,8 @@ def test_gamma_critical_points_none_for_missing_roots():
 
 
 def test_optimize_complete_graph():
-    opt = optimize_search(complete_solver(4), gamma_points=100, t_points=1500)
+    # +-20% around K_4's gamma_E = 3/4
+    opt = optimize_search(complete_solver(4), (0.6, 0.9), gamma_points=100, t_points=1500)
     assert opt.gamma_opt == pytest.approx(0.75, abs=5e-4)
     assert opt.t_opt == pytest.approx(np.pi, rel=1e-3)
     assert opt.pi_max == pytest.approx(1.0, abs=1e-6)
@@ -217,20 +246,22 @@ def test_optimize_complete_graph():
 
 
 def test_optimize_picks_earliest_peak():
-    # all maxima of sin^2 are equal; the tie-break must take the first one
-    opt = optimize_search(
-        complete_solver(16), (0.9375, 0.93751), gamma_points=2, t_points=4000, t_ceiling="volume"
-    )
+    # all maxima of sin^2 are equal; the tie-break must take the first one.
+    # At gamma_E = 15/16 the time window ends at the volume, 16
+    opt = optimize_search(complete_solver(16), (0.9375, 0.93751), gamma_points=2, t_points=4000)
     assert opt.t_opt == pytest.approx(np.pi / 2.0 * 4.0, rel=1e-3)
 
 
 def test_optimize_truncation_flag():
-    solver = complete_solver(4)
-    full = optimize_search(solver, (0.7, 0.8), gamma_points=5, t_points=500, t_ceiling="volume")
+    # K_4's windows end at its volume, 4; the d=2, p=0.91 lattice's are
+    # capped at 3 pi / |E1 - E0|, below its volume
+    full = optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=5, t_points=500)
     assert not full.truncated
-    capped = optimize_search(solver, (0.7, 0.8), gamma_points=5, t_points=500, t_ceiling=2.0)
+    assert full.t_opt <= 4.0
+    solver = SecularSolver(cartesian_power(path_graph(0.91), 2)[1], 0)
+    capped = optimize_search(solver, (0.8, 1.3), gamma_points=5, t_points=500)
     assert capped.truncated
-    assert capped.t_opt <= 2.0
+    assert capped.t_opt < solver.volume
 
 
 def test_decomposition_complete_graph_exact():
@@ -296,7 +327,7 @@ def test_analysis_makes_only_the_axis_eigh(monkeypatch):
     sizes.clear()
     gamma_e = find_gamma_critical(solver, "E", grid_points=60)
     gamma_critical_points(solver, grid_points=60)
-    optimize_search(solver, gamma_points=10, t_points=200)
+    optimize_search(solver, (0.8 * gamma_e, 1.2 * gamma_e), gamma_points=10, t_points=200)
     decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 50.0, 20))
     green(solver, gamma_e, -0.5)
     overlaps_via_green(solver, gamma_e)
@@ -335,12 +366,6 @@ def test_analysis_rejects_an_invisible_first_excited_state():
         decompose_at_gamma_E(solver, gamma_e, np.linspace(0.0, 5.0, 10))
 
 
-@pytest.mark.parametrize("t_ceiling", [-5.0, 0.0, float("nan"), float("inf"), "bogus", True, None])
-def test_optimize_rejects_a_bad_time_ceiling(t_ceiling):
-    with pytest.raises(ValueError, match="t_ceiling"):
-        optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=3, t_points=50, t_ceiling=t_ceiling)
-
-
 @pytest.mark.parametrize(
     "name, value", [("gamma_points", 0), ("gamma_points", 2.0), ("t_points", 1), ("t_points", 0)]
 )
@@ -350,9 +375,9 @@ def test_optimize_rejects_too_few_points(name, value):
 
 
 def test_optimize_takes_the_fewest_points():
-    opt = optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=1, t_points=2, t_ceiling=3)
+    opt = optimize_search(complete_solver(4), (0.7, 0.8), gamma_points=1, t_points=2)
     assert opt.gamma_points == 1 and opt.t_points == 2
-    assert 0.0 <= opt.t_opt <= 3.0
+    assert 0.0 <= opt.t_opt <= 4.0
 
 
 @pytest.mark.parametrize("grid_points", [0, 1])
@@ -393,7 +418,7 @@ def test_energy_levels_lipschitz_in_gamma():
     e0 = np.empty(gammas.size)
     e1 = np.empty(gammas.size)
     for i, gamma in enumerate(gammas):
-        sd = decompose(SearchHamiltonian(float(gamma), 0, lap), check=False)
+        sd = decompose(SearchHamiltonian(float(gamma), 0, lap))
         e0[i], e1[i] = sd.eigenvalues[0], sd.eigenvalues[1]
     step = gammas[1] - gammas[0]
     assert np.abs(np.diff(e0)).max() <= 2.0 * step + 1e-12
@@ -743,7 +768,7 @@ def test_peak_objective_rows_match_the_lone_success_probability(p, d):
     assert (np.abs(got - lone) <= 2.0 * np.spacing(np.maximum(got, lone))).all()
 
 
-def unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling="auto"):
+def unpruned_optimum(solver, gamma_range, gamma_points, t_points):
     """optimize_search as it was before pruning: every coupling gets a curve and a refined peak."""
     volume = solver.volume
 
@@ -752,7 +777,7 @@ def unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling="aut
         rows, peaks, brackets = [], [], []
         for spec in spectra:
             e0, e1 = float(spec.levels[0]), float(spec.levels[1])
-            ceiling = _time_ceiling(t_ceiling, volume, abs(e1 - e0))
+            ceiling = _time_ceiling(volume, abs(e1 - e0))
             times, curve = _grid_curve(spec.energies, spec.amplitudes, ceiling, t_points)
             idx = int(np.nonzero(curve >= curve.max() - TIE_TOL)[0][0])
             dt = times[1] - times[0]
@@ -792,16 +817,15 @@ def unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling="aut
         gamma_range=(lo, hi),
         gamma_points=gamma_points,
         t_points=t_points,
-        t_ceiling=t_ceiling,
         truncated=any(r[5] for r in pool),
         refined_gamma_step=step,
     )
 
 
-def assert_pruning_keeps_the_optimum(lap, w, gamma_range, gamma_points, t_points, t_ceiling):
+def assert_pruning_keeps_the_optimum(lap, w, gamma_range, gamma_points, t_points):
     solver = SecularSolver(lap, w)
-    pruned = optimize_search(solver, gamma_range, gamma_points=gamma_points, t_points=t_points, t_ceiling=t_ceiling)
-    assert pruned == unpruned_optimum(solver, gamma_range, gamma_points, t_points, t_ceiling)
+    pruned = optimize_search(solver, gamma_range, gamma_points=gamma_points, t_points=t_points)
+    assert pruned == unpruned_optimum(solver, gamma_range, gamma_points, t_points)
 
 
 st_window = st.tuples(
@@ -816,20 +840,17 @@ st_window = st.tuples(
     window=st_window,
     gamma_points=st.integers(min_value=2, max_value=40),
     t_points=st.integers(min_value=20, max_value=600),
-    t_ceiling=st.sampled_from(["auto", "volume", 50.0]),
     data=st.data(),
 )
-def test_pruned_optimum_equals_the_unpruned_one_on_lattices(
-    p, d, window, gamma_points, t_points, t_ceiling, data
-):
+def test_pruned_optimum_equals_the_unpruned_one_on_lattices(p, d, window, gamma_points, t_points, data):
     g, lap, _ = cartesian_power(path_graph(p), d)
     w = data.draw(st.sampled_from([0, g.n - 1, g.n // 3]), label="target")
     try:
-        assert_pruning_keeps_the_optimum(lap, w, window, gamma_points, t_points, t_ceiling)
+        assert_pruning_keeps_the_optimum(lap, w, window, gamma_points, t_points)
     except DegenerateLowStates:
         # both refuse such a window alike; the lone solves say which coupling
         with pytest.raises(DegenerateLowStates):
-            unpruned_optimum(SecularSolver(lap, w), window, gamma_points, t_points, t_ceiling)
+            unpruned_optimum(SecularSolver(lap, w), window, gamma_points, t_points)
 
 
 @settings(max_examples=15, deadline=None)
@@ -840,7 +861,7 @@ def test_pruned_optimum_equals_the_unpruned_one_on_lattices(
     t_points=st.integers(min_value=20, max_value=600),
 )
 def test_pruned_optimum_equals_the_unpruned_one_on_complete_graphs(n, window, gamma_points, t_points):
-    assert_pruning_keeps_the_optimum(probabilistic_laplacian(complete_graph(n)), 0, window, gamma_points, t_points, "auto")
+    assert_pruning_keeps_the_optimum(probabilistic_laplacian(complete_graph(n)), 0, window, gamma_points, t_points)
 
 
 def test_pruning_draws_few_curves_on_the_d4_tables_row(monkeypatch):

@@ -41,21 +41,15 @@ def test_every_traced_name_resolves():
     assert tracer._n_of_result(probabilistic_laplacian(path_graph(0.5))) == 4
 
 
-def test_traced_search_spans_carry_their_configured_counts(tmp_path):
-    # the tracer sizes a scan span by its grid_points= keyword and an optimize
-    # span by its t_points= keyword; a count passed by position would leave None
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "graph.family": "path-power",
-        "graph.p": [0.4, 0.91],
-        "graph.d": 2,
-        "sweep.gamma_points": 60,
-        "sweep.t_points": 300,
-    }))
-    trace = tmp_path / "trace.json"
+def traced_search_sizes(tmp_path, command, config):
+    """The recorded sizes of the search spans of one traced CLI run, by span kind."""
+    run = tmp_path / command
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps(config))
+    trace = run / "trace.json"
     argv = [
-        sys.executable, str(ROOT / "perfbench" / "child.py"), str(tmp_path / "stamp"), str(trace),
-        "--", "tables", "--config", str(config), "--out", str(tmp_path / "out"),
+        sys.executable, str(ROOT / "perfbench" / "child.py"), str(run / "stamp"), str(trace),
+        "--", command, "--config", str(run / "config.json"), "--out", str(run / "out"),
     ]
     env = os.environ | {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
@@ -64,4 +58,15 @@ def test_traced_search_spans_carry_their_configured_counts(tmp_path):
     for _, _, _, layer, kind, _, _, size in json.loads(trace.read_text())["spans"]:
         if layer == "search":
             sizes.setdefault(kind, []).append(size)
-    assert sizes == {"scan": [60, 60], "optimize": [300, 300]}
+    return sizes
+
+
+def test_traced_search_spans_carry_their_configured_counts(tmp_path):
+    # the tracer sizes a scan span by its grid_points= keyword and an optimize
+    # span by its t_points= keyword; a count passed by position would leave None
+    lattice = {"graph.family": "path-power", "graph.d": 2}
+    tables = lattice | {"graph.p": [0.4, 0.91], "sweep.gamma_points": 60, "sweep.t_points": 300}
+    assert traced_search_sizes(tmp_path, "tables", tables) == {"scan": [60, 60], "optimize": [300, 300]}
+    # optimize with no window scans the default 600-point grid for its gamma_E
+    optimize = lattice | {"graph.p": 0.4, "sweep.gamma_points": 40, "sweep.t_points": 300}
+    assert traced_search_sizes(tmp_path, "optimize", optimize) == {"scan": [600], "optimize": [300]}
