@@ -18,7 +18,7 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,6 +34,7 @@ from .graphs import (
     SCAN_POINTS_DEFAULT,
     Laplacian,
     TransitionGraph,
+    _positive_finite,
     _product_measure,
     cartesian_power,
     complete_graph,
@@ -80,10 +81,6 @@ class ExperimentConfig:
     volume_p_min: float = 0.05
     volume_p_max: float = 0.95
     volume_p_points: int = 19
-
-
-def _positive_finite(v: float) -> bool:
-    return 0 < v < np.inf  # False for NaN as well
 
 
 # The single-value keys, in the order they are checked: (key, ExperimentConfig
@@ -175,7 +172,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if not isinstance(gv, list) or not gv:
                 raise ConfigError(f"spectrum.gamma_values: expected a non-empty list, got {gv!r}")
             for v in gv:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not _positive_finite(v):
+                if not _positive_finite(v):
                     raise ConfigError(f"spectrum.gamma_values: entries must be positive finite reals, got {v!r}")
             cfg.spectrum_gammas = [float(v) for v in gv]
         elif key == "volume.p_max" and cfg.volume_p_min > cfg.volume_p_max:
@@ -249,32 +246,34 @@ def _write_figure(out: Path, kind: str, name: str, columns: list[tuple[str, str]
     )
 
 
-def export_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    """Row-major headerless CSV dump with 17 significant digits.
+def export_matrix_csv(path: Path, shape: tuple[int, int], cells) -> None:
+    """Row-major headerless CSV dump, with 17 significant digits, of a matrix given as its stored cells.
 
-    Written a row at a time.  Only the nonzero bit patterns are formatted,
-    each distinct one once across the matrix, so -0.0 keeps its own text, and
-    the +0.0 cells between them are written as runs.  Each row reaches
-    _write_csv as one pre-joined cell, which skips its per-cell type check.
+    ``cells`` holds the rows, columns and values of the stored cells, in
+    row-major order and each once, as ``Laplacian.cells`` gives them; every
+    other cell of the shape is +0.0.  Written a row at a time.  Each distinct
+    bit pattern of a stored value is formatted once, so -0.0 keeps its own
+    text, and the +0.0 cells between stored ones are written as runs.  Each
+    row reaches _write_csv as one pre-joined cell, which skips its per-cell
+    type check.
     """
-    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
-    rows, cols = np.nonzero(bits)
-    keys = bits[rows, cols]
-    ends = np.searchsorted(rows, np.arange(bits.shape[0] + 1)).tolist()
+    rows, cols, values = cells
+    keys = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    ends = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
     zero = _fmt(0.0) + ","
     text: dict[int, str] = {}
 
     def lines():
         for lo, hi in zip(ends, ends[1:]):
-            cells, before = [], -1
+            row, before = [], -1
             for j, key in zip(cols[lo:hi].tolist(), keys[lo:hi].tolist()):
                 cell = text.get(key)
                 if cell is None:
                     cell = text[key] = _fmt(np.int64(key).view(float)) + ","
-                cells.append(zero * (j - before - 1) + cell)
+                row.append(zero * (j - before - 1) + cell)
                 before = j
             # every cell ends in a comma, and the last one's is dropped
-            yield [("".join(cells) + zero * (bits.shape[1] - before - 1))[:-1]]
+            yield [("".join(row) + zero * (shape[1] - before - 1))[:-1]]
 
     _write_csv(path, None, lines())
 
@@ -295,7 +294,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
     for gamma, energies in zip(cfg.spectrum_gammas, solver.hamiltonian_spectra(cfg.spectrum_gammas)):
         rows.extend([gamma, i, e] for i, e in enumerate(energies))
     _write_csv(out / "hamiltonian_spectrum.csv", ["gamma", "index", "eigenvalue"], rows)
-    export_matrix_csv(out / "laplacian.csv", lap.matrix)
+    export_matrix_csv(out / "laplacian.csv", (g.n, g.n), lap.cells())
 
     profile = interior_measure_profile(g)
     _write_json(
@@ -312,26 +311,6 @@ def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
             "homogeneous": profile.homogeneous,
         },
     )
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One summary line per parameter value: critical couplings and the optimum."""
-
-    p: float
-    gamma_s: float | None
-    gamma_w: float | None
-    gamma_E: float | None
-    gamma_opt: float
-    e0: float
-    e1: float
-    sqrt_mu_over_vol: float
-    t_opt: float
-    half_pi_sqrt_vol: float
-
-    def cells(self) -> list:
-        """The row's values in field order, which is the order of ``TABLE_COLUMNS``."""
-        return [getattr(self, f.name) for f in fields(self)]
 
 
 def _critical_and_optimum(
@@ -359,29 +338,24 @@ def _critical_and_optimum(
     return crit, opt
 
 
-def compute_table_row(cfg: ExperimentConfig, p: float) -> TableRow:
+def compute_table_row(cfg: ExperimentConfig, p: float) -> dict[str, float | None]:
+    """The summary line of one parameter value, its critical couplings and optimum, keyed by ``TABLE_COLUMNS``."""
     lap, solver = _build_graph(cfg, p)
     crit, opt = _critical_and_optimum(
         cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
     )
     measure, w = lap.measure, solver.target
-    row = TableRow(
-        p=p,
-        gamma_s=crit.gamma_s,
-        gamma_w=crit.gamma_w,
-        gamma_E=crit.gamma_E,
-        gamma_opt=opt.gamma_opt,
-        e0=opt.e0,
-        e1=opt.e1,
-        sqrt_mu_over_vol=float(np.sqrt(measure.mu[w] / measure.volume)),
-        t_opt=opt.t_opt,
-        half_pi_sqrt_vol=float(np.pi / 2.0 * np.sqrt(measure.volume / measure.mu[w])),
+    cells = (  # in the order of TABLE_COLUMNS
+        p, crit.gamma_s, crit.gamma_w, crit.gamma_E, opt.gamma_opt, opt.e0, opt.e1,
+        float(np.sqrt(measure.mu[w] / measure.volume)), opt.t_opt,
+        float(np.pi / 2.0 * np.sqrt(measure.volume / measure.mu[w])),
     )
+    row = dict(zip(TABLE_COLUMNS, cells, strict=True))
     _certify_row(row, solver)
     return row
 
 
-def _certify_row(row: TableRow, solver: SecularSolver) -> None:
+def _certify_row(row: dict[str, float | None], solver: SecularSolver) -> None:
     """Certify every derived cell by residual bounds from the solver's axis; reject on any miss.
 
     One ``certify_low_pairs`` call covers the roots and gamma_opt.  At each
@@ -390,30 +364,22 @@ def _certify_row(row: TableRow, solver: SecularSolver) -> None:
     the true crossings and energies are within those limits.  sqrt(mu/vol)
     must be the axis measure's product over w's coordinates to 1e-15.
     """
-    roots = [
-        (which, root)
-        for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E))
-        if root is not None
-    ]
-    *at_roots, at_opt = solver.certify_low_pairs([root for _, root in roots] + [row.gamma_opt])
+    roots = [(which, root) for which in "swE" if (root := row[f"gamma_{which}"]) is not None]
+    *at_roots, at_opt = solver.certify_low_pairs([root for _, root in roots] + [row["gamma_opt"]])
     for (which, root), cert in zip(roots, at_roots):
         value, bound = cert.crossing(which)
         if abs(value) + bound > 1e-9:
             raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
     energies = (at_opt.report.e0, at_opt.report.e1)
-    for e, cell, r in zip(energies, (row.e0, row.e1), at_opt.residuals):
+    for e, cell, r in zip(energies, (row["E0"], row["E1"]), at_opt.residuals):
         if abs(e - cell) + r > 1e-12:
             raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
     axis_mu = solver.axis.sqrt_mu**2 / (solver.axis.sqrt_mu**2).sum()
-    if abs(row.sqrt_mu_over_vol - np.sqrt(np.prod(axis_mu[list(solver._axis_target)]))) > 1e-15:
+    if abs(row["sqrt_mu_over_vol"] - np.sqrt(np.prod(axis_mu[list(solver._axis_target)]))) > 1e-15:
         raise NumericalFailure("sqrt(mu/vol) cell does not reproduce")
-    if None not in (row.gamma_s, row.gamma_E, row.gamma_w) and not (
-        row.gamma_s <= row.gamma_E + 1e-6 and row.gamma_E <= row.gamma_w + 1e-6
-    ):
-        raise NumericalFailure(
-            f"critical couplings out of order at p={row.p}: "
-            f"{row.gamma_s}, {row.gamma_E}, {row.gamma_w}"
-        )
+    s, e, w = row["gamma_s"], row["gamma_E"], row["gamma_w"]
+    if None not in (s, e, w) and not (s <= e + 1e-6 and e <= w + 1e-6):
+        raise NumericalFailure(f"critical couplings out of order at p={row['p']}: {s}, {e}, {w}")
 
 
 def run_tables(cfg: ExperimentConfig, out: Path) -> None:
@@ -421,12 +387,9 @@ def run_tables(cfg: ExperimentConfig, out: Path) -> None:
         raise ConfigError("graph.family: tables require the 'path-power' family")
     rows = [compute_table_row(cfg, p) for p in cfg.p_values]
     if cfg.out_format == "json":
-        _write_json(
-            out / "tables.json",
-            [dict(zip(TABLE_COLUMNS, r.cells())) for r in rows],
-        )
+        _write_json(out / "tables.json", rows)
     else:
-        _write_csv(out / "tables.csv", TABLE_COLUMNS, (r.cells() for r in rows))
+        _write_csv(out / "tables.csv", TABLE_COLUMNS, (r.values() for r in rows))
 
 
 def _figure_overlaps(cfg: ExperimentConfig, out: Path) -> None:

@@ -9,6 +9,7 @@ in the mu-weighted inner product; its total mass is the graph volume.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ from .errors import CycleInconsistency
 
 STOCHASTIC_TOL = 1e-12
 BALANCE_TOL = 1e-10
-# 4,096 vertices: `spectrum` writes the 128 MiB dense Delta of the largest as
-# laplacian.csv; the engine reads a product's edges and axis, never an n x n array
+# 4,096 vertices: `spectrum` writes the n^2 cells of the largest's Delta as
+# laplacian.csv, 34 MB of text; no command builds an n x n array of a product
 PRODUCT_SIZE_CAP = 4**6
 # the dense N x N decompose of SecularSolver's set-up bounds complete_graph: 0.5 s and a
 # 56 MiB peak at N = 1024, 3.5 s and 224 MiB at 2048; the graph's edge arrays hold 24 MiB
@@ -155,18 +156,51 @@ class Laplacian:
     graph: TransitionGraph
     measure: VertexMeasure
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the ``_cells`` of I - P, in row-major order; every other cell is +0.0."""
+        rows, cols, values = _cells(self.graph)
+        # the keys are distinct, and a stable sort merges the sorted runs most graphs store in near-linear time
+        order = np.argsort(rows * self.graph.n + cols, kind="stable")
+        return rows[order], cols[order], values[order]
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        sources, targets, p = self.graph.edges
-        delta = np.eye(self.graph.n)
-        delta[sources, targets] -= p
+        delta = np.zeros((self.graph.n, self.graph.n))
+        rows, cols, values = _cells(self.graph)
+        delta[rows, cols] = values
         delta.flags.writeable = False
         return delta
+
+
+def _cells(g: TransitionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the stored cells of I - P, the one statement of its entries.
+
+    First each edge's cell (x == y) - p(x, y), in ``edges`` order, then a 1.0
+    on the diagonal of each vertex with no self-loop, ascending.  Each cell
+    has the bits of ``np.eye(n) - P`` there, and every cell not stored is +0.0.
+    """
+    sources, targets, p = g.edges
+    loop = sources == targets
+    bare = np.ones(g.n, dtype=bool)
+    bare[sources[loop]] = False
+    free = np.flatnonzero(bare)
+    columns = (sources, free), (targets, free), (loop - p, np.ones(free.size))
+    return tuple(np.concatenate(column) for column in columns)
 
 
 def _require_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name}={value!r} must be an integer >= {least}")
+
+
+def _positive_finite(value) -> bool:
+    """Whether value is a real number above 0 and below infinity, and not a bool (False for NaN)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
+
+
+def _require_positive(name: str, value) -> None:
+    if not _positive_finite(value):
+        raise ValueError(f"{name}={value!r} must be positive and finite")
 
 
 def _bfs_tree(n: int, sources: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -268,19 +302,17 @@ def probabilistic_laplacian(g: TransitionGraph, measure: VertexMeasure | None = 
 def _check_self_adjoint(g: TransitionGraph, mu: np.ndarray) -> None:
     """Raise CycleInconsistency unless M Delta, M = diag(mu), is symmetric within 1e-12 of its largest entry.
 
-    M Delta is compared with its transpose at the edges alone: every other
-    entry of both is an exact zero, and the diagonal is symmetric as it stands.
+    M Delta is read from the ``_cells`` of Delta.  It is compared with its
+    transpose at the edges alone: every other entry of both is an exact zero,
+    and the diagonal is symmetric as it stands.
     """
-    sources, targets, p = g.edges
     back, reversible = g._reverse
-    loop = sources == targets
-    cell = loop - p  # I - P at the edges, with the bits of ``Laplacian.matrix``
-    diagonal = np.ones(g.n)
-    diagonal[sources[loop]] = cell[loop]
-    rows = mu[sources] * cell
-    cols = mu[targets] * np.where(reversible, cell[back], 0.0)
-    skew = float(np.abs(rows - cols).max(initial=0.0))
-    scale = float(max(np.abs(rows).max(initial=0.0), np.abs(mu * diagonal).max()))
+    rows, cols, values = _cells(g)
+    m = back.size  # the first m cells are the edges', in ``edges`` order
+    weighted = mu[rows] * values
+    mirror = mu[cols[:m]] * np.where(reversible, values[back], 0.0)
+    skew = float(np.abs(weighted[:m] - mirror).max(initial=0.0))
+    scale = float(np.abs(weighted).max())
     if skew > 1e-12 * max(scale, 1.0):
         raise CycleInconsistency(f"M Delta is not symmetric (defect {skew:.3e}); measure inconsistent")
 

@@ -11,7 +11,6 @@ E0 = -E1 (gamma_E).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,9 @@ from .graphs import (
     OPT_GAMMA_POINTS_DEFAULT,
     OPT_T_POINTS_DEFAULT,
     SCAN_POINTS_DEFAULT,
+    _positive_finite,
     _require_count,
+    _require_positive,
 )
 from .spectral import (
     SearchHamiltonian,
@@ -221,8 +222,8 @@ def _lockstep_roots(grid: np.ndarray, values: dict, crossings) -> dict[str, floa
 
 def _require_range(gamma_range: tuple[float, float]) -> None:
     lo, hi = gamma_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi")
+    if not (_positive_finite(lo) and _positive_finite(hi) and lo < hi):
+        raise ValueError(f"gamma_range {gamma_range} must satisfy 0 < lo < hi < inf")
 
 
 def find_gamma_critical(
@@ -289,11 +290,6 @@ class SearchOptimum:
     t_points: int
     truncated: bool
     refined_gamma_step: float
-
-
-def _positive_number(x) -> bool:
-    """Whether x is a finite real number above 0, and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0.0
 
 
 def _optimum_window(gamma_e: float | None, fallback: tuple[float, float]) -> tuple[float, float]:
@@ -507,8 +503,7 @@ def decompose_at_gamma_E(
     <psi_a|Delta|psi_a> = (E_a + |<e_w, psi_a>|^2) / gamma, so each solve's
     low pair holds its own slope f'.  Everything is read off the last step.
     """
-    if not _positive_number(gamma_E):
-        raise ValueError(f"gamma_E={gamma_E!r} must be a positive finite number")
+    _require_positive("gamma_E", gamma_E)
     gamma = float(gamma_E)
     spec = solver.solve(gamma)
     pair = spec.low_pair()

@@ -25,6 +25,7 @@ from .graphs import (
     _power_form,
     _power_edges,
     _power_outer,
+    _require_positive,
     probabilistic_laplacian,
 )
 
@@ -48,8 +49,7 @@ class SearchHamiltonian:
     laplacian: Laplacian
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma={self.gamma} must be positive")
+        _require_positive("gamma", self.gamma)
         if not (0 <= self.target < self.laplacian.graph.n):
             raise ValueError(f"target vertex {self.target} out of range")
 
@@ -220,8 +220,7 @@ def green(solver: SecularSolver, gamma: float, z: float) -> GreenEvaluation:
     eigenvalue of Delta, visible or not, than 1e-12 times the width of that
     scaled spectrum.
     """
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma={gamma} must be positive and finite")
+    _require_positive("gamma", gamma)
     if not np.isfinite(z):
         raise ValueError(f"z={z} must be finite")
     spectrum = gamma * solver.laplacian_spectrum

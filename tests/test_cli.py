@@ -277,15 +277,30 @@ def test_spectrum_path_outputs(tmp_path):
 
 
 def test_laplacian_csv_matches_identity_minus_transition(tmp_path):
-    # I - P written with +0.0 off the edges: a negated zero would print "-0"
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, base_path_config(out) | {"graph.p": 0.4, "graph.d": 2})
-    assert cli.main(["spectrum", "--config", cfg]) == 0
-    g, _, _ = cartesian_power(path_graph(0.4), 2)
-    cli.export_matrix_csv(tmp_path / "oracle.csv", np.eye(g.n) - g.transition_matrix())
-    text = (out / "laplacian.csv").read_bytes()
-    assert text == (tmp_path / "oracle.csv").read_bytes()
-    assert b"-0," not in text and b"-0\n" not in text
+    # laplacian.csv, written from the Laplacian's cells, is the dense I - P as
+    # the per-row formatter writes it, with +0.0 off the edges: a negated zero
+    # would print "-0"
+    runs = [({"graph.d": d, "graph.p": p}, cartesian_power(path_graph(p), d)[0])
+            for d in (1, 2, 3, 4) for p in (0.05, 0.4, 0.91, 0.123456)]
+    runs += [({"graph.family": "complete", "graph.N": n}, complete_graph(n)) for n in (2, 3, 7, 50)]
+    for i, (config, g) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        cfg = write_config(tmp_path, base_path_config(out) | config)
+        assert cli.main(["spectrum", "--config", cfg]) == 0
+        per_row_matrix_csv(tmp_path / "oracle.csv", np.eye(g.n) - g.transition_matrix())
+        text = (out / "laplacian.csv").read_bytes()
+        assert text == (tmp_path / "oracle.csv").read_bytes(), config
+        assert b"-0," not in text and b"-0\n" not in text
+    # no command builds a product of a lazy axis, whose vertices hold self-loops
+    # of summed weights next to diagonal cells of 1.0
+    lazy3 = TransitionGraph.from_weights(
+        3, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.3, (1, 1): 0.2, (1, 2): 0.5, (2, 1): 1.0}, "custom"
+    )
+    for d in (1, 2, 3):
+        g, lap, _ = cartesian_power(lazy3, d)
+        cli.export_matrix_csv(tmp_path / "lazy.csv", (g.n, g.n), lap.cells())
+        per_row_matrix_csv(tmp_path / "oracle.csv", np.eye(g.n) - g.transition_matrix())
+        assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), d
 
 
 def test_spectrum_complete_outputs(tmp_path):
@@ -760,13 +775,14 @@ def test_tables_row_symmetrizes_and_decomposes_only_the_axis(monkeypatch, target
 
 def dense_revalidate(row, lap, w):
     """The dense row check that the certificate replaced, kept as its oracle for d <= 5."""
-    for which, root in (("s", row.gamma_s), ("w", row.gamma_w), ("E", row.gamma_E)):
+    for which in "swE":
+        root = row[f"gamma_{which}"]
         if root is None:
             continue
         if abs(_CROSSINGS[which](overlaps_direct(SearchHamiltonian(root, w, lap)))) > 1e-9:
             raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
-    sd = decompose(SearchHamiltonian(row.gamma_opt, w, lap))
-    if abs(sd.eigenvalues[0] - row.e0) > 1e-12 or abs(sd.eigenvalues[1] - row.e1) > 1e-12:
+    sd = decompose(SearchHamiltonian(row["gamma_opt"], w, lap))
+    if abs(sd.eigenvalues[0] - row["E0"]) > 1e-12 or abs(sd.eigenvalues[1] - row["E1"]) > 1e-12:
         raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
 
 
@@ -812,8 +828,8 @@ CERTIFIED_CONFIGS = [
 def test_certificate_agrees_with_the_dense_oracle(monkeypatch, config):
     rows = uncertified_rows(monkeypatch, config)
     for row, solver, lap, w in rows:
-        assert verdict(CERTIFY_ROW, row, solver) is None, row.p
-        assert verdict(dense_revalidate, row, lap, w) is None, row.p
+        assert verdict(CERTIFY_ROW, row, solver) is None, row["p"]
+        assert verdict(dense_revalidate, row, lap, w) is None, row["p"]
 
 
 def mutate_engine(monkeypatch, mutation):
@@ -865,8 +881,8 @@ def test_certificate_rejects_what_the_dense_oracle_rejects(monkeypatch, mutation
     for row, solver, lap, w in rows:
         dense = verdict(dense_revalidate, row, lap, w)
         certificate = verdict(CERTIFY_ROW, row, solver)
-        assert (dense is not None) == rejected, (row.p, dense)
-        assert (certificate is not None) == rejected, (row.p, certificate)
+        assert (dense is not None) == rejected, (row["p"], dense)
+        assert (certificate is not None) == rejected, (row["p"], certificate)
 
 
 def test_certificate_bounds_hold_against_dense_eigh():
@@ -933,17 +949,22 @@ def test_engine_builds_no_dense_laplacian_of_a_product(d):
     assert peak < 32e6
 
 
-def test_spectrum_builds_the_dense_laplacian_read_only(tmp_path, monkeypatch):
-    # the positive control of the test above: laplacian.csv needs the matrix
+def test_spectrum_builds_no_dense_laplacian(tmp_path, monkeypatch):
+    # laplacian.csv is written from the Laplacian's cells: at the d = 6 cap the
+    # dense Delta alone would be 134 MB
     built = []
     build = cli._build_graph
     monkeypatch.setattr(cli, "_build_graph", lambda *args: built.append(build(*args)) or built[-1])
-    cfg = write_config(tmp_path, base_path_config(tmp_path / "out", **{"graph.d": 2}))
-    assert cli.main(["spectrum", "--config", cfg]) == 0
+    cfg = write_config(tmp_path, base_path_config(tmp_path / "out", **{"graph.d": 6}))
+    tracemalloc.start()
+    try:
+        assert cli.main(["spectrum", "--config", cfg]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     [(lap, _)] = built
-    assert "matrix" in lap.__dict__
-    with pytest.raises(ValueError, match="read-only"):
-        lap.matrix[0, 0] = 0.0
+    assert "matrix" not in lap.__dict__
+    assert peak < 32e6
 
 
 def test_certificate_checks_sqrt_mu_over_vol_against_the_axis(monkeypatch):
@@ -984,10 +1005,16 @@ def test_export_matrix_csv_formats_every_cell_as_alone(tmp_path):
     matrix = np.array(
         [[0.0, -0.0, 1.0 / 3.0, 0.0], [-0.0, 1e-300, 1.0 / 3.0, -1.5], [np.nan, np.inf, -np.inf, 0.0]]
     )
-    cli.export_matrix_csv(tmp_path / "m.csv", matrix)
+    cli.export_matrix_csv(tmp_path / "m.csv", matrix.shape, stored_cells(matrix))
     expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in matrix)
     assert (tmp_path / "m.csv").read_text() == expected
     assert expected.startswith("0,-0,0.33333333333333331,0\n-0,")
+
+
+def stored_cells(matrix):
+    """Rows, columns and values of the cells of a dense matrix whose bits are not +0.0's, in row-major order."""
+    rows, cols = np.nonzero(np.ascontiguousarray(matrix, dtype=float).view(np.int64))
+    return rows, cols, matrix[rows, cols]
 
 
 def per_row_matrix_csv(path, matrix):
@@ -1014,7 +1041,7 @@ def test_export_matrix_csv_matches_the_per_row_formatter(tmp_path, kind):
         matrix = np.array([[0.0, -0.0, 0.0, -0.0, 2.5, -0.0], [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0]])
     else:
         matrix = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-300, 300, (40, 40))
-    cli.export_matrix_csv(tmp_path / "sparse.csv", matrix)
+    cli.export_matrix_csv(tmp_path / "sparse.csv", matrix.shape, stored_cells(matrix))
     per_row_matrix_csv(tmp_path / "per_row.csv", matrix)
     assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 

@@ -761,6 +761,15 @@ def test_laplacian_bits_match_the_loop_assembly(build):
     g = build()[0]
     lap = probabilistic_laplacian(g)
     assert lap.matrix.tobytes() == loop_laplacian(g).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lap.matrix[0, 0] = 0.0
+    # the cells, in row-major order, hold every cell of the matrix that is not +0.0
+    rows, cols, values = lap.cells()
+    assert (np.diff(rows * g.n + cols) > 0).all()
+    stored = np.zeros((g.n, g.n), dtype=bool)
+    stored[rows, cols] = True
+    assert not lap.matrix[~stored].view(np.int64).any()
+    assert values.tobytes() == lap.matrix[rows, cols].tobytes()
     assert lap.measure.mu.tobytes() == loop_kolmogorov_measure(g).tobytes()
     if g.family == "product":
         assert build()[1].matrix.tobytes() == lap.matrix.tobytes()

@@ -411,6 +411,33 @@ def test_searches_reject_bad_arguments_before_the_setup(monkeypatch, search_call
     assert solves == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0], ids=["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda s, x: SearchHamiltonian(x, 0, probabilistic_laplacian(complete_graph(6))), "gamma="),
+        (lambda s, x: green(s, x, -0.5), "gamma="),
+        (lambda s, x: decompose_at_gamma_E(s, x, np.linspace(0.0, 5.0, 10)), "gamma_E="),
+        (lambda s, x: gamma_critical_points(s, (x, 1.0)), "gamma_range"),
+        (lambda s, x: gamma_critical_points(s, (0.5, x)), "gamma_range"),
+        (lambda s, x: find_gamma_critical(s, "E", (0.5, x)), "gamma_range"),
+        (lambda s, x: optimize_search(s, (x, 1.0)), "gamma_range"),
+        (lambda s, x: optimize_search(s, (0.5, x)), "gamma_range"),
+    ],
+    ids=["hamiltonian", "green", "decompose", "points-lo", "points-hi", "find-hi", "optimize-lo", "optimize-hi"],
+)
+def test_a_coupling_or_window_end_must_be_positive_and_finite(monkeypatch, call, match, bad):
+    # one rule, checked before any solve and before numpy can warn: an infinite
+    # window end once reached np.linspace, and a NaN coupling the dense eigh
+    solver = complete_solver(6)
+    solves = []
+    monkeypatch.setattr(solver, "solve_many", lambda gammas: solves.append(gammas))
+    with pytest.raises(ValueError, match=match):
+        call(solver, bad)
+    assert solves == []
+
+
 def test_energy_levels_lipschitz_in_gamma():
     # dE/dgamma is a Laplacian expectation value, hence inside [0, 2]
     _, lap, _ = cartesian_power(path_graph(0.3), 2)
