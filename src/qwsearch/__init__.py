@@ -38,11 +38,9 @@ _EXPORTS = {
     ),
     "search": (
         "DecompositionReport",
-        "EvolutionResult",
         "GammaCriticalPoints",
         "SearchOptimum",
         "decompose_at_gamma_E",
-        "evolve",
         "find_gamma_critical",
         "gamma_critical_points",
         "optimize_search",
@@ -51,7 +49,6 @@ _EXPORTS = {
     "spectral": (
         "GreenEvaluation",
         "OverlapReport",
-        "SearchHamiltonian",
         "SecularSolver",
         "SecularSpectrum",
         "SpectralData",
@@ -60,12 +57,9 @@ _EXPORTS = {
         "decompose",
         "eigendecompose",
         "green",
-        "ground_state",
-        "overlaps_direct",
         "overlaps_via_green",
         "symmetrize",
         "theorem_bound_report",
-        "weighted_inner",
     ),
 }
 

@@ -73,7 +73,7 @@ class ExperimentConfig:
     gamma_min: float | None = None
     gamma_max: float | None = None
     gamma_points: int | None = None
-    t_points: int | None = None
+    t_points: int = OPT_T_POINTS_DEFAULT
     out_format: str = "csv"
     out_path: str = "out"
     figure: str | None = None
@@ -296,7 +296,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path) -> None:
     _write_csv(out / "hamiltonian_spectrum.csv", ["gamma", "index", "eigenvalue"], rows)
     export_matrix_csv(out / "laplacian.csv", (g.n, g.n), lap.cells())
 
-    profile = interior_measure_profile(g)
+    profile = interior_measure_profile(lap)
     _write_json(
         out / "summary.json",
         {
@@ -333,7 +333,7 @@ def _critical_and_optimum(
     opt = optimize_search(
         solver, _optimum_window(crit.gamma_E, scan),
         gamma_points=gamma_points,
-        t_points=cfg.t_points or OPT_T_POINTS_DEFAULT,
+        t_points=cfg.t_points,
     )
     return crit, opt
 
@@ -420,9 +420,7 @@ def _figure_contour(cfg: ExperimentConfig, out: Path) -> None:
         t_max = _time_ceiling(solver.volume, min(abs(r.e1 - r.e0) for r in reports))
         rows = []
         for gamma, spec in zip(grid, spectra):
-            times, curve = _grid_curve(
-                spec.energies, spec.amplitudes, t_max, cfg.t_points or OPT_T_POINTS_DEFAULT
-            )
+            times, curve = _grid_curve(spec.energies, spec.amplitudes, t_max, cfg.t_points)
             rows.extend([t, gamma, pi] for t, pi in zip(times, curve))
         _write_figure(out, "contour", f"contour_p{p:g}.csv", columns, rows)
 
@@ -437,9 +435,7 @@ def _figure_timeseries(cfg: ExperimentConfig, out: Path) -> None:
             cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
         )
         spec = solver.solve(opt.gamma_opt)
-        times, curve = _grid_curve(
-            spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points or OPT_T_POINTS_DEFAULT
-        )
+        times, curve = _grid_curve(spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points)
         _write_figure(out, "timeseries", f"timeseries_p{p:g}.csv", columns, zip(times, curve))
         _write_json(
             out / f"timeseries_p{p:g}.meta.json",
@@ -488,9 +484,7 @@ def run_optimize(cfg: ExperimentConfig, out: Path) -> None:
     # either configured end fixes the window (a missing end takes its default);
     # with neither, the window is centred on the gamma_E of a default scan
     if cfg.gamma_min is not None or cfg.gamma_max is not None:
-        opt = optimize_search(
-            solver, _scan_range(cfg), gamma_points=gamma_points, t_points=cfg.t_points or OPT_T_POINTS_DEFAULT
-        )
+        opt = optimize_search(solver, _scan_range(cfg), gamma_points=gamma_points, t_points=cfg.t_points)
     else:
         _, opt = _critical_and_optimum(cfg, p, solver, SCAN_POINTS_DEFAULT, gamma_points)
     payload = {

@@ -413,11 +413,10 @@ class InteriorMeasureProfile:
     homogeneous: bool
 
 
-def interior_measure_profile(g: TransitionGraph) -> InteriorMeasureProfile:
-    """Profile the reversibility measure of g over its interior vertices."""
-    axis, d = _power_form(g)
-    # the measure behind the volume; for a product, the one cartesian_power gives it
-    mu = _product_measure(axis, d).mu
+def interior_measure_profile(lap: Laplacian) -> InteriorMeasureProfile:
+    """Profile lap's reversibility measure over the interior vertices of its graph."""
+    axis, d = _power_form(lap.graph)
+    mu = lap.measure.mu
 
     sources, _, p = axis.edges
     out_degree = np.bincount(sources, minlength=axis.n)

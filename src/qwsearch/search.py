@@ -1,11 +1,11 @@
-"""Time evolution, success probability, critical couplings and the search optimum.
+"""Success probability, critical couplings and the search optimum.
 
 The initial state is the uniform ground state of the Laplacian; evolving it
 under gamma * Delta - V_w and reading off the squared target amplitude gives
-the success probability pi(t).  Three critical couplings mark where the two
-lowest states exchange character: equal overlaps with the initial state
-(gamma_s), equal overlaps with the target (gamma_w), and symmetric energies
-E0 = -E1 (gamma_E).
+the success probability pi(t), an exponential sum over one secular solve.
+Three critical couplings mark where the two lowest states exchange
+character: equal overlaps with the initial state (gamma_s), equal overlaps
+with the target (gamma_w), and symmetric energies E0 = -E1 (gamma_E).
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from .graphs import (
     _require_count,
     _require_positive,
 )
-from .spectral import (
-    SearchHamiltonian,
-    SecularSolver,
-    SpectralData,
-    _crossing,
-    _ground_sym,
-    _require_visible_low_pair,
-    decompose,
-)
+from .spectral import SecularSolver, SecularSpectrum, _crossing, _require_visible_low_pair
 
 BISECTION_WIDTH = 1e-12
 TIE_TOL = 1e-9
@@ -41,46 +33,13 @@ REFINE_DECADES = 2
 _CHUNK = 512
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """State exp(-iHt) s as a complex vertex function, with its target probability."""
+def success_curve(spectrum: SecularSpectrum, times: np.ndarray) -> np.ndarray:
+    """Success probability pi(t) = |sum_a alpha_a e^{-i E_a t}|^2 of one solve, at each time.
 
-    time: float
-    state: np.ndarray
-    success: float
-
-
-def evolve(
-    h: SearchHamiltonian, t: float, *, spectral: SpectralData | None = None
-) -> EvolutionResult:
-    """Evolve the uniform ground state for time t via the spectral exponential."""
-    if t < 0:
-        raise ValueError(f"time t={t} must be nonnegative")
-    sd = spectral if spectral is not None else decompose(h)
-    coeff = sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu)
-    u = sd.sym_vectors @ (np.exp(-1j * sd.eigenvalues * t) * coeff)
-    return EvolutionResult(
-        time=t,
-        state=u / sd.sqrt_mu,
-        success=float(abs(u[h.target]) ** 2),
-    )
-
-
-def success_curve(
-    h: SearchHamiltonian,
-    times: np.ndarray,
-    *,
-    spectral: SpectralData | None = None,
-) -> np.ndarray:
-    """Success probability on a time grid, vectorized over times."""
-    sd = spectral if spectral is not None else decompose(h)
-    amps = _target_amplitudes(sd, h.target)
-    return _curve(sd.eigenvalues, amps, np.asarray(times, dtype=float))
-
-
-def _target_amplitudes(sd: SpectralData, w: int) -> np.ndarray:
-    # per-state product <e_w, psi_a><psi_a, s>; pi(t) = |sum_a amp_a e^{-i E_a t}|^2
-    return sd.sym_vectors[w, :] * (sd.sym_vectors.T @ _ground_sym(sd.sqrt_mu))
+    ``spectrum`` is one ``SecularSolver.solve(gamma)``; the sum runs over its
+    visible energies and amplitudes, so no Hamiltonian is decomposed.
+    """
+    return np.abs(_exp_sum(spectrum.energies, spectrum.amplitudes, np.asarray(times, dtype=float))) ** 2
 
 
 def _exp_sum(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -92,10 +51,6 @@ def _exp_sum(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarr
     return out
 
 
-def _curve(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.abs(_exp_sum(evals, amps, times)) ** 2
-
-
 def _grid_curve(
     evals: np.ndarray, amps: np.ndarray, stop: float, num: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +60,8 @@ def _grid_curve(
     block start bB plus the offset k < B, so e^{-i E t} is the product of one
     row of a B-row offset table and one of ceil(num/B) block-start rows.  That
     is (B + ceil(num/B)) m complex exponentials for m energies, in place of
-    num m, and one matmul.  The curve agrees with ``_curve`` on the same times
-    up to the rounding of E t.
+    num m, and one matmul.  The curve agrees with ``success_curve`` on the
+    same times up to the rounding of E t.
     """
     times = np.linspace(0.0, stop, num)
     width = math.isqrt(num - 1) + 1

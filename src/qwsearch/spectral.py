@@ -37,29 +37,6 @@ POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SearchHamiltonian:
-    """Search generator: gamma * Laplacian minus the rank-one target projector.
-
-    The oracle projects onto e_w = delta_w / sqrt(mu(w)); in vertex
-    coordinates it is simply the matrix unit at (w, w).
-    """
-
-    gamma: float
-    target: int
-    laplacian: Laplacian
-
-    def __post_init__(self):
-        _require_positive("gamma", self.gamma)
-        if not (0 <= self.target < self.laplacian.graph.n):
-            raise ValueError(f"target vertex {self.target} out of range")
-
-    def matrix(self) -> np.ndarray:
-        h = self.gamma * self.laplacian.matrix
-        h[self.target, self.target] -= 1.0
-        return h
-
-
-@dataclass(frozen=True)
 class Symmetrized:
     """Real symmetric coordinates of a self-adjoint operator, with the back-map."""
 
@@ -73,16 +50,14 @@ class Symmetrized:
         return v / self.sqrt_mu[:, None]
 
 
-def symmetrize(op: Laplacian | SearchHamiltonian) -> Symmetrized:
-    """Conjugate op by diag(sqrt(mu)), returning a genuinely symmetric matrix.
+def symmetrize(lap: Laplacian) -> Symmetrized:
+    """Conjugate lap by diag(sqrt(mu)), returning a genuinely symmetric matrix.
 
     Raises NonSymmetrizable when the conjugated matrix is not symmetric, which
     signals a detailed-balance violation upstream.
     """
-    hamiltonian = isinstance(op, SearchHamiltonian)
-    a, mu = (op.matrix(), op.laplacian.measure.mu) if hamiltonian else (op.matrix, op.measure.mu)
-    sqrt_mu = np.sqrt(mu)
-    s = (sqrt_mu[:, None] * a) / sqrt_mu[None, :]
+    sqrt_mu = np.sqrt(lap.measure.mu)
+    s = (sqrt_mu[:, None] * lap.matrix) / sqrt_mu[None, :]
     defect = np.linalg.norm(s - s.T)
     if defect > SYMMETRY_TOL * max(np.linalg.norm(s), 1e-300):
         raise NonSymmetrizable(
@@ -157,18 +132,9 @@ def eigendecompose(sym: Symmetrized) -> SpectralData:
     return SpectralData(evals, vertex, vecs, sym.sqrt_mu, sym.matrix).validate()
 
 
-def decompose(op: Laplacian | SearchHamiltonian) -> SpectralData:
+def decompose(lap: Laplacian) -> SpectralData:
     """Symmetrize then eigendecompose in one step."""
-    return eigendecompose(symmetrize(op))
-
-
-def weighted_inner(f: np.ndarray, g: np.ndarray, mu: np.ndarray) -> complex | float:
-    return (np.conj(f) * g * mu).sum()
-
-
-def ground_state(lap: Laplacian) -> np.ndarray:
-    """Uniform vertex function normalized to 1 in the weighted inner product."""
-    return np.full(lap.graph.n, 1.0 / np.sqrt(lap.measure.volume))
+    return eigendecompose(symmetrize(lap))
 
 
 def _ground_sym(sqrt_mu: np.ndarray) -> np.ndarray:
@@ -276,27 +242,6 @@ def _crossing(which: str):
     if combine is None:
         raise ValueError(f"unknown crossing kind {which!r}; expected 's', 'w' or 'E'")
     return combine
-
-
-def _require_simple_low_states(evals: np.ndarray, scale: float) -> None:
-    thr = DEGENERACY_TOL * max(scale, 1e-300)
-    if evals.size < 2 or evals[1] - evals[0] <= thr:
-        raise DegenerateLowStates(
-            f"ground-state gap {evals[1] - evals[0]:.3e} below threshold {thr:.3e}"
-        )
-    if evals.size > 2 and evals[2] - evals[1] <= thr:
-        raise DegenerateLowStates(
-            f"first-excited gap {evals[2] - evals[1]:.3e} below threshold {thr:.3e}"
-        )
-
-
-def overlaps_direct(
-    h: SearchHamiltonian, *, spectral: SpectralData | None = None
-) -> OverlapReport:
-    """Overlap probabilities straight from the eigenvectors of the Hamiltonian."""
-    sd = spectral if spectral is not None else decompose(h)
-    _require_simple_low_states(sd.eigenvalues, sd.spectral_range)
-    return _overlap_report(sd.eigenvalues, sd.sym_vectors, _ground_sym(sd.sqrt_mu), h.target)
 
 
 def overlaps_via_green(solver: SecularSolver, gamma: float) -> OverlapReport:

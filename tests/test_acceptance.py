@@ -20,22 +20,22 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.search import (
-    decompose_at_gamma_E,
-    evolve,
-    gamma_critical_points,
-    optimize_search,
-    success_curve,
-)
+from qwsearch.search import decompose_at_gamma_E, gamma_critical_points, optimize_search
 from qwsearch.spectral import (
-    SearchHamiltonian,
     SecularSolver,
-    decompose,
     green,
-    overlaps_direct,
     overlaps_via_green,
     symmetrize,
     theorem_bound_report,
+)
+
+from dense_oracles import (
+    SearchHamiltonian,
+    decompose_hamiltonian,
+    evolve,
+    overlaps_direct,
+    success_curve as dense_success_curve,
+    symmetrize_hamiltonian,
 )
 
 LATTICE_P_VALUES = (0.91, 0.5, 0.4, 0.1)
@@ -131,7 +131,7 @@ def test_criterion_1_complete_graph_closed_forms():
             if abs(got - want) > 1e-9:
                 failures.append(f"N={n}: {name}={got} vs {want}")
         times = np.linspace(0.0, np.pi * root, 500)
-        curve = success_curve(h, times)
+        curve = dense_success_curve(h, times)
         closed = (n - 1) / n * np.sin(times / root) ** 2 + 1.0 / n
         err = np.abs(curve - closed).max()
         if err > 1e-8:
@@ -147,7 +147,7 @@ def test_criterion_2_green_direct_equivalence():
     failures = []
     for label, h, solver in random_instances(50):
         lap = h.laplacian
-        hsd = decompose(h)
+        hsd = decompose_hamiltonian(h)
         direct = overlaps_direct(h, spectral=hsd)
         via = overlaps_via_green(solver, h.gamma)
         for name in ("e0", "e1", "s_psi0", "w_psi0", "s_psi1", "w_psi1"):
@@ -180,9 +180,9 @@ def test_criterion_3_evolution_matches_matrix_exponential():
         if h.laplacian.graph.n > 16:
             continue
         checked += 1
-        sym = symmetrize(h)
+        sym = symmetrize_hamiltonian(h)
         s_sym = sym.sqrt_mu / np.sqrt((sym.sqrt_mu**2).sum())
-        sd = decompose(h)
+        sd = decompose_hamiltonian(h)
         for t in (0.1, 1.0, 10.0):
             oracle = expm(-1j * sym.matrix * t) @ s_sym
             ours = evolve(h, t, spectral=sd).state * sym.sqrt_mu
@@ -303,7 +303,7 @@ def test_criterion_8_effective_sine_approximation(lattice_results):
     opt = res.opt
     h = SearchHamiltonian(opt.gamma_opt, 0, res.lap)
     times = np.linspace(0.0, opt.t_opt, 4000)
-    curve = success_curve(h, times, spectral=decompose(h))
+    curve = dense_success_curve(h, times, spectral=decompose_hamiltonian(h))
     approx = 0.89 * np.sin(opt.e1 * times) ** 2
     sup = float(np.abs(curve - approx).max())
     if sup >= 0.05:

@@ -27,7 +27,9 @@ from qwsearch.graphs import (
     probabilistic_laplacian,
 )
 from qwsearch.search import optimize_search
-from qwsearch.spectral import _CROSSINGS, SearchHamiltonian, decompose, overlaps_direct
+from qwsearch.spectral import _CROSSINGS
+
+from dense_oracles import SearchHamiltonian, decompose_hamiltonian, overlaps_direct
 
 # the row certificate itself, for tests that replace it in cli while rows are computed
 CERTIFY_ROW = cli._certify_row
@@ -761,10 +763,9 @@ def test_tables_row_symmetrizes_and_decomposes_only_the_axis(monkeypatch, target
     symmetrized = []
     symmetrize = spectral.symmetrize
 
-    def recorded(op):
-        lap = op.laplacian if isinstance(op, SearchHamiltonian) else op
+    def recorded(lap):
         symmetrized.append(lap.matrix.shape)
-        return symmetrize(op)
+        return symmetrize(lap)
 
     monkeypatch.setattr(spectral, "symmetrize", recorded)
     cfg = parse_config(path_tables(3, [0.4], **{"target.vertex": target, "sweep.gamma_points": 60, "sweep.t_points": 300}))
@@ -781,7 +782,7 @@ def dense_revalidate(row, lap, w):
             continue
         if abs(_CROSSINGS[which](overlaps_direct(SearchHamiltonian(root, w, lap)))) > 1e-9:
             raise NumericalFailure(f"gamma_{which}={root} fails its defining equation")
-    sd = decompose(SearchHamiltonian(row["gamma_opt"], w, lap))
+    sd = decompose_hamiltonian(SearchHamiltonian(row["gamma_opt"], w, lap))
     if abs(sd.eigenvalues[0] - row["E0"]) > 1e-12 or abs(sd.eigenvalues[1] - row["E1"]) > 1e-12:
         raise NumericalFailure("E0/E1 at gamma_opt do not reproduce under recomputation")
 

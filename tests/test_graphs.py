@@ -25,7 +25,9 @@ from qwsearch.graphs import (
     path_graph,
     probabilistic_laplacian,
 )
-from qwsearch.spectral import SearchHamiltonian, SecularSolver, symmetrize
+from qwsearch.spectral import SecularSolver
+
+from dense_oracles import SearchHamiltonian, decompose_hamiltonian, symmetrize_hamiltonian
 
 
 def cartesian_power_of_path(d):
@@ -354,7 +356,7 @@ def test_cartesian_power_sums_an_axis_self_loop(d):
     gammas = np.geomspace(1e-3, 1e3, 7)
     for w in (0, gd.n // 2, gd.n - 1):
         for gamma, energies in zip(gammas, SecularSolver(lap, w).hamiltonian_spectra(gammas)):
-            dense = np.linalg.eigvalsh(symmetrize(SearchHamiltonian(gamma, w, lap)).matrix)
+            dense = np.linalg.eigvalsh(symmetrize_hamiltonian(SearchHamiltonian(gamma, w, lap)).matrix)
             assert np.abs(energies - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max()), (w, gamma)
 
 
@@ -481,8 +483,8 @@ def test_laplacians_and_measures_compare_by_identity():
 
 
 def test_interior_profile_homogeneous():
-    g, _, _ = cartesian_power(path_graph(0.5), 3)
-    profile = interior_measure_profile(g)
+    _, lap, _ = cartesian_power(path_graph(0.5), 3)
+    profile = interior_measure_profile(lap)
     assert profile.interior_constant
     assert profile.homogeneous
     assert profile.interior_min == pytest.approx(8.0, rel=1e-12)
@@ -490,8 +492,8 @@ def test_interior_profile_homogeneous():
 
 
 def test_interior_profile_biased_lattice():
-    g, _, measure = cartesian_power(path_graph(0.4), 2)
-    profile = interior_measure_profile(g)
+    _, lap, measure = cartesian_power(path_graph(0.4), 2)
+    profile = interior_measure_profile(lap)
     assert not profile.homogeneous
     # the measure varies across the lattice even though the strict interior
     # block is constant by the product structure
@@ -501,7 +503,7 @@ def test_interior_profile_biased_lattice():
 
 def test_interior_profile_single_axis():
     for p in (0.2, 0.5, 0.8):
-        profile = interior_measure_profile(path_graph(p))
+        profile = interior_measure_profile(probabilistic_laplacian(path_graph(p)))
         assert profile.interior_constant
         assert profile.interior_min == pytest.approx(1.0 / (1.0 - p), rel=1e-12)
         assert profile.homogeneous == (p == 0.5)
@@ -510,11 +512,9 @@ def test_interior_profile_single_axis():
 def test_corner_targets_equivalent_spectra():
     # relabeling x -> 3-x per axis maps corner 0 to the opposite corner and
     # preserves weights, so both targets give the same Hamiltonian spectrum
-    from qwsearch.spectral import SearchHamiltonian, decompose
-
     g, lap, _ = cartesian_power(path_graph(0.35), 2)
-    e_first = decompose(SearchHamiltonian(0.9, 0, lap)).eigenvalues
-    e_last = decompose(SearchHamiltonian(0.9, g.n - 1, lap)).eigenvalues
+    e_first = decompose_hamiltonian(SearchHamiltonian(0.9, 0, lap)).eigenvalues
+    e_last = decompose_hamiltonian(SearchHamiltonian(0.9, g.n - 1, lap)).eigenvalues
     np.testing.assert_allclose(e_first, e_last, atol=1e-10)
 
 

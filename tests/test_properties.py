@@ -22,23 +22,27 @@ from qwsearch.graphs import (
     probabilistic_laplacian,
 )
 from qwsearch.search import (
-    _curve,
     _exp_sum,
     _grid_curve,
     decompose_at_gamma_E,
-    evolve,
     find_gamma_critical,
     success_curve,
 )
 from qwsearch.spectral import (
-    SearchHamiltonian,
     SecularSolver,
     TheoremBounds,
-    decompose,
-    overlaps_direct,
     overlaps_via_green,
     symmetrize,
     theorem_bound_report,
+)
+
+from dense_oracles import (
+    SearchHamiltonian,
+    decompose_hamiltonian,
+    evolve,
+    overlaps_direct,
+    success_curve as dense_success_curve,
+    symmetrize_hamiltonian,
 )
 
 st_p = st.floats(min_value=0.02, max_value=0.98)
@@ -143,9 +147,9 @@ def test_theorem_bounds_always_hold(p, gamma):
 def test_success_curve_matches_pointwise_evolution(p, gamma):
     lap = probabilistic_laplacian(path_graph(p))
     h = SearchHamiltonian(gamma, 1, lap)
-    sd = decompose(h)
+    sd = decompose_hamiltonian(h)
     times = np.linspace(0.0, 12.0, 7)
-    curve = success_curve(h, times, spectral=sd)
+    curve = dense_success_curve(h, times, spectral=sd)
     for t, pi in zip(times, curve):
         assert pi == pytest.approx(evolve(h, float(t), spectral=sd).success, abs=1e-12)
 
@@ -153,7 +157,7 @@ def test_success_curve_matches_pointwise_evolution(p, gamma):
 def assert_secular_matches_dense(lap, w, gamma):
     """The secular engine against dense eigh: low pair, amplitudes and pi(t) to 1e-10."""
     h = SearchHamiltonian(gamma, w, lap)
-    sd = decompose(h)
+    sd = decompose_hamiltonian(h)
     spec = SecularSolver(lap, w).solve(gamma)
     try:
         dense = overlaps_direct(h, spectral=sd)
@@ -172,8 +176,8 @@ def assert_secular_matches_dense(lap, w, gamma):
     assert np.abs(np.delete(alpha, nearest)).max(initial=0.0) <= 1e-10
     times = np.linspace(0.0, 60.0, 41)
     np.testing.assert_allclose(
-        _curve(spec.energies, spec.amplitudes, times),
-        success_curve(h, times, spectral=sd),
+        success_curve(spec, times),
+        dense_success_curve(h, times, spectral=sd),
         rtol=0.0,
         atol=1e-10,
     )
@@ -392,7 +396,7 @@ def test_product_setup_matches_dense_setup(p, d, gamma, data):
 def assert_hamiltonian_spectra_match_eigvalsh(lap, w, gammas):
     """Every eigenvalue from the secular solver within 1e-13 max(1, ||H||) of dense eigvalsh."""
     for gamma, energies in zip(gammas, SecularSolver(lap, w).hamiltonian_spectra(gammas)):
-        dense = np.linalg.eigvalsh(symmetrize(SearchHamiltonian(gamma, w, lap)).matrix)
+        dense = np.linalg.eigvalsh(symmetrize_hamiltonian(SearchHamiltonian(gamma, w, lap)).matrix)
         assert energies.shape == dense.shape
         assert np.abs(energies - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max()), gamma
 
@@ -459,7 +463,7 @@ def dense_decomposition(lap, w, gamma, times):
 
     The function's former body, kept as the oracle of the secular route.
     """
-    sd = decompose(SearchHamiltonian(gamma, w, lap))
+    sd = decompose_hamiltonian(SearchHamiltonian(gamma, w, lap))
     coeff = sd.sym_vectors.T @ (sd.sqrt_mu / np.sqrt((sd.sqrt_mu**2).sum()))
     wv = sd.sym_vectors[w, :]
     alpha = wv * coeff
@@ -531,7 +535,7 @@ def assert_slopes_match_dense(lap, w, gamma):
     """
     pair = SecularSolver(lap, w).solve(gamma).low_pair()
     slopes = np.array([pair.e0 + pair.w_psi0, pair.e1 + pair.w_psi1]) / gamma
-    psi = decompose(SearchHamiltonian(gamma, w, lap)).sym_vectors[:, :2]
+    psi = decompose_hamiltonian(SearchHamiltonian(gamma, w, lap)).sym_vectors[:, :2]
     dense = np.einsum("ia,ij,ja->a", psi, symmetrize(lap).matrix, psi)
     assert (np.abs(slopes - dense) <= 1e-12 * np.maximum(1.0, dense)).all(), (slopes, dense)
 

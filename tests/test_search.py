@@ -40,7 +40,6 @@ from qwsearch.search import (
     _optimum_window,
     _peak_objective,
     decompose_at_gamma_E,
-    evolve,
     find_gamma_critical,
     gamma_critical_points,
     optimize_search,
@@ -48,14 +47,19 @@ from qwsearch.search import (
 )
 from qwsearch.spectral import (
     _CROSSINGS,
-    SearchHamiltonian,
     SecularSolver,
-    decompose,
     green,
-    overlaps_direct,
     overlaps_via_green,
-    symmetrize,
     theorem_bound_report,
+)
+
+from dense_oracles import (
+    SearchHamiltonian,
+    decompose_hamiltonian,
+    evolve,
+    overlaps_direct,
+    success_curve as dense_success_curve,
+    symmetrize_hamiltonian,
 )
 
 
@@ -95,14 +99,36 @@ def test_complete_graph_success_curve(n):
     h = SearchHamiltonian((n - 1) / n, 0, lap)
     times = np.linspace(0.0, np.pi * np.sqrt(n), 300)
     np.testing.assert_allclose(
-        success_curve(h, times), complete_success_curve(n, times), atol=1e-8
+        dense_success_curve(h, times), complete_success_curve(n, times), atol=1e-8
     )
+    np.testing.assert_allclose(
+        success_curve(complete_solver(n).solve(h.gamma), times), complete_success_curve(n, times), atol=1e-8
+    )
+
+
+CURVE_CASES = [
+    pytest.param(lambda p=p, d=d: cartesian_power(path_graph(p), d)[1], id=f"d{d}-p{p}")
+    for d in (1, 2, 3, 4)
+    for p in (0.1, 0.5, 0.91)
+] + [pytest.param(lambda n=n: probabilistic_laplacian(complete_graph(n)), id=f"K{n}") for n in (2, 5, 16)]
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("builder", CURVE_CASES)
+def test_success_curve_of_a_solve_matches_the_dense_oracle(builder, gamma):
+    # the public curve is an exponential sum over one secular solve; on the
+    # optimizer's time window it agrees with the dense eigh of H to 1e-12
+    lap = builder()
+    spec = SecularSolver(lap, 0).solve(gamma)
+    times = np.linspace(0.0, _time_ceiling(lap.measure.volume, spec.levels[1] - spec.levels[0]), 500)
+    dense = dense_success_curve(SearchHamiltonian(gamma, 0, lap), times)
+    assert np.abs(success_curve(spec, times) - dense).max() <= 1e-12
 
 
 def test_unitarity_and_probability_range():
     _, lap, _ = cartesian_power(path_graph(0.35), 2)
     h = SearchHamiltonian(0.9, 0, lap)
-    sd = decompose(h)
+    sd = decompose_hamiltonian(h)
     for t in np.linspace(0.0, 50.0, 23):
         result = evolve(h, float(t), spectral=sd)
         norm = float(np.sum(np.abs(result.state) ** 2 * lap.measure.mu))
@@ -121,9 +147,9 @@ def test_unitarity_and_probability_range():
 def test_evolution_matches_matrix_exponential(lap_builder, gamma):
     lap = lap_builder()
     h = SearchHamiltonian(gamma, 0, lap)
-    sym = symmetrize(h)
+    sym = symmetrize_hamiltonian(h)
     s_sym = sym.sqrt_mu / np.sqrt((sym.sqrt_mu**2).sum())
-    sd = decompose(h)
+    sd = decompose_hamiltonian(h)
     for t in (0.1, 1.0, 10.0):
         expected = expm(-1j * sym.matrix * t) @ s_sym
         got = evolve(h, t, spectral=sd).state * sym.sqrt_mu
@@ -332,6 +358,7 @@ def test_analysis_makes_only_the_axis_eigh(monkeypatch):
     green(solver, gamma_e, -0.5)
     overlaps_via_green(solver, gamma_e)
     theorem_bound_report(solver, gamma_e)
+    success_curve(solver.solve(gamma_e), np.linspace(0.0, 50.0, 20))
     assert sizes == []
 
 
@@ -445,7 +472,7 @@ def test_energy_levels_lipschitz_in_gamma():
     e0 = np.empty(gammas.size)
     e1 = np.empty(gammas.size)
     for i, gamma in enumerate(gammas):
-        sd = decompose(SearchHamiltonian(float(gamma), 0, lap))
+        sd = decompose_hamiltonian(SearchHamiltonian(float(gamma), 0, lap))
         e0[i], e1[i] = sd.eigenvalues[0], sd.eigenvalues[1]
     step = gammas[1] - gammas[0]
     assert np.abs(np.diff(e0)).max() <= 2.0 * step + 1e-12

@@ -20,17 +20,22 @@ from qwsearch.graphs import (
 )
 from qwsearch.spectral import (
     DEGENERACY_TOL,
-    SearchHamiltonian,
     SecularSolver,
     SpectralData,
     decompose,
     eigendecompose,
     green,
-    ground_state,
-    overlaps_direct,
     overlaps_via_green,
     symmetrize,
     theorem_bound_report,
+)
+
+from dense_oracles import (
+    SearchHamiltonian,
+    decompose_hamiltonian,
+    ground_state,
+    overlaps_direct,
+    symmetrize_hamiltonian,
     weighted_inner,
 )
 
@@ -114,7 +119,7 @@ def test_eigendecompose_contracts():
 
 def test_phase_convention_largest_component_positive():
     _, lap, _ = cartesian_power(path_graph(0.3), 2)
-    sd = decompose(SearchHamiltonian(0.8, 0, lap))
+    sd = decompose_hamiltonian(SearchHamiltonian(0.8, 0, lap))
     for a in range(sd.n):
         column = sd.eigenvectors[:, a]
         assert column[np.abs(column).argmax()] > 0
@@ -207,7 +212,7 @@ def test_green_derivative_positive_below_spectrum():
 def test_green_equals_one_at_hamiltonian_eigenvalues(graph, gamma):
     lap = probabilistic_laplacian(graph)
     solver = SecularSolver(lap, 0)
-    hsd = decompose(SearchHamiltonian(gamma, 0, lap))
+    hsd = decompose_hamiltonian(SearchHamiltonian(gamma, 0, lap))
     for a in (0, 1):
         value = green(solver, gamma, float(hsd.eigenvalues[a])).value
         assert value == pytest.approx(1.0, abs=1e-8)
@@ -218,7 +223,7 @@ def test_resolvent_identity_at_eigenvalues():
     _, lap, _ = cartesian_power(path_graph(0.45), 2)
     gamma, w = 0.9, 0
     sym = symmetrize(lap)
-    hsd = decompose(SearchHamiltonian(gamma, w, lap))
+    hsd = decompose_hamiltonian(SearchHamiltonian(gamma, w, lap))
     for a in (0, 1):
         e_a = hsd.eigenvalues[a]
         v_a = hsd.sym_vectors[:, a]
@@ -265,7 +270,7 @@ def test_green_and_direct_overlaps_agree(builder, gamma, w):
 def test_degenerate_low_states_rejected():
     lap = probabilistic_laplacian(complete_graph(4))
     h = SearchHamiltonian(0.75, 0, lap)
-    sd = decompose(h)
+    sd = decompose_hamiltonian(h)
     doctored = SpectralData(
         eigenvalues=np.array([0.5, 0.5, 0.5, 0.5]),
         eigenvectors=sd.eigenvectors,
@@ -328,7 +333,7 @@ def test_secular_degeneracy_threshold_is_the_hamiltonian_norm(gamma, w):
     # the low-pair check keeps the dense threshold: 1e-10 times the largest
     # absolute row sum of the symmetrized Hamiltonian
     _, lap, _ = cartesian_power(path_graph(0.3), 2)
-    sym = symmetrize(SearchHamiltonian(gamma, w, lap)).matrix
+    sym = symmetrize_hamiltonian(SearchHamiltonian(gamma, w, lap)).matrix
     spec = SecularSolver(lap, w).solve(gamma)
     assert spec.degeneracy_threshold == pytest.approx(
         DEGENERACY_TOL * np.abs(sym).sum(axis=1).max(), rel=1e-12

@@ -15,7 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qwsearch.graphs import cartesian_power, path_graph, probabilistic_laplacian
+from qwsearch.search import success_curve
+from qwsearch.spectral import SecularSolver
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -70,3 +74,18 @@ def test_traced_search_spans_carry_their_configured_counts(tmp_path):
     # optimize with no window scans the default 600-point grid for its gamma_E
     optimize = lattice | {"graph.p": 0.4, "sweep.gamma_points": 40, "sweep.t_points": 300}
     assert traced_search_sizes(tmp_path, "optimize", optimize) == {"scan": [600], "optimize": [300]}
+
+
+def test_traced_curve_span_counts_its_times():
+    # the tracer sizes a success_curve span by the length of its second
+    # argument, the times of the curve drawn from one solve
+    tracer = load_tracer()
+    row = next(t for t in tracer.TARGETS if t[:2] == ("qwsearch.search", "success_curve"))
+    module_name, path, layer, kind, size_in, size_out = row
+    rec = tracer.Recorder()
+    traced = rec.wrap(success_curve, f"{module_name}.{path}", layer, kind, size_in, size_out)
+    spec = SecularSolver(cartesian_power(path_graph(0.4), 2)[1], 0).solve(1.0)
+    times = np.linspace(0.0, 40.0, 300)
+    assert np.array_equal(traced(spec, times), success_curve(spec, times))
+    ((*_, size),) = rec.spans
+    assert size == 300
