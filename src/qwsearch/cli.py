@@ -214,6 +214,11 @@ def _scan_range(cfg: ExperimentConfig) -> tuple[float, float]:
     return lo, hi
 
 
+def _scan_points(cfg: ExperimentConfig) -> int:
+    """The coupling scan's grid size: ``sweep.gamma_points``, or ``SCAN_POINTS_DEFAULT``."""
+    return cfg.gamma_points or SCAN_POINTS_DEFAULT
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -341,9 +346,7 @@ def _critical_and_optimum(
 def compute_table_row(cfg: ExperimentConfig, p: float) -> dict[str, float | None]:
     """The summary line of one parameter value, its critical couplings and optimum, keyed by ``TABLE_COLUMNS``."""
     lap, solver = _build_graph(cfg, p)
-    crit, opt = _critical_and_optimum(
-        cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
-    )
+    crit, opt = _critical_and_optimum(cfg, p, solver, _scan_points(cfg), OPT_GAMMA_POINTS_DEFAULT)
     measure, w = lap.measure, solver.target
     cells = (  # in the order of TABLE_COLUMNS
         p, crit.gamma_s, crit.gamma_w, crit.gamma_E, opt.gamma_opt, opt.e0, opt.e1,
@@ -402,7 +405,7 @@ def _figure_overlaps(cfg: ExperimentConfig, out: Path) -> None:
     ]
     for p in cfg.p_values:
         _, solver = _build_graph(cfg, p)
-        grid = np.linspace(*_scan_range(cfg), cfg.gamma_points or SCAN_POINTS_DEFAULT)
+        grid = np.linspace(*_scan_range(cfg), _scan_points(cfg))
         reports = [spec.low_pair() for spec in solver.solve_many(grid)]
         rows = [[gamma, r.s_psi0, r.w_psi0, r.s_psi1, r.w_psi1] for gamma, r in zip(grid, reports)]
         _write_figure(out, "overlaps", f"overlaps_p{p:g}.csv", columns, rows)
@@ -414,7 +417,7 @@ def _figure_contour(cfg: ExperimentConfig, out: Path) -> None:
     columns = [("t", "evolution time"), ("gamma", "Laplacian coupling"), ("pi", "success probability at (t, gamma)")]
     for p in cfg.p_values:
         _, solver = _build_graph(cfg, p)
-        grid = np.linspace(*_scan_range(cfg), cfg.gamma_points or SCAN_POINTS_DEFAULT)
+        grid = np.linspace(*_scan_range(cfg), _scan_points(cfg))
         spectra = solver.solve_many(grid)
         reports = [spec.low_pair() for spec in spectra]
         t_max = _time_ceiling(solver.volume, min(abs(r.e1 - r.e0) for r in reports))
@@ -431,9 +434,7 @@ def _figure_timeseries(cfg: ExperimentConfig, out: Path) -> None:
     columns = [("t", "evolution time"), ("pi", "success probability at the optimal coupling")]
     for p in cfg.p_values:
         _, solver = _build_graph(cfg, p)
-        _, opt = _critical_and_optimum(
-            cfg, p, solver, cfg.gamma_points or SCAN_POINTS_DEFAULT, OPT_GAMMA_POINTS_DEFAULT
-        )
+        _, opt = _critical_and_optimum(cfg, p, solver, _scan_points(cfg), OPT_GAMMA_POINTS_DEFAULT)
         spec = solver.solve(opt.gamma_opt)
         times, curve = _grid_curve(spec.energies, spec.amplitudes, 1.25 * opt.t_opt, cfg.t_points)
         _write_figure(out, "timeseries", f"timeseries_p{p:g}.csv", columns, zip(times, curve))

@@ -39,16 +39,25 @@ def success_curve(spectrum: SecularSpectrum, times: np.ndarray) -> np.ndarray:
     ``spectrum`` is one ``SecularSolver.solve(gamma)``; the sum runs over its
     visible energies and amplitudes, so no Hamiltonian is decomposed.
     """
-    return np.abs(_exp_sum(spectrum.energies, spectrum.amplitudes, np.asarray(times, dtype=float))) ** 2
+    return _abs2(_exp_sum(spectrum.energies, spectrum.amplitudes, np.asarray(times, dtype=float)))
 
 
-def _exp_sum(evals: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # sum_a amps_a e^{-i E_a t} on a time grid, _CHUNK times per matmul to bound memory
+def _exp_sum(energies: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+    # z(t) = sum_a amps_a e^{-i E_a t} for one spectrum or one per time, _CHUNK times per matmul to bound
+    # memory; each time is its own 1 x m by m x 1 product, so its bits do not depend on the times beside it
+    energies = np.broadcast_to(energies, (times.size, energies.shape[-1]))
+    amps = np.broadcast_to(amps, energies.shape)
     out = np.empty(times.size, dtype=complex)
     for i in range(0, times.size, _CHUNK):
-        tt = times[i : i + _CHUNK]
-        out[i : i + _CHUNK] = np.exp(-1j * tt[:, None] * evals[None, :]) @ amps
+        rows = slice(i, i + _CHUNK)
+        phases = np.exp(-1j * times[rows, None] * energies[rows])
+        out[rows] = np.matmul(phases[:, None, :], amps[rows, :, None])[:, 0, 0]
     return out
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    # hypot, not np.abs: the two round |z| apart in about a third of cases
+    return np.hypot(z.real, z.imag) ** 2
 
 
 def _grid_curve(
@@ -295,22 +304,11 @@ def _golden_lockstep(
 def _peak_objective(energies: np.ndarray, amps: np.ndarray):
     """f(rows, t) = pi(t[j]) of coupling rows[j], for spectra stacked one per row.
 
-    Each value is bit for bit the one-row call f([i], [t]) of that coupling,
-    so a peak refines to the same t whatever grid it shares: the stacked
-    vector products and hypot round per row.  np.abs, einsum or a sum over
-    the last axis each move the last bit, and at a flat peak one bit of pi
-    moves the maximizing t by about sqrt(eps).  Against the lone
-    abs(np.exp(-1j * t * E) @ amps) ** 2 it agrees to 1 ulp, not bit for
-    bit: the vector products are equal, but a scalar ** 2 rounds through
-    pow where the array square multiplies.
+    ``_exp_sum`` sums each row alone, so each value is bit for bit ``success_curve``
+    of that coupling at that time, whatever rows share the call: at a flat peak
+    one bit of pi moves the maximizing t by about sqrt(eps).
     """
-
-    def f(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * t[:, None] * energies[rows])
-        z = np.matmul(phases[:, None, :], amps[rows][:, :, None])[:, 0, 0]
-        return np.hypot(z.real, z.imag) ** 2
-
-    return f
+    return lambda rows, t: _abs2(_exp_sum(energies[rows], amps[rows], t))
 
 
 def optimize_search(

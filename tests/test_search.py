@@ -806,8 +806,8 @@ def test_golden_lockstep_matches_serial_sections_bit_for_bit():
 
 @pytest.mark.parametrize("p, d", [(0.91, 2), (0.4, 2), (0.91, 4), (0.5, 5)])
 def test_peak_objective_rows_match_the_lone_success_probability(p, d):
-    # batched rows equal one-row calls bit for bit, and the lone
-    # abs(exp(-i t E) @ alpha)^2 to within 2 ulp (its scalar ** 2 rounds through pow)
+    # batched rows equal one-row calls and success_curve bit for bit, and the
+    # lone abs(exp(-i t E) @ alpha)^2 to within 2 ulp (its scalar ** 2 rounds through pow)
     _, lap, measure = cartesian_power(path_graph(p), d)
     spectra = SecularSolver(lap, 0).solve_many(np.linspace(0.3, 2.0, 50))
     energies = np.stack([s.energies for s in spectra])
@@ -819,7 +819,26 @@ def test_peak_objective_rows_match_the_lone_success_probability(p, d):
     lone = np.array([abs(np.exp(-1j * t * energies[r]) @ amps[r]) ** 2 for r, t in zip(rows, times)])
     one_row = np.array([f(np.array([r]), np.array([t]))[0] for r, t in zip(rows, times)])
     assert np.array_equal(got, one_row)
+    for r in np.unique(rows):
+        assert np.array_equal(success_curve(spectra[r], times[rows == r]), got[rows == r]), r
     assert (np.abs(got - lone) <= 2.0 * np.spacing(np.maximum(got, lone))).all()
+
+
+@pytest.mark.parametrize("d, p", [(2, 0.1), (2, 0.5), (3, 0.1), (4, 0.1), (5, 0.5), (5, 0.91)])
+def test_success_curve_returns_the_refined_pi_max_bit_for_bit(d, p):
+    # the tables pipeline on its benchmark grid (60 scan points, 200 couplings,
+    # 500 times), in rows where the refined peak, not a grid time, wins
+    _, lap, _ = cartesian_power(path_graph(p), d)
+    solver = SecularSolver(lap, 0)
+    crit = gamma_critical_points(solver, grid_points=60)
+    window = _optimum_window(crit.gamma_E, GAMMA_RANGE_DEFAULT)
+    opt = optimize_search(solver, window, gamma_points=200, t_points=500)
+    spec = solver.solve(opt.gamma_opt)
+    grid_times, _ = _grid_curve(
+        spec.energies, spec.amplitudes, _time_ceiling(solver.volume, abs(opt.e1 - opt.e0)), 500
+    )
+    assert opt.t_opt not in grid_times
+    assert success_curve(spec, np.array([opt.t_opt]))[0] == opt.pi_max
 
 
 def unpruned_optimum(solver, gamma_range, gamma_points, t_points):
